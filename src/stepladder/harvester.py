@@ -5,7 +5,8 @@ recorded failure, so a harvest is always accountable: traces + failures
 equals examples times samples_per_example.  Responses are cached on disk
 keyed by request content, cache hits bypass the network entirely, and
 live requests are paced by a shared token bucket and retried with
-exponential backoff on transient errors.
+exponential backoff on transient errors.  Each worker thread keeps one
+HTTP connection to the endpoint alive across its requests.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
-
-import requests
 
 from .corpus import Example, TeacherProfile, Trace
 from .errors import HarvestError
@@ -140,7 +139,8 @@ def _cache_key(job: HarvestJob, system_text: str, user_text: str,
                sample_index: int) -> str:
     payload = json.dumps(
         [job.teacher.model_name, job.template.template_id, system_text,
-         user_text, sample_index],
+         user_text, sample_index, float(job.teacher.temperature),
+         job.teacher.endpoint_url.rstrip("/")],
         ensure_ascii=True,
     )
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
@@ -165,48 +165,6 @@ def _cache_write(cache_dir: Path, key: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-class _Transient(Exception):
-    """A response worth retrying (429, 5xx, or a network hiccup)."""
-
-
-def _fetch(session: requests.Session, job: HarvestJob, api_key: str,
-           system_text: str, user_text: str, limiter: _RateLimiter) -> str:
-    """One paced, retried chat completion request.  Returns the content."""
-    url = job.teacher.endpoint_url.rstrip("/") + "/chat/completions"
-    body = {
-        "model": job.teacher.model_name,
-        "messages": [
-            {"role": "system", "content": system_text},
-            {"role": "user", "content": user_text},
-        ],
-        "temperature": job.teacher.temperature,
-    }
-    headers = {"Authorization": f"Bearer {api_key}"}
-    last = "no attempt made"
-    for attempt in range(job.max_retries + 1):
-        if attempt:
-            time.sleep(job.backoff_base * 2 ** (attempt - 1))
-        limiter.acquire()
-        try:
-            resp = session.post(url, json=body, headers=headers, timeout=job.timeout)
-        except requests.RequestException as exc:
-            last = f"network error: {exc}"
-            continue
-        if resp.status_code == 429 or resp.status_code >= 500:
-            last = f"HTTP {resp.status_code}"
-            continue
-        if resp.status_code != 200:
-            raise HarvestError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-        try:
-            content = resp.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError):
-            raise HarvestError("malformed response body (no message content)")
-        if not isinstance(content, str):
-            raise HarvestError("malformed response body (content is not text)")
-        return content
-    raise HarvestError(f"{last} after {job.max_retries + 1} attempts")
-
-
 def harvest(examples: Iterable[Example], job: HarvestJob) -> HarvestResult:
     """Fetch, cache and segment traces for every example.
 
@@ -224,8 +182,12 @@ def harvest(examples: Iterable[Example], job: HarvestJob) -> HarvestResult:
     cache_dir = Path(job.cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
 
+    # Imported here, not at the top: http.client and ssl add about 30 ms
+    # to the start-up of every other subcommand.
+    from .chatclient import ChatClient, fetch
+
     limiter = _RateLimiter(job.rate_limit)
-    session = requests.Session()
+    client = ChatClient(job.teacher.endpoint_url, api_key, job.timeout)
     samples = job.teacher.samples_per_example
 
     def run_unit(example: Example, sample_index: int):
@@ -235,7 +197,7 @@ def harvest(examples: Iterable[Example], job: HarvestJob) -> HarvestResult:
         hit = text is not None
         if not hit:
             try:
-                text = _fetch(session, job, api_key, system_text, user_text, limiter)
+                text = fetch(client, job, system_text, user_text, limiter)
             except HarvestError as exc:
                 return None, HarvestFailure(example.id, sample_index, str(exc)), False
             _cache_write(cache_dir, key, text)
@@ -248,8 +210,11 @@ def harvest(examples: Iterable[Example], job: HarvestJob) -> HarvestResult:
         return trace, None, hit
 
     units = [(ex, s) for ex in examples for s in range(samples)]
-    with ThreadPoolExecutor(max_workers=job.max_in_flight) as pool:
-        outcomes = list(pool.map(lambda u: run_unit(*u), units))
+    try:
+        with ThreadPoolExecutor(max_workers=job.max_in_flight) as pool:
+            outcomes = list(pool.map(lambda u: run_unit(*u), units))
+    finally:
+        client.close()
 
     result = HarvestResult()
     for trace, failure, hit in outcomes:

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stepladder
 from stepladder.cli import main
 from stepladder.corpus import (
     read_corpus,
@@ -234,6 +239,20 @@ def test_partial_segmentation_exits_2(tmp_path, capsys):
     assert code == 2
     assert "bad" in err
     assert [t.example_id for t in read_traces(tmp_path / "t.jsonl")] == ["good"]
+
+
+def test_cli_import_loads_no_http_stack():
+    # The HTTP client is imported by harvest() itself; importing it, or
+    # requests, at start-up would slow every other subcommand.
+    src = str(Path(stepladder.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, stepladder.cli; "
+             "print(sorted(m for m in ('requests', 'urllib3', 'http.client') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_version_flag(capsys):
