@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
-from .corpus import DoTScore, _dump_line, _iter_jsonl, _require, _write_lines
+from .corpus import NUMBER, DoTScore, Record, read_jsonl, write_atomic
 from .errors import CorpusError, ParameterError
 
 DEFAULT_EDGES = ((1, 3), (4, 6), (7, None))
@@ -250,73 +249,42 @@ def describe(result: BucketizeResult) -> BucketReport:
 # ---------------------------------------------------------------------------
 # Persistence
 
+SPEC = Record((("edges", [(int, int | None)], False), ("max_task_share", NUMBER, True)),
+              BucketSpec, tag="spec")
+MEMBER = Record((("id", str, False), ("k", int, False)), lambda id, k: (id, k), lambda m: m)
+
+BUCKET = Record((
+    ("index", int, False),
+    ("lo", int, False),
+    ("hi", int | None, False),
+    ("members", [MEMBER], False),
+    ("task_histogram", {str: int}, True),
+), lambda members, **fields: Bucket(member_ids=tuple(m[0] for m in members),
+                                    member_ks=tuple(m[1] for m in members), **fields),
+    lambda b: (b.index, b.lo, b.hi, zip(b.member_ids, b.member_ks), b.task_histogram),
+    tag="bucket")
+
+OVERFLOW = Record((
+    ("bucket", int, False),
+    ("id", str, False),
+    ("task", str, False),
+    ("k", int, False),
+), lambda bucket, id, task, k: OverflowRecord(bucket, id, task, k),
+    lambda o: (o.bucket_index, o.example_id, o.task, o.k), tag="overflow")
+
 
 def write_buckets(result: BucketizeResult, path) -> None:
     """Serialize a bucketize result: spec header, bucket lines, overflow lines."""
-    def lines():
-        yield _dump_line({
-            "record": "spec",
-            "edges": [[lo, hi] for lo, hi in result.spec.edges],
-            "max_task_share": result.spec.max_task_share,
-        })
-        for b in result.buckets:
-            yield _dump_line({
-                "record": "bucket",
-                "index": b.index,
-                "lo": b.lo,
-                "hi": b.hi,
-                "members": [
-                    {"id": i, "k": k} for i, k in zip(b.member_ids, b.member_ks)
-                ],
-                "task_histogram": b.task_histogram,
-            })
-        for rec in result.overflow:
-            yield _dump_line({
-                "record": "overflow",
-                "bucket": rec.bucket_index,
-                "id": rec.example_id,
-                "task": rec.task,
-                "k": rec.k,
-            })
-
-    _write_lines(Path(path), lines())
+    write_atomic(path, [SPEC.dump(result.spec), *map(BUCKET.dump, result.buckets),
+                        *map(OVERFLOW.dump, result.overflow)])
 
 
 def read_buckets(path) -> BucketizeResult:
-    path = Path(path)
-    spec = None
-    buckets: list[Bucket] = []
-    overflow: list[OverflowRecord] = []
-    for lineno, obj in _iter_jsonl(path):
-        record = _require(obj, "record", path, lineno)
-        if record == "spec":
-            edges = tuple(
-                (int(lo), None if hi is None else int(hi))
-                for lo, hi in _require(obj, "edges", path, lineno)
-            )
-            spec = BucketSpec(edges=edges,
-                              max_task_share=float(obj.get("max_task_share", 1.0)))
-        elif record == "bucket":
-            members = _require(obj, "members", path, lineno)
-            hi = obj.get("hi")
-            buckets.append(Bucket(
-                index=int(_require(obj, "index", path, lineno)),
-                lo=int(_require(obj, "lo", path, lineno)),
-                hi=None if hi is None else int(hi),
-                member_ids=tuple(str(m["id"]) for m in members),
-                member_ks=tuple(int(m["k"]) for m in members),
-                task_histogram={str(t): int(n)
-                                for t, n in obj.get("task_histogram", {}).items()},
-            ))
-        elif record == "overflow":
-            overflow.append(OverflowRecord(
-                bucket_index=int(_require(obj, "bucket", path, lineno)),
-                example_id=str(_require(obj, "id", path, lineno)),
-                task=str(_require(obj, "task", path, lineno)),
-                k=int(_require(obj, "k", path, lineno)),
-            ))
-        else:
-            raise CorpusError(f"{path}:{lineno}: unknown record type {record!r}")
-    if spec is None:
+    records = {"spec": SPEC, "bucket": BUCKET, "overflow": OVERFLOW}
+    values = [value for _where, value in read_jsonl(path, records)]
+    specs = [v for v in values if isinstance(v, BucketSpec)]
+    if not specs:
         raise CorpusError(f"{path}: buckets file has no spec header")
-    return BucketizeResult(spec=spec, buckets=tuple(buckets), overflow=tuple(overflow))
+    return BucketizeResult(spec=specs[-1],
+                           buckets=tuple(v for v in values if isinstance(v, Bucket)),
+                           overflow=tuple(v for v in values if isinstance(v, OverflowRecord)))

@@ -27,14 +27,16 @@ from .corpus import (
     file_sha256,
     read_completions,
     read_corpus,
+    read_json,
     read_scores,
     read_traces,
+    write_atomic,
     write_manifest,
     write_scores,
     write_traces,
 )
 from .errors import ParameterError, StepladderError
-from .harvester import DEFAULT_TEMPLATE, HarvestJob, PromptTemplate, harvest
+from .harvester import DEFAULT_TEMPLATE, TEMPLATE, HarvestJob, harvest
 from .scheduler import BASELINE_KINDS, baseline_order, build_curriculum, filter_by_depth
 from .scorer import score_corpus
 from .segmenter import SegmentationRules, audit_sample, trace_from_text
@@ -157,17 +159,17 @@ def _resolve(args, path):
     return p if p.is_absolute() else Path(args.workdir) / p
 
 
+def _write_json(path: Path, obj: dict) -> None:
+    write_atomic(path, [json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True), "\n"])
+
+
 def _write_sidecar(out_path: Path, command: str, params: dict, inputs: list) -> None:
-    meta = {
+    _write_json(Path(str(out_path) + ".meta.json"), {
         "tool": f"stepladder {__version__}",
         "command": command,
         "parameters": params,
         "inputs": {str(p): file_sha256(p) for p in inputs},
-    }
-    side = Path(str(out_path) + ".meta.json")
-    with open(side, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _report_failures(failures, what: str) -> None:
@@ -187,16 +189,8 @@ def _run_harvest(args) -> int:
     corpus_path = _resolve(args, args.corpus)
     out = _resolve(args, args.out)
     examples = read_corpus(corpus_path)
-    template = DEFAULT_TEMPLATE
     template_path = _resolve(args, args.template_file)
-    if template_path is not None:
-        with open(template_path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        template = PromptTemplate(
-            template_id=raw["template_id"],
-            system_text=raw["system_text"],
-            user_text=raw["user_text"],
-        )
+    template = DEFAULT_TEMPLATE if template_path is None else read_json(template_path, TEMPLATE)
     teacher = TeacherProfile(
         teacher_id=teacher_id,
         endpoint_url=endpoint,
@@ -325,8 +319,7 @@ def _run_bucket(args) -> int:
     print(text)
     if args.report is not None:
         report_path = _resolve(args, args.report)
-        with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+        write_atomic(report_path, [text, "\n"])
         _write_sidecar(report_path, "bucket", params, [scores_path, corpus_path])
     return _EXIT_OK
 
@@ -412,9 +405,7 @@ def _run_agreement(args) -> int:
     print(report.render())
     if args.out is not None:
         out = _resolve(args, args.out)
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(report.to_json(), fh, ensure_ascii=False, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out, report.to_json())
         _write_sidecar(out, "analyze agreement", {"min_tau": args.min_tau},
                        [_resolve(args, p) for p in args.scores])
     if args.min_tau is not None:
@@ -445,9 +436,7 @@ def _run_confound(args) -> int:
     print(report.render())
     if args.out is not None:
         out = _resolve(args, args.out)
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(report.to_json(), fh, ensure_ascii=False, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out, report.to_json())
         _write_sidecar(out, "analyze confound",
                        {"label_field": args.label_field, "teacher": args.teacher,
                         "min_spearman": args.min_spearman},
@@ -464,9 +453,7 @@ def _run_filter(args) -> int:
     out = _resolve(args, args.out)
     scores = read_scores(scores_path)
     ids = filter_by_depth(scores, min_k=args.min_k, max_k=args.max_k)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        for ex_id in ids:
-            fh.write(ex_id + "\n")
+    write_atomic(out, (ex_id + "\n" for ex_id in ids))
     _write_sidecar(out, "filter", {"min_k": args.min_k, "max_k": args.max_k},
                    [scores_path])
     print(f"kept {len(ids)} example(s)")

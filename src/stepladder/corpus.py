@@ -4,7 +4,9 @@ All corpus files are JSONL: UTF-8, LF line endings, one JSON object per
 line, keys emitted in a fixed documented order, optional fields omitted
 (never null) when absent.  Writing the same records twice produces
 byte-identical files, which is what makes seeded pipeline runs
-reproducible end to end.
+reproducible end to end.  One table per record type drives both
+writing and strict reading; a bad field is a CorpusError naming
+"<path>:<line>: '<field>'".
 
 File schemas
 ------------
@@ -19,15 +21,20 @@ manifest:     one {"record": "plan", ...} header line, then one
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
-import hashlib
+import os
+import threading
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Optional
+from types import UnionType
+from typing import Callable, Iterable, Iterator, Optional
 from urllib.parse import urlparse
 
-from .errors import CorpusError
+from .errors import CorpusError, StepladderError
 
 SEGMENTATION_MODES = ("numbered", "labeled", "bulleted", "paragraph-fallback")
 CONFIDENCE_LEVELS = ("high", "low")
@@ -56,7 +63,6 @@ class Example:
     reference_answer: Optional[str] = None
     external_difficulty: Optional[float] = None
     judge_score: Optional[float] = None
-    token_length_prompt: int = -1  # derived from prompt when not supplied
 
     def __post_init__(self):
         if not self.id:
@@ -67,8 +73,6 @@ class Example:
             raise CorpusError(f"example {self.id!r}: external_difficulty must be finite")
         if self.judge_score is not None and not (0.0 <= self.judge_score <= 1.0):
             raise CorpusError(f"example {self.id!r}: judge_score must lie in [0, 1]")
-        if self.token_length_prompt < 0:
-            object.__setattr__(self, "token_length_prompt", count_tokens(self.prompt))
 
 
 @dataclass(frozen=True)
@@ -142,7 +146,7 @@ class DoTScore:
         if self.n_samples < 1:
             raise CorpusError(f"score ({self.example_id}): n_samples must be >= 1")
         expected = self.k / math.log1p(self.tok)
-        if abs(self.dot_norm - expected) > DOT_NORM_RTOL * abs(expected):
+        if not abs(self.dot_norm - expected) <= DOT_NORM_RTOL * abs(expected):
             raise CorpusError(
                 f"score ({self.example_id}): dot_norm {self.dot_norm!r} does not "
                 f"equal k/ln(1+tok) = {expected!r}"
@@ -173,7 +177,7 @@ class TeacherProfile:
             raise CorpusError("teacher_id must be nonempty")
         if self.samples_per_example < 1:
             raise CorpusError("samples_per_example must be >= 1")
-        if self.temperature < 0:
+        if not self.temperature >= 0:
             raise CorpusError("temperature must be >= 0")
         parsed = urlparse(self.endpoint_url)
         if parsed.scheme not in ("http", "https") or not parsed.netloc:
@@ -253,41 +257,199 @@ class CurriculumManifest:
 
 
 # ---------------------------------------------------------------------------
-# JSONL helpers
+# Record codec
+#
+# A field's kind is written like its type: str, int (never a bool), bool,
+# NUMBER (any finite number, read as a float), int | None, [item] for an
+# array of items, (first, second) for a two-item array read as a tuple,
+# {str: value} or {int: value} for an object, or a nested Record.
+NUMBER = "finite number"
 
 
-def _iter_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.rstrip("\n")
-            if not stripped.strip():
-                raise CorpusError(f"{path}:{lineno}: blank line is not a record")
-            try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise CorpusError(f"{path}:{lineno}: record must be a JSON object")
-            yield lineno, obj
+class _Invalid(Exception):
+    """A value failed its kind; field is the path to it, outermost first."""
+
+    field = ""
+
+    def inside(self, part: str) -> "_Invalid":
+        self.field = part + ("." if self.field[:1] not in ("", "[") else "") + self.field
+        return self
 
 
-def _require(obj: dict, key: str, path: Path, lineno: int):
-    if key not in obj:
-        raise CorpusError(f"{path}:{lineno}: missing required field {key!r}")
-    return obj[key]
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+_NAMES = {str: "string", int: "integer", bool: "boolean", list: "array", dict: "object",
+          type(None): "null"}
 
 
-def _dump_line(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False)
+def _describe(value) -> str:
+    return repr(value) if type(value) is float else _NAMES[type(value)]
 
 
-def _write_lines(path: Path, lines: Iterable[str]) -> None:
+def _decode(kind, value):
+    """value checked against kind and converted as the kind says."""
+    if type(value) is kind:
+        return value
+    shape = type(kind)
+    if shape is Record:
+        return kind.decode(value)
+    if kind is NUMBER:
+        if type(value) is int or type(value) is float and math.isfinite(value):
+            return float(value)
+    elif shape is UnionType:
+        return None if value is None else _decode(kind.__args__[0], value)
+    elif type(value) is list and (shape is list or shape is tuple and len(value) == len(kind)):
+        out = []
+        try:
+            for item, x in zip(kind if shape is tuple else repeat(kind[0]), value):
+                out.append(x if type(x) is item else _decode(item, x))
+        except _Invalid as exc:
+            raise exc.inside(f"[{len(out)}]")
+        return tuple(out) if shape is tuple else out
+    elif shape is dict and type(value) is dict:
+        ((key_kind, item),) = kind.items()
+        out = {}
+        try:
+            for key, x in value.items():
+                if key_kind is int and not (key.isascii() and key.isdigit()):
+                    raise _Invalid("expected an integer key")
+                out[key_kind(key)] = x if type(x) is item else _decode(item, x)
+        except _Invalid as exc:
+            raise exc.inside(key)
+        return out
+    expected = f"array of {len(kind)}" if shape is tuple else kind if kind is NUMBER else \
+        _NAMES[kind if isinstance(kind, type) else shape]
+    raise _Invalid(f"expected {expected}, got {_describe(value)}")
+
+
+def _encoder(kind) -> Optional[Callable]:
+    """How a field turns back into JSON (objects sorted by key); None: as it is."""
+    if type(kind) is dict:
+        return lambda mapping: dict(sorted(mapping.items()))
+    if type(kind) is list and type(kind[0]) is Record:
+        return lambda items: list(map(kind[0].encode, items))
+
+
+class Record:
+    """One JSON object type: its (key, kind, optional) fields in file order.
+
+    make builds the value from the decoded fields, passed by key; parts
+    takes a value apart into its field values in table order (default:
+    the attributes named like the keys, or the items when make is dict).
+    Absent optional fields fall to make's defaults on decoding and are
+    omitted on encoding.  A tag starts each line with {"record": tag}.
+    """
+
+    def __init__(self, fields, make: Callable, parts: Optional[Callable] = None,
+                 tag: Optional[str] = None):
+        self.fields, self.make, self.tag = fields, make, tag
+        self._keys = tuple(key for key, _kind, _opt in fields)
+        self.parts = parts or (itemgetter if make is dict else attrgetter)(*self._keys)
+        # The fields that need more on encoding than a copy of their value.
+        self._special = tuple((key, optional, _encoder(kind)) for key, kind, optional in fields
+                              if optional or _encoder(kind))
+
+    def decode(self, obj):
+        if type(obj) is not dict:
+            raise _Invalid(f"expected a JSON object, got {_describe(obj)}")
+        values = {}
+        try:
+            for key, kind, optional in self.fields:
+                if key in obj:
+                    value = obj[key]
+                    values[key] = value if type(value) is kind else _decode(kind, value)
+                elif not optional:
+                    raise _Invalid("missing")
+        except _Invalid as exc:
+            raise exc.inside(key)
+        return self.make(**values)
+
+    def encode(self, value) -> dict:
+        obj = dict(zip(self._keys, self.parts(value)))
+        for key, optional, encode in self._special:
+            part = obj[key]
+            if part is None:
+                if optional:
+                    del obj[key]
+            elif encode is not None:
+                obj[key] = encode(part)
+        return {"record": self.tag, **obj} if self.tag else obj
+
+    def dump(self, value) -> str:
+        """One JSONL line, newline included."""
+        return _ENCODER.encode(self.encode(value)) + "\n"
+
+    def read(self, path) -> list:
+        """Every record of a JSONL file of this type, in file order."""
+        return [value for _where, value in read_jsonl(path, self)]
+
+    def write(self, values: Iterable, path) -> None:
+        """Write values as a JSONL file of this type, atomically."""
+        write_atomic(path, map(self.dump, values))
+
+
+def _build(where: str, record: Record, obj):
+    """record.decode(obj), with every failure located at where."""
+    try:
+        return record.decode(obj)
+    except _Invalid as exc:
+        field = f"'{exc.field}': " if exc.field else ""
+        raise CorpusError(f"{where}: {field}{exc.args[0]}") from None
+    except StepladderError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
+def _parse(where: str, raw: bytes):
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{where}: not UTF-8 ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        problem = "blank line is not a record" if not raw.strip() \
+            else f"malformed JSON ({exc.msg})"
+        raise CorpusError(f"{where}: {problem}") from None
+
+
+def read_jsonl(path, records) -> Iterator[tuple[str, object]]:
+    """Decode a JSONL file line by line, yielding ("<path>:<line>", value).
+
+    records is one Record, or for a tagged file a dict from each "record"
+    tag to its Record.
+    """
+    path = Path(path)
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
+            obj = _parse(where, raw)
+            record = records
+            if isinstance(records, dict):
+                tag = obj.get("record") if type(obj) is dict else None
+                record = records.get(tag) if type(tag) is str else None
+                if record is None:
+                    raise CorpusError(f"{where}: 'record': expected one of "
+                                      f"{', '.join(map(repr, records))}, got {tag!r}")
+            yield where, _build(where, record, obj)
+
+
+def read_json(path, record: Record):
+    """Decode a file holding one JSON object."""
+    return _build(str(path), record, _parse(str(path), Path(path).read_bytes()))
+
+
+def write_atomic(path, chunks: Iterable[str]) -> None:
+    """Write text chunks to path; readers see the old file or the whole new one.
+
+    A chunk that fails to arrive leaves path's old bytes and no temp file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def file_sha256(path: Path) -> str:
@@ -300,163 +462,88 @@ def file_sha256(path: Path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Examples
+# Record tables
+
+EXAMPLE = Record((
+    ("id", str, False),
+    ("task", str, False),
+    ("prompt", str, False),
+    ("reference_answer", str, True),
+    ("external_difficulty", NUMBER, True),
+    ("judge_score", NUMBER, True),
+), Example)
+
+COMPLETION = Record((("example_id", str, False), ("teacher_id", str, False),
+                     ("text", str, False)), dict)
+
+STEP = Record((("index", int, False), ("text", str, False)), Step)
+
+TRACE = Record((
+    ("example_id", str, False),
+    ("teacher_id", str, False),
+    ("raw_text", str, False),
+    ("steps", [STEP], False),
+    ("tok", int, False),
+    ("segmentation_mode", str, False),
+    ("confidence", str, False),
+), Trace)
+
+SCORE = Record((
+    ("example_id", str, False),
+    ("teacher_id", str, False),
+    ("k", int, False),
+    ("tok", int, False),
+    ("dot_norm", NUMBER, False),
+    ("n_samples", int, True),
+), DoTScore)
+
+_PLAN_FIELDS = (
+    ("mode", str, False),
+    ("phases", int, False),
+    ("budget_per_phase", int, False),
+    ("seed", int, False),
+    ("alpha", NUMBER, True),
+    ("with_replacement", bool, True),
+    ("mixing", str, True),
+)
+_plan_parts = attrgetter(*(key for key, _kind, _opt in _PLAN_FIELDS))
+
+# The plan header carries the manifest's provenance next to the plan.
+PLAN = Record(_PLAN_FIELDS + (("provenance", {str: str}, True),),
+              lambda provenance=None, **plan: (SchedulePlan(**plan), provenance or {}),
+              lambda m: (*_plan_parts(m.plan), m.provenance), tag="plan")
+
+PHASE = Record((("index", int, False), ("example_ids", [str], False),
+                ("bucket_counts", {int: int}, True)), Phase, tag="phase")
+
+
+# ---------------------------------------------------------------------------
+# Readers and writers
 
 
 def read_corpus(path) -> list[Example]:
     """Read an examples JSONL file, in file order.
 
     Raises CorpusError with the offending line number on malformed JSON,
-    a missing required field, an invariant violation, or a duplicate id.
+    a missing or mistyped field, an invariant violation, or a duplicate id.
     """
-    path = Path(path)
     examples: list[Example] = []
     seen: set[str] = set()
-    for lineno, obj in _iter_jsonl(path):
-        ex_id = _require(obj, "id", path, lineno)
-        try:
-            example = Example(
-                id=str(ex_id),
-                task=str(_require(obj, "task", path, lineno)),
-                prompt=str(_require(obj, "prompt", path, lineno)),
-                reference_answer=obj.get("reference_answer"),
-                external_difficulty=obj.get("external_difficulty"),
-                judge_score=obj.get("judge_score"),
-            )
-        except CorpusError as exc:
-            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+    for where, example in read_jsonl(path, EXAMPLE):
         if example.id in seen:
-            raise CorpusError(f"{path}:{lineno}: duplicate example id {example.id!r}")
+            raise CorpusError(f"{where}: duplicate example id {example.id!r}")
         seen.add(example.id)
         examples.append(example)
     return examples
 
 
-def write_corpus(examples: Iterable[Example], path) -> None:
-    def lines():
-        for ex in examples:
-            obj = {"id": ex.id, "task": ex.task, "prompt": ex.prompt}
-            if ex.reference_answer is not None:
-                obj["reference_answer"] = ex.reference_answer
-            if ex.external_difficulty is not None:
-                obj["external_difficulty"] = ex.external_difficulty
-            if ex.judge_score is not None:
-                obj["judge_score"] = ex.judge_score
-            yield _dump_line(obj)
-
-    _write_lines(Path(path), lines())
-
-
-# ---------------------------------------------------------------------------
-# Raw completions (unsegmented teacher output)
-
-
-def read_completions(path) -> list[dict]:
-    """Read raw completions: [{example_id, teacher_id, text}, ...]."""
-    path = Path(path)
-    records = []
-    for lineno, obj in _iter_jsonl(path):
-        records.append({
-            "example_id": str(_require(obj, "example_id", path, lineno)),
-            "teacher_id": str(_require(obj, "teacher_id", path, lineno)),
-            "text": str(_require(obj, "text", path, lineno)),
-        })
-    return records
-
-
-def write_completions(records: Iterable[dict], path) -> None:
-    def lines():
-        for rec in records:
-            yield _dump_line({
-                "example_id": rec["example_id"],
-                "teacher_id": rec["teacher_id"],
-                "text": rec["text"],
-            })
-
-    _write_lines(Path(path), lines())
-
-
-# ---------------------------------------------------------------------------
-# Traces
-
-
-def read_traces(path) -> list[Trace]:
-    path = Path(path)
-    traces = []
-    for lineno, obj in _iter_jsonl(path):
-        steps = _require(obj, "steps", path, lineno)
-        try:
-            trace = Trace(
-                example_id=str(_require(obj, "example_id", path, lineno)),
-                teacher_id=str(_require(obj, "teacher_id", path, lineno)),
-                raw_text=str(_require(obj, "raw_text", path, lineno)),
-                steps=tuple(Step(index=s["index"], text=s["text"]) for s in steps),
-                tok=int(_require(obj, "tok", path, lineno)),
-                segmentation_mode=str(_require(obj, "segmentation_mode", path, lineno)),
-                confidence=str(_require(obj, "confidence", path, lineno)),
-            )
-        except CorpusError as exc:
-            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
-        traces.append(trace)
-    return traces
-
-
-def write_traces(traces: Iterable[Trace], path) -> None:
-    def lines():
-        for tr in traces:
-            yield _dump_line({
-                "example_id": tr.example_id,
-                "teacher_id": tr.teacher_id,
-                "raw_text": tr.raw_text,
-                "steps": [{"index": s.index, "text": s.text} for s in tr.steps],
-                "tok": tr.tok,
-                "segmentation_mode": tr.segmentation_mode,
-                "confidence": tr.confidence,
-            })
-
-    _write_lines(Path(path), lines())
-
-
-# ---------------------------------------------------------------------------
-# Scores
-
-
-def read_scores(path) -> list[DoTScore]:
-    path = Path(path)
-    scores = []
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            score = DoTScore(
-                example_id=str(_require(obj, "example_id", path, lineno)),
-                teacher_id=str(_require(obj, "teacher_id", path, lineno)),
-                k=int(_require(obj, "k", path, lineno)),
-                tok=int(_require(obj, "tok", path, lineno)),
-                dot_norm=float(_require(obj, "dot_norm", path, lineno)),
-                n_samples=int(obj.get("n_samples", 1)),
-            )
-        except CorpusError as exc:
-            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
-        scores.append(score)
-    return scores
-
-
-def write_scores(scores: Iterable[DoTScore], path) -> None:
-    def lines():
-        for sc in scores:
-            yield _dump_line({
-                "example_id": sc.example_id,
-                "teacher_id": sc.teacher_id,
-                "k": sc.k,
-                "tok": sc.tok,
-                "dot_norm": sc.dot_norm,
-                "n_samples": sc.n_samples,
-            })
-
-    _write_lines(Path(path), lines())
-
-
-# ---------------------------------------------------------------------------
-# Manifests
+write_corpus = EXAMPLE.write
+read_completions = COMPLETION.read  # [{example_id, teacher_id, text}, ...]
+write_completions = COMPLETION.write
+read_traces = TRACE.read
+write_traces = TRACE.write
+read_scores = SCORE.read
+write_scores = SCORE.write
 
 
 def write_manifest(manifest: CurriculumManifest, path) -> None:
@@ -466,67 +553,23 @@ def write_manifest(manifest: CurriculumManifest, path) -> None:
     order is fixed, so identical inputs and seed always produce an
     identical file.
     """
-    plan = manifest.plan
-
-    def lines():
-        yield _dump_line({
-            "record": "plan",
-            "mode": plan.mode,
-            "phases": plan.phases,
-            "budget_per_phase": plan.budget_per_phase,
-            "seed": plan.seed,
-            "alpha": plan.alpha,
-            "with_replacement": plan.with_replacement,
-            "mixing": plan.mixing,
-            "provenance": {k: manifest.provenance[k] for k in sorted(manifest.provenance)},
-        })
-        for phase in manifest.phases:
-            yield _dump_line({
-                "record": "phase",
-                "index": phase.index,
-                "example_ids": list(phase.example_ids),
-                "bucket_counts": {str(b): phase.bucket_counts[b]
-                                  for b in sorted(phase.bucket_counts)},
-            })
-
-    _write_lines(Path(path), lines())
+    write_atomic(path, [PLAN.dump(manifest), *map(PHASE.dump, manifest.phases)])
 
 
 def read_manifest(path) -> CurriculumManifest:
-    path = Path(path)
-    plan = None
+    header = None
     phases: list[Phase] = []
-    for lineno, obj in _iter_jsonl(path):
-        record = _require(obj, "record", path, lineno)
-        if record == "plan":
-            if plan is not None:
-                raise CorpusError(f"{path}:{lineno}: duplicate plan header")
-            try:
-                plan_obj = SchedulePlan(
-                    mode=str(_require(obj, "mode", path, lineno)),
-                    phases=int(_require(obj, "phases", path, lineno)),
-                    budget_per_phase=int(_require(obj, "budget_per_phase", path, lineno)),
-                    seed=int(_require(obj, "seed", path, lineno)),
-                    alpha=float(obj.get("alpha", 0.0)),
-                    with_replacement=bool(obj.get("with_replacement", False)),
-                    mixing=str(obj.get("mixing", "union")),
-                )
-            except CorpusError as exc:
-                raise CorpusError(f"{path}:{lineno}: {exc}") from exc
-            plan = (plan_obj, {str(k): str(v) for k, v in obj.get("provenance", {}).items()})
-        elif record == "phase":
-            phases.append(Phase(
-                index=int(_require(obj, "index", path, lineno)),
-                example_ids=tuple(str(x) for x in _require(obj, "example_ids", path, lineno)),
-                bucket_counts={int(k): int(v)
-                               for k, v in obj.get("bucket_counts", {}).items()},
-            ))
+    for where, value in read_jsonl(path, {"plan": PLAN, "phase": PHASE}):
+        if isinstance(value, Phase):
+            phases.append(value)
+        elif header is not None:
+            raise CorpusError(f"{where}: duplicate plan header")
         else:
-            raise CorpusError(f"{path}:{lineno}: unknown record type {record!r}")
-    if plan is None:
+            header = value
+    if header is None:
         raise CorpusError(f"{path}: manifest has no plan header")
-    plan_obj, provenance = plan
+    plan, provenance = header
     try:
-        return CurriculumManifest(plan=plan_obj, phases=tuple(phases), provenance=provenance)
+        return CurriculumManifest(plan=plan, phases=tuple(phases), provenance=provenance)
     except CorpusError as exc:
         raise CorpusError(f"{path}: {exc}") from exc

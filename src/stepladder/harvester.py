@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .corpus import Example, TeacherProfile, Trace
+from .corpus import Example, Record, TeacherProfile, Trace, write_atomic
 from .errors import HarvestError
 from .segmenter import DEFAULT_RULES, SegmentationRules, trace_from_text
 
@@ -56,6 +56,10 @@ class PromptTemplate:
         return self.system_text, self.user_text.replace(_PLACEHOLDER, prompt, 1)
 
 
+TEMPLATE = Record((("template_id", str, False), ("system_text", str, False),
+                   ("user_text", str, False)), PromptTemplate)
+
+
 DEFAULT_TEMPLATE = PromptTemplate(
     template_id="numbered-steps-v1",
     system_text="You are a careful assistant that reasons before answering.",
@@ -83,13 +87,13 @@ class HarvestJob:
     rules: SegmentationRules = DEFAULT_RULES
 
     def __post_init__(self):
-        if self.rate_limit <= 0:
+        if not self.rate_limit > 0:
             raise HarvestError("rate_limit must be > 0 requests per second")
         if self.max_retries < 0:
             raise HarvestError("max_retries must be >= 0")
         if self.max_in_flight < 1:
             raise HarvestError("max_in_flight must be >= 1")
-        if self.backoff_base < 0 or self.timeout <= 0:
+        if not (self.backoff_base >= 0 and self.timeout > 0):
             raise HarvestError("backoff_base must be >= 0 and timeout > 0")
 
 
@@ -158,11 +162,8 @@ def _cache_read(cache_dir: Path, key: str) -> Optional[str]:
 
 
 def _cache_write(cache_dir: Path, key: str, text: str) -> None:
-    path = cache_dir / f"{key}.json"
-    tmp = cache_dir / f".{key}.{os.getpid()}.{threading.get_ident()}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump({"key": key, "text": text}, fh, ensure_ascii=False)
-    os.replace(tmp, path)
+    write_atomic(cache_dir / f"{key}.json",
+                 [json.dumps({"key": key, "text": text}, ensure_ascii=False)])
 
 
 def harvest(examples: Iterable[Example], job: HarvestJob) -> HarvestResult:

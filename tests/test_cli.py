@@ -241,6 +241,73 @@ def test_partial_segmentation_exits_2(tmp_path, capsys):
     assert [t.example_id for t in read_traces(tmp_path / "t.jsonl")] == ["good"]
 
 
+def _run_cli(*argv):
+    src = str(Path(stepladder.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "stepladder.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def _with_first_record(src, dest, change):
+    lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+    first = json.loads(lines[0])
+    change(first)
+    dest.write_text(json.dumps(first) + "\n" + "".join(lines[1:]), encoding="utf-8")
+    return dest
+
+
+@pytest.mark.parametrize("case", ["score-k", "step-index", "difficulty", "edges"])
+def test_malformed_field_exits_1_with_line_and_field(demo, tmp_path, capsys, case):
+    out = run_pipeline(demo, tmp_path)
+    capsys.readouterr()
+    bad = tmp_path / "bad.jsonl"
+    if case == "score-k":  # the three known repros, then a spec the bucketer rejects
+        _with_first_record(out / "scores.jsonl", bad, lambda r: r.update(k="x"))
+        argv, field = ["filter", "--scores", bad, "--out", tmp_path / "f.txt"], "'k'"
+    elif case == "step-index":
+        _with_first_record(out / "traces.jsonl", bad, lambda r: r["steps"][0].pop("index"))
+        argv, field = ["score", "--traces", bad, "--out", tmp_path / "s.jsonl"], \
+            "'steps[0].index'"
+    elif case == "difficulty":
+        _with_first_record(demo / "examples.jsonl", bad,
+                           lambda r: r.update(external_difficulty="hard"))
+        argv, field = ["bucket", "--scores", out / "scores.jsonl", "--corpus", bad,
+                       "--out", tmp_path / "b.jsonl"], "'external_difficulty'"
+    else:
+        _with_first_record(out / "buckets.jsonl", bad, lambda r: r.update(edges=[[2, None]]))
+        argv, field = ["schedule", "--buckets", bad, "--phases", "1", "--budget", "1",
+                       "--out", tmp_path / "m.jsonl"], "start at k = 1"
+    result = _run_cli(*argv)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"error: {bad}:1: ") and field in result.stderr
+
+
+def test_template_file_missing_field_exits_1(demo, tmp_path):
+    template = tmp_path / "template.json"
+    template.write_text(json.dumps({"template_id": "t", "system_text": "s"}), encoding="utf-8")
+    result = _run_cli("harvest", "--corpus", demo / "examples.jsonl",
+                      "--endpoint", "http://127.0.0.1:9/v1", "--model", "m",
+                      "--teacher-id", "t", "--template-file", template,
+                      "--out", tmp_path / "t.jsonl")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"error: {template}: 'user_text': missing")
+
+
+def test_template_file_not_json_exits_1(demo, tmp_path):
+    template = tmp_path / "template.json"
+    template.write_text("template_id = t\n", encoding="utf-8")
+    result = _run_cli("harvest", "--corpus", demo / "examples.jsonl",
+                      "--endpoint", "http://127.0.0.1:9/v1", "--model", "m",
+                      "--teacher-id", "t", "--template-file", template,
+                      "--out", tmp_path / "t.jsonl")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"error: {template}: malformed JSON")
+
+
 def test_cli_import_loads_no_http_stack():
     # The HTTP client is imported by harvest() itself; importing it, or
     # requests, at start-up would slow every other subcommand.

@@ -228,14 +228,18 @@ def test_wrong_path_is_a_hard_http_error(tmp_path):
 
 def test_job_validation(tmp_path):
     teacher = profile("http://127.0.0.1:9/v1")
-    with pytest.raises(HarvestError, match="rate_limit"):
-        HarvestJob(teacher=teacher, cache_dir=str(tmp_path), rate_limit=0.0)
+    for rate in (0.0, float("nan")):
+        with pytest.raises(HarvestError, match="rate_limit"):
+            HarvestJob(teacher=teacher, cache_dir=str(tmp_path), rate_limit=rate)
     with pytest.raises(HarvestError, match="max_retries"):
         job_for(teacher, tmp_path, max_retries=-1)
     with pytest.raises(HarvestError, match="max_in_flight"):
         job_for(teacher, tmp_path, max_in_flight=0)
-    with pytest.raises(HarvestError, match="timeout"):
-        job_for(teacher, tmp_path, timeout=0.0)
+    for timeout in (0.0, float("nan")):
+        with pytest.raises(HarvestError, match="timeout"):
+            job_for(teacher, tmp_path, timeout=timeout)
+    with pytest.raises(HarvestError, match="backoff_base"):
+        job_for(teacher, tmp_path, backoff_base=float("nan"))
 
 
 # ---------------------------------------------------------------------------
