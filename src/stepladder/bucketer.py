@@ -281,10 +281,17 @@ def write_buckets(result: BucketizeResult, path) -> None:
 
 def read_buckets(path) -> BucketizeResult:
     records = {"spec": SPEC, "bucket": BUCKET, "overflow": OVERFLOW}
-    values = [value for _where, value in read_jsonl(path, records)]
-    specs = [v for v in values if isinstance(v, BucketSpec)]
-    if not specs:
+    spec = None
+    values = []
+    for where, value in read_jsonl(path, records):
+        if not isinstance(value, BucketSpec):
+            values.append(value)
+        elif spec is not None:
+            raise CorpusError(f"{where}: duplicate spec header")
+        else:
+            spec = value
+    if spec is None:
         raise CorpusError(f"{path}: buckets file has no spec header")
-    return BucketizeResult(spec=specs[-1],
+    return BucketizeResult(spec=spec,
                            buckets=tuple(v for v in values if isinstance(v, Bucket)),
                            overflow=tuple(v for v in values if isinstance(v, OverflowRecord)))

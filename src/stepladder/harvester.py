@@ -3,10 +3,11 @@
 Every (example, sample) unit resolves to exactly one trace or one
 recorded failure, so a harvest is always accountable: traces + failures
 equals examples times samples_per_example.  Responses are cached on disk
-keyed by request content, cache hits bypass the network entirely, and
-live requests are paced by a shared token bucket and retried with
-exponential backoff on transient errors.  Each worker thread keeps one
-HTTP connection to the endpoint alive across its requests.
+in one append-only log keyed by request content, cache hits bypass the
+network and the worker pool entirely, and live requests are paced by a
+shared token bucket and retried with exponential backoff on transient
+errors.  Each worker thread keeps one HTTP connection to the endpoint
+alive across its requests.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .corpus import Example, Record, TeacherProfile, Trace, write_atomic
+from .corpus import Example, Record, TeacherProfile, Trace
 from .errors import HarvestError
 from .segmenter import DEFAULT_RULES, SegmentationRules, trace_from_text
 
@@ -150,30 +151,139 @@ def _cache_key(job: HarvestJob, system_text: str, user_text: str,
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-def _cache_read(cache_dir: Path, key: str) -> Optional[str]:
-    path = cache_dir / f"{key}.json"
+class _ResponseLog:
+    """The response cache: one append-only file of {"key", "text"} lines.
+
+    Opening scans the file once into an index of key -> (offset, length);
+    texts stay on disk until looked up.  A line that does not parse, whose
+    "key" is not the key it was indexed under, or whose "text" is not a
+    string is a plain miss.  When a key has several lines, the last one
+    wins.  Each entry is appended with one write() on an O_APPEND
+    descriptor, so concurrent harvests sharing the file never interleave
+    their lines.
+    """
+
+    _PREFIX = b'{"key": "'
+
+    def __init__(self, path: Path):
+        self._fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+        self._lock = threading.Lock()
+        self._index: dict[str, tuple[int, int]] = {}
+        offset, line = 0, b"\n"
+        try:
+            with open(self._fd, "rb", closefd=False) as fh:
+                for line in fh:
+                    end = line.find(b'"', len(self._PREFIX))
+                    if line.startswith(self._PREFIX) and end > 0 and line.endswith(b"\n"):
+                        key = line[len(self._PREFIX):end].decode("latin-1")
+                        self._index[key] = (offset, len(line))
+                    offset += len(line)
+        except BaseException:
+            os.close(self._fd)
+            raise
+        # A torn last entry (a crash mid-write) gets a newline before the
+        # next append, so it stays a miss and the new line stays parseable.
+        self._torn = not line.endswith(b"\n")
+
+    def get(self, key: str) -> Optional[str]:
+        """The cached text for key, or None on a miss."""
+        where = self._index.get(key)
+        if where is None:
+            return None
+        try:
+            obj = json.loads(os.pread(self._fd, where[1], where[0]))
+        except ValueError:
+            return None
+        if type(obj) is not dict or obj.get("key") != key:
+            return None
+        text = obj.get("text")
+        return text if isinstance(text, str) else None
+
+    def put(self, key: str, text: str) -> None:
+        entry = (json.dumps({"key": key, "text": text}, ensure_ascii=False)
+                 + "\n").encode("utf-8")
+        with self._lock:
+            line = b"\n" + entry if self._torn else entry
+            # Only a full disk writes part of a line; the next append then
+            # starts on a fresh line.
+            self._torn = os.write(self._fd, line) < len(line)
+            if not self._torn:
+                end = os.lseek(self._fd, 0, os.SEEK_CUR)
+                self._index[key] = (end - len(entry), len(entry))
+
+    def close(self) -> None:
+        os.close(self._fd)
+
+
+def _segment(job: HarvestJob, example: Example, sample_index: int, text: str,
+             hit: bool) -> tuple[Optional[Trace], Optional[HarvestFailure], bool]:
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        text = obj["text"]
-    except (OSError, ValueError, KeyError, TypeError):
-        return None  # missing or corrupt entries are plain misses
-    return text if isinstance(text, str) else None
+        trace = trace_from_text(example.id, job.teacher.teacher_id, text, job.rules)
+    except Exception as exc:
+        return None, HarvestFailure(
+            example.id, sample_index, f"segmentation failed: {exc}"
+        ), hit
+    return trace, None, hit
 
 
-def _cache_write(cache_dir: Path, key: str, text: str) -> None:
-    write_atomic(cache_dir / f"{key}.json",
-                 [json.dumps({"key": key, "text": text}, ensure_ascii=False)])
+def _fetch_misses(job: HarvestJob, api_key: str, log: _ResponseLog,
+                  limiter: _RateLimiter, misses: list, outcomes: list) -> None:
+    """Fetch, cache and segment each (position, example, sample index)
+    miss, storing its outcome at its position in outcomes.
+
+    max_in_flight workers take the misses in turn.  No future is queued
+    per unit, and a worker renders and keys each unit only when it takes
+    it, so nothing is held for a miss still waiting its turn.
+    """
+    # Imported here, not at the top: http.client and ssl add about 30 ms
+    # to the start-up of every other subcommand and of all-hit harvests.
+    from .chatclient import ChatClient, fetch
+
+    client = ChatClient(job.teacher.endpoint_url, api_key, job.timeout)
+    pending = iter(misses)
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                miss = next(pending, None)
+            if miss is None:
+                return
+            position, example, sample_index = miss
+            system_text, user_text = job.template.render(example.prompt)
+            key = _cache_key(job, system_text, user_text, sample_index)
+            # An earlier unit sending the same request may have cached it.
+            text = log.get(key)
+            hit = text is not None
+            if not hit:
+                try:
+                    text = fetch(client, job, system_text, user_text, limiter)
+                except HarvestError as exc:
+                    outcomes[position] = (
+                        None, HarvestFailure(example.id, sample_index, str(exc)), False)
+                    continue
+                log.put(key, text)
+            outcomes[position] = _segment(job, example, sample_index, text, hit)
+
+    try:
+        with ThreadPoolExecutor(max_workers=job.max_in_flight) as pool:
+            workers = [pool.submit(work)
+                       for _ in range(min(job.max_in_flight, len(misses)))]
+            for worker in workers:
+                worker.result()
+    finally:
+        client.close()
 
 
 def harvest(examples: Iterable[Example], job: HarvestJob) -> HarvestResult:
     """Fetch, cache and segment traces for every example.
 
-    Units are processed by a bounded worker pool; results come back in
-    (example, sample) order regardless of completion order.  Per-unit
-    errors become HarvestFailure records instead of aborting the run.
+    Cache hits are looked up and segmented on the calling thread; only
+    misses go to a bounded worker pool, so an all-hit run starts no
+    threads and opens no connection.  Results come back in (example,
+    sample) order regardless of completion order.  Per-unit errors become
+    HarvestFailure records instead of aborting the run.
     """
-    examples = list(examples)
     api_key = os.environ.get(job.api_key_env)
     if not api_key:
         raise HarvestError(
@@ -182,40 +292,25 @@ def harvest(examples: Iterable[Example], job: HarvestJob) -> HarvestResult:
         )
     cache_dir = Path(job.cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-
-    # Imported here, not at the top: http.client and ssl add about 30 ms
-    # to the start-up of every other subcommand.
-    from .chatclient import ChatClient, fetch
-
     limiter = _RateLimiter(job.rate_limit)
-    client = ChatClient(job.teacher.endpoint_url, api_key, job.timeout)
-    samples = job.teacher.samples_per_example
+    outcomes = []
+    misses = []  # (position in outcomes, example, sample index)
 
-    def run_unit(example: Example, sample_index: int):
-        system_text, user_text = job.template.render(example.prompt)
-        key = _cache_key(job, system_text, user_text, sample_index)
-        text = _cache_read(cache_dir, key)
-        hit = text is not None
-        if not hit:
-            try:
-                text = fetch(client, job, system_text, user_text, limiter)
-            except HarvestError as exc:
-                return None, HarvestFailure(example.id, sample_index, str(exc)), False
-            _cache_write(cache_dir, key, text)
-        try:
-            trace = trace_from_text(example.id, job.teacher.teacher_id, text, job.rules)
-        except Exception as exc:
-            return None, HarvestFailure(
-                example.id, sample_index, f"segmentation failed: {exc}"
-            ), hit
-        return trace, None, hit
-
-    units = [(ex, s) for ex in examples for s in range(samples)]
+    log = _ResponseLog(cache_dir / "responses.jsonl")
     try:
-        with ThreadPoolExecutor(max_workers=job.max_in_flight) as pool:
-            outcomes = list(pool.map(lambda u: run_unit(*u), units))
+        for example in examples:
+            system_text, user_text = job.template.render(example.prompt)
+            for s in range(job.teacher.samples_per_example):
+                text = log.get(_cache_key(job, system_text, user_text, s))
+                if text is None:
+                    misses.append((len(outcomes), example, s))
+                    outcomes.append(None)
+                else:
+                    outcomes.append(_segment(job, example, s, text, True))
+        if misses:
+            _fetch_misses(job, api_key, log, limiter, misses, outcomes)
     finally:
-        client.close()
+        log.close()
 
     result = HarvestResult()
     for trace, failure, hit in outcomes:

@@ -14,7 +14,7 @@ from stepladder.bucketer import (
     write_buckets,
 )
 from stepladder.corpus import DoTScore
-from stepladder.errors import ParameterError
+from stepladder.errors import CorpusError, ParameterError
 
 
 def ds(example_id, k, tok=50, teacher_id="t"):
@@ -196,3 +196,13 @@ def test_unbounded_hi_survives_round_trip(tmp_path):
     write_buckets(result, path)
     assert read_buckets(path).buckets[2].hi is None
     assert '"hi": null' in path.read_text(encoding="utf-8")
+
+
+def test_duplicate_spec_header_is_an_error(tmp_path):
+    result = bucketize([ds("a", 2), ds("b", 9)], BucketSpec(), {"a": "math", "b": "qa"})
+    path = tmp_path / "b.jsonl"
+    write_buckets(result, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines + lines[:1]), encoding="utf-8")
+    with pytest.raises(CorpusError, match=rf":{len(lines) + 1}: duplicate spec header"):
+        read_buckets(path)

@@ -284,6 +284,19 @@ def test_malformed_field_exits_1_with_line_and_field(demo, tmp_path, capsys, cas
     assert result.stderr.startswith(f"error: {bad}:1: ") and field in result.stderr
 
 
+def test_duplicate_spec_header_exits_1(demo, tmp_path, capsys):
+    out = run_pipeline(demo, tmp_path)
+    capsys.readouterr()
+    lines = (out / "buckets.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(lines[:1] + lines), encoding="utf-8")
+    result = _run_cli("schedule", "--buckets", bad, "--phases", "1", "--budget", "1",
+                      "--out", tmp_path / "m.jsonl")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"error: {bad}:2: duplicate spec header")
+
+
 def test_template_file_missing_field_exits_1(demo, tmp_path):
     template = tmp_path / "template.json"
     template.write_text(json.dumps({"template_id": "t", "system_text": "s"}), encoding="utf-8")

@@ -4,6 +4,7 @@ import json
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
@@ -141,19 +142,115 @@ def test_warm_cache_sends_nothing(tmp_path):
         [t.raw_text for t in first.traces]
 
 
+def test_repeated_prompt_is_fetched_once(tmp_path):
+    examples = [Example(id=f"e{i}", task="math", prompt="[[depth=2]] same question")
+                for i in range(3)]
+    with MockTeacher() as mock:
+        result = harvest(examples, job_for(profile(mock.base_url), tmp_path,
+                                           max_in_flight=1))
+    assert (result.requests_sent, result.cache_hits) == (1, 2)
+    assert [t.example_id for t in result.traces] == ["e0", "e1", "e2"]
+
+
 def test_corrupt_cache_entry_is_refetched(tmp_path):
     examples = depth_examples(3)
+    log = tmp_path / "responses.jsonl"
     with MockTeacher() as mock:
         teacher = profile(mock.base_url)
         harvest(examples, job_for(teacher, tmp_path))
-        victim = sorted(tmp_path.glob("*.json"))[0]
-        victim.write_text("{ not json", encoding="utf-8")
+        lines = log.read_bytes().splitlines(keepends=True)
+        lines[0] = lines[0][:80] + b"{ not json\n"  # still indexed by its key
+        log.write_bytes(b"".join(lines))
         result = harvest(examples, job_for(teacher, tmp_path))
+        # the refetch repaired the entry
+        repaired = harvest(examples, job_for(teacher, tmp_path))
     assert result.requests_sent == 1
     assert result.cache_hits == 2
     assert len(result.traces) == 3
-    # the refetch repaired the entry
-    json.loads(victim.read_text(encoding="utf-8"))
+    assert (repaired.requests_sent, repaired.cache_hits) == (0, 3)
+
+
+def test_truncated_log_refetches_only_the_torn_entry(tmp_path):
+    examples = depth_examples(3)
+    log = tmp_path / "responses.jsonl"
+    with MockTeacher() as mock:
+        teacher = profile(mock.base_url)
+        first = harvest(examples, job_for(teacher, tmp_path))
+        data = log.read_bytes()
+        cut = len(data.splitlines()[-1]) // 2
+        log.write_bytes(data[:-cut])
+        result = harvest(examples, job_for(teacher, tmp_path))
+        warm = harvest(examples, job_for(teacher, tmp_path))
+    assert (result.requests_sent, result.cache_hits) == (1, 2)
+    assert [t.raw_text for t in result.traces] == [t.raw_text for t in first.traces]
+    assert (warm.requests_sent, warm.cache_hits) == (0, 3)
+    # the torn entry ended on its own line; the refetched one follows intact
+    *_, torn, refetched = log.read_bytes().splitlines()
+    with pytest.raises(ValueError):
+        json.loads(torn)
+    assert json.loads(refetched)["text"] == first.traces[-1].raw_text
+
+
+def test_entry_whose_key_differs_from_its_index_is_a_miss(tmp_path):
+    examples = depth_examples(3)
+    log = tmp_path / "responses.jsonl"
+    with MockTeacher() as mock:
+        teacher = profile(mock.base_url)
+        harvest(examples, job_for(teacher, tmp_path))
+        lines = log.read_bytes().splitlines(keepends=True)
+        # indexed under its first "key"; JSON keeps the last one
+        lines[1] = lines[1].rstrip(b"}\n") + b', "key": "someone-else"}\n'
+        log.write_bytes(b"".join(lines))
+        result = harvest(examples, job_for(teacher, tmp_path))
+    assert (result.requests_sent, result.cache_hits) == (1, 2)
+    assert len(result.traces) == 3
+
+
+def test_concurrent_harvests_share_one_log(tmp_path):
+    examples = depth_examples(30)
+    errors = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the appends as much as possible
+    try:
+        with MockTeacher() as mock:
+            teacher = profile(mock.base_url, samples=2)
+
+            def run():
+                try:
+                    harvest(examples, job_for(teacher, tmp_path, rate_limit=1e6,
+                                              max_in_flight=4))
+                except Exception as exc:  # reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=run) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            warm = harvest(examples, job_for(teacher, tmp_path))
+    finally:
+        sys.setswitchinterval(switch)
+    assert errors == []
+    lines = (tmp_path / "responses.jsonl").read_bytes().splitlines()
+    assert 60 <= len(lines) <= 120
+    assert all(isinstance(json.loads(line)["text"], str) for line in lines)
+    assert (warm.requests_sent, warm.cache_hits) == (0, 60)
+
+
+def test_warm_run_starts_no_workers(tmp_path, monkeypatch):
+    examples = depth_examples(4)
+    with MockTeacher() as mock:
+        teacher = profile(mock.base_url, samples=2)
+        harvest(examples, job_for(teacher, tmp_path))
+
+        def no_submit(*args, **kwargs):
+            raise AssertionError("a warm run submitted work to the pool")
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", no_submit)
+        warm = harvest(examples, job_for(teacher, tmp_path))
+    assert (warm.requests_sent, warm.cache_hits) == (0, 8)
+    assert len(warm.traces) == 8
 
 
 def test_transient_failures_are_retried(tmp_path):
