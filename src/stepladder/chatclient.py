@@ -160,5 +160,11 @@ def fetch(client: ChatClient, job: HarvestJob, system_text: str,
             raise HarvestError("malformed response body (no message content)")
         if not isinstance(content, str):
             raise HarvestError("malformed response body (content is not text)")
+        try:
+            content.encode("utf-8")
+        except UnicodeEncodeError:
+            # A lone surrogate escape ("\ud800") parses but can be neither
+            # cached nor written out.
+            raise HarvestError("malformed response body (content is not valid Unicode)")
         return content
     raise HarvestError(f"{last} after {job.max_retries + 1} attempts")

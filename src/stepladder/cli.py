@@ -19,27 +19,22 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analyzer import cross_teacher_agreement, length_confound
-from .bucketer import BucketSpec, bucketize, describe, read_buckets, write_buckets
 from .corpus import (
+    BASELINE_KINDS,
+    COMPLETION,
+    TRACE,
     SchedulePlan,
     TeacherProfile,
     file_sha256,
-    read_completions,
     read_corpus,
     read_json,
     read_scores,
-    read_traces,
     write_atomic,
     write_manifest,
     write_scores,
     write_traces,
 )
 from .errors import ParameterError, StepladderError
-from .harvester import DEFAULT_TEMPLATE, TEMPLATE, HarvestJob, harvest
-from .scheduler import BASELINE_KINDS, baseline_order, build_curriculum, filter_by_depth
-from .scorer import score_corpus
-from .segmenter import SegmentationRules, audit_sample, trace_from_text
 
 _EXIT_OK = 0
 _EXIT_ERROR = 1
@@ -180,9 +175,14 @@ def _report_failures(failures, what: str) -> None:
 
 # ---------------------------------------------------------------------------
 # Subcommand runners
+#
+# Each runner imports its own stage modules, so a command loads only the
+# stages it runs.
 
 
 def _run_harvest(args) -> int:
+    from .harvester import DEFAULT_TEMPLATE, TEMPLATE, HarvestJob, harvest
+
     endpoint = _required(args, "endpoint")
     model = _required(args, "model")
     teacher_id = _required(args, "teacher_id")
@@ -235,6 +235,8 @@ def _run_harvest(args) -> int:
 
 
 def _run_segment(args) -> int:
+    from .segmenter import SegmentationRules, audit_sample, trace_from_text
+
     completions_path = _resolve(args, args.completions)
     out = _resolve(args, args.out)
     rules = SegmentationRules(
@@ -242,16 +244,28 @@ def _run_segment(args) -> int:
         max_marker_value=args.max_marker_value,
         allow_paragraph_fallback=not args.no_paragraph_fallback,
     )
-    records = read_completions(completions_path)
-    traces = []
+    # Completions stream through to the output one at a time; the traces
+    # themselves are kept only when an audit sample is drawn from them.
+    audit = [] if args.audit_fraction is not None else None
     failures = []
-    for rec in records:
-        try:
-            traces.append(trace_from_text(
-                rec["example_id"], rec["teacher_id"], rec["text"], rules))
-        except StepladderError as exc:
-            failures.append((rec["example_id"], rec["teacher_id"], str(exc)))
-    write_traces(traces, out)
+    written = low = 0
+
+    def lines():
+        nonlocal written, low
+        for rec in COMPLETION.iter(completions_path):
+            try:
+                trace = trace_from_text(
+                    rec["example_id"], rec["teacher_id"], rec["text"], rules)
+            except StepladderError as exc:
+                failures.append((rec["example_id"], rec["teacher_id"], str(exc)))
+                continue
+            written += 1
+            low += trace.confidence == "low"
+            if audit is not None:
+                audit.append(trace)
+            yield TRACE.dump(trace)
+
+    write_atomic(out, lines())
     params = {
         "min_step_chars": args.min_step_chars,
         "max_marker_value": args.max_marker_value,
@@ -259,13 +273,12 @@ def _run_segment(args) -> int:
     }
     _write_sidecar(out, "segment", params, [completions_path])
 
-    low = sum(1 for t in traces if t.confidence == "low")
-    print(f"segmented {len(traces)} trace(s), {low} low-confidence")
-    if args.audit_fraction is not None:
+    print(f"segmented {written} trace(s), {low} low-confidence")
+    if audit is not None:
         if args.audit_out is None:
             raise ParameterError("--audit-fraction needs --audit-out")
         audit_out = _resolve(args, args.audit_out)
-        picked = audit_sample(traces, args.audit_fraction, args.audit_seed)
+        picked = audit_sample(audit, args.audit_fraction, args.audit_seed)
         write_traces(picked, audit_out)
         audit_params = dict(params)
         audit_params.update({
@@ -281,10 +294,11 @@ def _run_segment(args) -> int:
 
 
 def _run_score(args) -> int:
+    from .scorer import score_corpus
+
     traces_path = _resolve(args, args.traces)
     out = _resolve(args, args.out)
-    traces = read_traces(traces_path)
-    scores, errors = score_corpus(traces)
+    scores, errors = score_corpus(TRACE.iter(traces_path))
     write_scores(scores, out)
     _write_sidecar(out, "score", {}, [traces_path])
     print(f"scored {len(scores)} (example, teacher) pair(s)")
@@ -295,6 +309,8 @@ def _run_score(args) -> int:
 
 
 def _run_bucket(args) -> int:
+    from .bucketer import BucketSpec, bucketize, describe, write_buckets
+
     scores_path = _resolve(args, args.scores)
     corpus_path = _resolve(args, args.corpus)
     out = _resolve(args, args.out)
@@ -325,6 +341,9 @@ def _run_bucket(args) -> int:
 
 
 def _run_schedule(args) -> int:
+    from .bucketer import read_buckets
+    from .scheduler import build_curriculum
+
     phases = _required(args, "phases")
     budget = _required(args, "budget_per_phase")
     buckets_path = _resolve(args, args.buckets)
@@ -361,6 +380,8 @@ def _run_schedule(args) -> int:
 
 
 def _run_baseline(args) -> int:
+    from .scheduler import baseline_order
+
     kind = _required(args, "kind")
     phases = _required(args, "phases")
     budget = _required(args, "budget_per_phase")
@@ -401,6 +422,8 @@ def _load_scores_by_teacher(args) -> dict:
 
 
 def _run_agreement(args) -> int:
+    from .analyzer import cross_teacher_agreement
+
     report = cross_teacher_agreement(_load_scores_by_teacher(args))
     print(report.render())
     if args.out is not None:
@@ -419,6 +442,8 @@ def _run_agreement(args) -> int:
 
 
 def _run_confound(args) -> int:
+    from .analyzer import length_confound
+
     scores_path = _resolve(args, args.scores)
     corpus_path = _resolve(args, args.labels_from)
     scores = read_scores(scores_path)
@@ -449,6 +474,8 @@ def _run_confound(args) -> int:
 
 
 def _run_filter(args) -> int:
+    from .scheduler import filter_by_depth
+
     scores_path = _resolve(args, args.scores)
     out = _resolve(args, args.out)
     scores = read_scores(scores_path)

@@ -42,6 +42,10 @@ CONFIDENCE_LEVELS = ("high", "low")
 # Relative tolerance for the dot_norm = k / ln(1 + tok) identity.
 DOT_NORM_RTOL = 1e-12
 
+# Orderings scheduler.baseline_order builds; defined here so the CLI's
+# parser can list them without loading the scheduler.
+BASELINE_KINDS = ("token_length", "judge_score", "random")
+
 
 def count_tokens(text: str) -> int:
     """Count whitespace-delimited tokens.
@@ -378,9 +382,15 @@ class Record:
         """One JSONL line, newline included."""
         return _ENCODER.encode(self.encode(value)) + "\n"
 
+    def iter(self, path) -> Iterator:
+        """Every record of a JSONL file of this type, in file order, one at a
+        time; a bad line raises when it is reached."""
+        for _where, value in read_jsonl(path, self):
+            yield value
+
     def read(self, path) -> list:
         """Every record of a JSONL file of this type, in file order."""
-        return [value for _where, value in read_jsonl(path, self)]
+        return list(self.iter(path))
 
     def write(self, values: Iterable, path) -> None:
         """Write values as a JSONL file of this type, atomically."""

@@ -17,7 +17,6 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
@@ -235,8 +234,11 @@ def _fetch_misses(job: HarvestJob, api_key: str, log: _ResponseLog,
     per unit, and a worker renders and keys each unit only when it takes
     it, so nothing is held for a miss still waiting its turn.
     """
-    # Imported here, not at the top: http.client and ssl add about 30 ms
-    # to the start-up of every other subcommand and of all-hit harvests.
+    # Imported here, not at the top: http.client and ssl (about 30 ms) and
+    # the executor, which loads logging (about 8 ms), would slow the
+    # start-up of every other subcommand and of all-hit harvests.
+    from concurrent.futures import ThreadPoolExecutor
+
     from .chatclient import ChatClient, fetch
 
     client = ChatClient(job.teacher.endpoint_url, api_key, job.timeout)

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .bucketer import BucketizeResult
-from .corpus import CurriculumManifest, DoTScore, Example, Phase, SchedulePlan
+from .corpus import BASELINE_KINDS, CurriculumManifest, DoTScore, Example, Phase, SchedulePlan
 from .errors import ParameterError, ScheduleError
 
-BASELINE_KINDS = ("token_length", "judge_score", "random")
+if TYPE_CHECKING:
+    from .bucketer import BucketizeResult
 
 
 def phase_weights(t: int, alpha: float) -> list[float]:

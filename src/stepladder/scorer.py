@@ -39,6 +39,14 @@ def _lower_median(values: list[int]) -> int:
     return sorted(values)[(len(values) - 1) // 2]
 
 
+def _aggregate(example_id: str, teacher_id: str, samples: list[tuple[int, int]]) -> DoTScore:
+    """One score from a pair's (k, tok) samples, each by lower median."""
+    return DoTScore.compute(example_id, teacher_id,
+                            _lower_median([k for k, _tok in samples]),
+                            _lower_median([tok for _k, tok in samples]),
+                            n_samples=len(samples))
+
+
 def aggregate_self_consistency(scores: Iterable[DoTScore]) -> DoTScore:
     """Collapse repeated samples of one (example, teacher) pair.
 
@@ -55,10 +63,8 @@ def aggregate_self_consistency(scores: Iterable[DoTScore]) -> DoTScore:
         raise ScoringError(
             f"aggregation group mixes (example, teacher) pairs: {sorted(keys)}"
         )
-    example_id, teacher_id = scores[0].example_id, scores[0].teacher_id
-    k = _lower_median([s.k for s in scores])
-    tok = _lower_median([s.tok for s in scores])
-    return DoTScore.compute(example_id, teacher_id, k, tok, n_samples=len(scores))
+    return _aggregate(scores[0].example_id, scores[0].teacher_id,
+                      [(s.k, s.tok) for s in scores])
 
 
 def score_corpus(traces: Iterable[Trace]) -> tuple[list[DoTScore], list[tuple[str, str, str]]]:
@@ -67,9 +73,10 @@ def score_corpus(traces: Iterable[Trace]) -> tuple[list[DoTScore], list[tuple[st
     Returns (scores, errors).  Scores are sorted by (example_id,
     teacher_id); errors are (example_id, teacher_id, reason) triples for
     traces that could not be scored.  Unscorable traces never abort the
-    run, they are reported.
+    run, they are reported.  Only each trace's k and tok are kept, so
+    traces may stream in from a file.
     """
-    groups: dict[tuple[str, str], list[DoTScore]] = {}
+    groups: dict[tuple[str, str], list[tuple[int, int]]] = {}
     errors: list[tuple[str, str, str]] = []
     for trace in traces:
         try:
@@ -77,8 +84,7 @@ def score_corpus(traces: Iterable[Trace]) -> tuple[list[DoTScore], list[tuple[st
         except ScoringError as exc:
             errors.append((trace.example_id, trace.teacher_id, str(exc)))
             continue
-        groups.setdefault((trace.example_id, trace.teacher_id), []).append(single)
+        groups.setdefault((trace.example_id, trace.teacher_id), []).append(
+            (single.k, single.tok))
 
-    results = [aggregate_self_consistency(group)
-               for _key, group in sorted(groups.items())]
-    return results, errors
+    return [_aggregate(*key, samples) for key, samples in sorted(groups.items())], errors

@@ -114,16 +114,34 @@ def _merge_micro_steps(texts: list[str], min_chars: int) -> tuple[list[str], boo
     A micro step merges backward into its predecessor; a leading micro
     run merges forward into the first real step.  Returns the merged
     texts and whether any merge happened.
+
+    A merge makes the step (step + "\n" + text).strip(); a merged step is
+    kept as a list of pieces and joined once, so the cost is linear in
+    the text length.
     """
-    merged = False
-    out: list[str] = []
+    steps: list = []  # each a text, or once merged into, its text's pieces
+    core = 0  # len(steps[-1] joined and stripped)
     for text in texts:
-        if out and (len(text.strip()) < min_chars or len(out[-1].strip()) < min_chars):
-            out[-1] = (out[-1] + "\n" + text).strip()
-            merged = True
-        else:
-            out.append(text)
-    return out, merged
+        stripped = text.strip()
+        if not steps or (len(stripped) >= min_chars and core >= min_chars):
+            steps.append(text)
+            core = len(stripped)
+            continue
+        last = steps[-1]
+        if type(last) is str:
+            # Strip the text now as its first merge would; its trailing
+            # whitespace stays only if text has content to follow it.
+            first = last.lstrip() if stripped else last.strip()
+            last = steps[-1] = [first] if first else []
+            core = len(first)
+        if stripped and last:
+            last += ("\n", text.rstrip())
+            core += 1 + len(last[-1])
+        elif stripped:
+            last.append(stripped)
+            core = len(stripped)
+    out = [step if type(step) is str else "".join(step) for step in steps]
+    return out, len(out) < len(texts)
 
 
 def segment(raw_text: str, rules: SegmentationRules = DEFAULT_RULES):

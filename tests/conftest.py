@@ -65,3 +65,17 @@ def counting_ranks(values) -> list[float]:
 def ref_spearman(xs, ys) -> float:
     """Spearman via counting ranks and the stdlib Pearson correlation."""
     return statistics.correlation(counting_ranks(xs), counting_ranks(ys))
+
+
+def naive_merge_micro_steps(texts, min_chars):
+    """The segmenter's micro-step merge, rebuilding the last step on every
+    merge: quadratic on long runs, but plainly right."""
+    merged = False
+    out = []
+    for text in texts:
+        if out and (len(text.strip()) < min_chars or len(out[-1].strip()) < min_chars):
+            out[-1] = (out[-1] + "\n" + text).strip()
+            merged = True
+        else:
+            out.append(text)
+    return out, merged

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -241,12 +242,17 @@ def test_partial_segmentation_exits_2(tmp_path, capsys):
     assert [t.example_id for t in read_traces(tmp_path / "t.jsonl")] == ["good"]
 
 
-def _run_cli(*argv):
+def _python(*argv, check=False):
+    """Run python with this checkout's package importable."""
     src = str(Path(stepladder.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "stepladder.cli", *map(str, argv)],
-                          env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *map(str, argv)], env=env, check=check,
+                          capture_output=True, text=True, timeout=60)
+
+
+def _run_cli(*argv):
+    return _python("-m", "stepladder.cli", *argv)
 
 
 def _with_first_record(src, dest, change):
@@ -321,18 +327,74 @@ def test_template_file_not_json_exits_1(demo, tmp_path):
     assert result.stderr.startswith(f"error: {template}: malformed JSON")
 
 
+STAGES = tuple(f"stepladder.{name}" for name in
+               ("analyzer", "bucketer", "harvester", "scheduler", "scorer", "segmenter"))
+
+
 def test_cli_import_loads_no_http_stack():
-    # The HTTP client is imported by harvest() itself; importing it, or
-    # requests, at start-up would slow every other subcommand.
-    src = str(Path(stepladder.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, stepladder.cli; "
-             "print(sorted(m for m in ('requests', 'urllib3', 'http.client') "
-             "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    # Each subcommand imports its own stages, and harvest() the HTTP
+    # client; importing any of them, or requests, at start-up would slow
+    # every other subcommand.
+    unwanted = ("requests", "urllib3", "http.client", "concurrent.futures") + STAGES
+    probe = (f"import sys, stepladder.cli; "
+             f"print(sorted(m for m in {unwanted!r} if m in sys.modules))")
+    assert _python("-c", probe, check=True).stdout.strip() == "[]"
+
+
+def test_segment_loads_only_its_own_stage(demo, tmp_path):
+    probe = ("import sys; from stepladder.cli import main; "
+             f"code = main(['segment', '--completions', {str(demo / 'completions.jsonl')!r}, "
+             f"'--out', {str(tmp_path / 't.jsonl')!r}]); "
+             f"print(code, sorted(m for m in {STAGES!r} if m in sys.modules))")
+    out = _python("-c", probe, check=True).stdout.splitlines()[-1]
+    assert out == "0 ['stepladder.segmenter']"
+
+
+def test_package_names_load_on_first_use():
+    for name in stepladder.__all__:
+        if name != "__version__":
+            module = importlib.import_module(f"stepladder.{stepladder._EXPORTS[name]}")
+            assert getattr(stepladder, name) is getattr(module, name), name
+    namespace = {}
+    exec("from stepladder import *", namespace)
+    assert set(stepladder.__all__) <= namespace.keys()
+    with pytest.raises(AttributeError, match="no_such_name"):
+        stepladder.no_such_name
+    probe = "import stepladder; print(stepladder.segmenter.segment is stepladder.segment)"
+    assert _python("-c", probe, check=True).stdout == "True\n"
+
+
+@pytest.mark.parametrize("command", ["segment", "score"])
+def test_malformed_line_mid_stream_keeps_old_output(demo, tmp_path, capsys, command):
+    # segment and score stream their input, so the bad line is reached
+    # after earlier records were already written to the temp file.
+    out = run_pipeline(demo, tmp_path)
+    capsys.readouterr()
+    src, field, value = {"segment": (demo / "completions.jsonl", "text", 5),
+                         "score": (out / "traces.jsonl", "tok", "x")}[command]
+    lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[2])
+    record[field] = value
+    lines[2] = json.dumps(record) + "\n"
+    bad = tmp_path / "in" / "bad.jsonl"
+    bad.parent.mkdir()
+    bad.write_text("".join(lines), encoding="utf-8")
+    target = tmp_path / "out" / "previous.jsonl"
+    target.parent.mkdir()
+    target.write_bytes(b"previous bytes\n")
+    input_flag = {"segment": "--completions", "score": "--traces"}[command]
+    result = _run_cli(command, input_flag, bad, "--out", target)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"error: {bad}:3: '{field}': ")
+    assert target.read_bytes() == b"previous bytes\n"
+    assert sorted(p.name for p in target.parent.iterdir()) == ["previous.jsonl"]
+
+
+def test_python_dash_m_runs_the_cli():
+    result = _python("-m", "stepladder", "--version")
+    assert result.returncode == 0
+    assert result.stdout.startswith("stepladder ")
 
 
 def test_version_flag(capsys):

@@ -12,7 +12,8 @@ from urllib.parse import urlsplit
 import pytest
 
 from stepladder.chatclient import _proxy_for
-from stepladder.corpus import Example, TeacherProfile
+from stepladder.cli import main
+from stepladder.corpus import Example, TeacherProfile, read_traces, write_corpus
 from stepladder.errors import HarvestError
 from stepladder.harvester import (
     DEFAULT_TEMPLATE,
@@ -461,6 +462,54 @@ def test_no_proxy_exempts_the_endpoint(tmp_path, monkeypatch):
         result = harvest(depth_examples(2), job_for(profile(mock.base_url), tmp_path))
     assert len(result.traces) == 2
     assert log == []
+
+
+def test_lone_surrogate_response_fails_only_its_unit(tmp_path, capsys):
+    # "\ud800" is valid JSON but no valid Unicode: it can be neither cached
+    # nor written to the traces file.
+    posts = []
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            user = body["messages"][1]["content"]
+            posts.append(user)
+            text = "1. half of \ud800 a pair\n2. more" if "surrogate" in user \
+                else "1. first step\n2. second step"
+            MockTeacher._send(self, 200, {"choices": [{"message": {"content": text}}]})
+
+        def log_message(self, *args):
+            pass
+
+    corpus = tmp_path / "examples.jsonl"
+    write_corpus([Example(id="a", task="t", prompt="plain one"),
+                  Example(id="b", task="t", prompt="lone surrogate"),
+                  Example(id="c", task="t", prompt="plain two")], corpus)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    argv = ["harvest", "--corpus", str(corpus), "--model", "m", "--teacher-id", "t",
+            "--endpoint", f"http://127.0.0.1:{server.server_address[1]}/v1",
+            "--cache-dir", str(tmp_path / "cache"), "--rate-limit", "1000",
+            "--out", str(tmp_path / "traces.jsonl")]
+    try:
+        first = main(argv), capsys.readouterr()
+        second = main(argv), capsys.readouterr()
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    for code, (out, err) in (first, second):
+        assert code == 2
+        assert "harvest failure: b / 0 / malformed response body" in err
+        assert [t.example_id for t in read_traces(tmp_path / "traces.jsonl")] == ["a", "c"]
+    # Nothing was cached for the failed unit, so only it is asked again.
+    assert first[1][0].startswith("harvested 2 trace(s), 0 from cache, 3 request(s)")
+    assert second[1][0].startswith("harvested 2 trace(s), 2 from cache, 1 request(s)")
+    assert len(posts) == 4
 
 
 def test_proxy_url_forms(monkeypatch):

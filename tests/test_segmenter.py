@@ -6,16 +6,21 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepladder.corpus import count_tokens
 from stepladder.errors import ParameterError, SegmentationError
 from stepladder.segmenter import (
     DEFAULT_RULES,
     SegmentationRules,
+    _merge_micro_steps,
     audit_sample,
     segment,
     trace_from_text,
 )
+
+from conftest import naive_merge_micro_steps
 
 SUITE = Path(__file__).parent / "data" / "segmenter_suite.jsonl"
 
@@ -90,6 +95,17 @@ def test_step_indices_are_canonical_even_for_gapped_markers():
         "2. Marker says two first.\n5. Marker says five next.\n9. Marker says nine.")
     assert [s.index for s in steps] == [1, 2, 3]
     assert confidence == "low"
+
+
+# Parts built from a few letters and whitespace of several kinds, so
+# empty, whitespace-only and short parts are common.
+_PARTS = st.lists(st.text(alphabet="ab \t\n\u3000", max_size=6), max_size=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PARTS, st.integers(min_value=1, max_value=5))
+def test_merge_micro_steps_matches_oracle(texts, min_chars):
+    assert _merge_micro_steps(texts, min_chars) == naive_merge_micro_steps(texts, min_chars)
 
 
 def test_strict_mode_raises_without_markers():
