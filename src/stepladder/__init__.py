@@ -11,7 +11,7 @@ pays only for the stages it runs.
 
 import importlib
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # Public name -> the submodule that defines it.
 _EXPORTS = {

@@ -1,11 +1,14 @@
 """Command-line pipeline driver.
 
 Subcommands mirror the library stages: harvest, segment, score, bucket,
-schedule, baseline, analyze, filter.  A flat "key = value" config file
-can preset any pipeline knob; explicit flags always win.  Every written
-output gets a <name>.meta.json sidecar recording the effective
-parameters and the sha256 of each input, and nothing in any output
-depends on wall-clock time, so reruns are byte-identical.
+schedule, baseline, analyze, filter.  Each subcommand declares its
+options once, as rows of COMMANDS; the parser, the config-file keys,
+path resolution, the required-setting checks and the sidecars are all
+derived from those rows.  A flat "key = value" config file can preset
+any knob; explicit flags always win.  Every written output gets a
+<name>.meta.json sidecar recording every knob's value and the sha256 of
+each input, and nothing in any output depends on wall-clock time, so
+reruns are byte-identical.
 
 Exit codes: 0 success, 1 validation or data error, 2 completed with
 recorded per-record failures, 64 usage error.
@@ -17,6 +20,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 from . import __version__
 from .corpus import (
@@ -54,18 +58,8 @@ class _UsageError(Exception):
     """A missing argument noticed after parsing (config may supply them)."""
 
 
-def _required(args, dest: str):
-    value = getattr(args, dest)
-    if value is None:
-        flag = "--" + dest.replace("_", "-")
-        raise _UsageError(f"{flag} is required (flag or config file)")
-    return value
-
-
 def _parse_edges(text: str):
     """Parse "1-3,4-6,7+" into BucketSpec edge tuples."""
-    if not isinstance(text, str):
-        return text
     edges = []
     for piece in text.split(","):
         piece = piece.strip()
@@ -89,88 +83,137 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"bad boolean {text!r}")
 
 
-# Config keys accepted in "key = value" files, with their coercions.
-_CONFIG_COERCERS = {
-    "seed": int,
-    "phases": int,
-    "budget_per_phase": int,
-    "samples": int,
-    "max_retries": int,
-    "max_in_flight": int,
-    "min_k": int,
-    "max_k": int,
-    "min_step_chars": int,
-    "max_marker_value": int,
-    "audit_seed": int,
-    "alpha": float,
-    "max_task_share": float,
-    "rate_limit": float,
-    "temperature": float,
-    "timeout": float,
-    "audit_fraction": float,
-    "min_spearman": float,
-    "min_tau": float,
-    "with_replacement": _parse_bool,
-    "mode": str,
-    "mixing": str,
-    "kind": str,
-    "edges": _parse_edges,
-    "label_field": str,
-    "teacher": str,
-    "api_key_env": str,
-    "cache_dir": str,
-    "endpoint": str,
-    "model": str,
-    "teacher_id": str,
-}
+# What an option names: a file the command reads (resolved against
+# --workdir, its sha256 recorded in the sidecar), a file it writes
+# (resolved against --workdir), or a setting (a config-file key, its
+# value recorded in the sidecar).
+INPUT, OUTPUT, KNOB = "input", "output", "knob"
+
+
+class Option(NamedTuple):
+    """One subcommand option.
+
+    type parses the flag's text; a tuple instead lists the allowed values,
+    bool makes an on/off switch and list a flag that may be repeated.
+    required: a value must be given, by the flag or, for a knob, by the
+    config file.
+    """
+
+    flag: str
+    kind: str
+    type: object = str
+    default: object = None
+    required: bool = False
+    dest: Optional[str] = None
+    help: Optional[str] = None
+
+    @property
+    def key(self) -> str:
+        """The argparse dest, which is also the config-file key."""
+        return self.dest or self.flag[2:].replace("-", "_")
+
+
+def _knobs(args) -> dict:
+    """The command's knobs by dest, with their parsed values."""
+    return {opt.key: getattr(args, opt.key)
+            for opt in COMMANDS[args.subcommand][2] if opt.kind == KNOB}
+
+
+def _given(args, opt: Option) -> list:
+    """The option's values on args: none, one, or each of a repeated flag."""
+    value = getattr(args, opt.key)
+    return [] if value is None else value if opt.type is list else [value]
+
+
+def _config_value(opt: Option, text: str):
+    """text parsed as the option's flag parses it; a switch takes yes or no."""
+    if opt.type is bool:
+        return _parse_bool(text)
+    if type(opt.type) is tuple:
+        if text not in opt.type:
+            raise argparse.ArgumentTypeError(
+                f"{opt.key}: invalid choice {text!r} (choose from "
+                f"{', '.join(map(repr, opt.type))})")
+        return text
+    return opt.type(text)
 
 
 def _read_config(path: Path) -> dict:
-    """Flat config: one "key = value" per line, '#' starts a comment."""
-    values: dict = {}
+    """Flat config: one "key = value" per line, '#' starts a comment.
+
+    The keys are the knobs of every subcommand, by dest.
+    """
+    knobs = {opt.key: opt for _help, _run, options in COMMANDS.values()
+             for opt in options if opt.kind == KNOB}
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key not in _CONFIG_COERCERS:
-                raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = _CONFIG_COERCERS[key](value)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ParameterError(f"{path}:{lineno}: {exc}") from exc
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"{path}: not UTF-8 ({exc.reason})") from None
+    values: dict = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in knobs:
+            raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = _config_value(knobs[key], value.strip())
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ParameterError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 
-def _resolve(args, path):
-    if path is None:
-        return None
-    p = Path(path)
-    return p if p.is_absolute() else Path(args.workdir) / p
+def _check_and_rebase(args) -> None:
+    """Check the required settings; rebase input and output paths on --workdir."""
+    for opt in COMMANDS[args.subcommand][2]:
+        if getattr(args, opt.key) is None:
+            if opt.required:
+                raise _UsageError(f"{opt.flag} is required (flag or config file)")
+        elif opt.kind != KNOB:
+            paths = [Path(args.workdir, p) for p in _given(args, opt)]
+            setattr(args, opt.key, paths if opt.type is list else paths[0])
 
 
 def _write_json(path: Path, obj: dict) -> None:
     write_atomic(path, [json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True), "\n"])
 
 
-def _write_sidecar(out_path: Path, command: str, params: dict, inputs: list) -> None:
-    _write_json(Path(str(out_path) + ".meta.json"), {
+def _write_sidecar(out: Path, args) -> None:
+    """<out>.meta.json: every knob's parsed value, defaults included, and the
+    sha256 of every input file given."""
+    _write_json(Path(f"{out}.meta.json"), {
         "tool": f"stepladder {__version__}",
-        "command": command,
-        "parameters": params,
-        "inputs": {str(p): file_sha256(p) for p in inputs},
+        "command": args.subcommand,
+        "parameters": _knobs(args),
+        "inputs": {str(p): file_sha256(p) for opt in COMMANDS[args.subcommand][2]
+                   if opt.kind == INPUT for p in _given(args, opt)},
     })
 
 
-def _report_failures(failures, what: str) -> None:
+def _exit_code(failures, what: str) -> int:
+    """Report per-record failures on stderr; a run that had any exits 2."""
+    if not failures:
+        return _EXIT_OK
     for item in failures:
         print(f"{what} failure: {' / '.join(str(f) for f in item)}", file=sys.stderr)
     print(f"{len(failures)} {what} failure(s) recorded", file=sys.stderr)
+    return _EXIT_PARTIAL
+
+
+def _teacher_scores(args) -> list:
+    """The --scores file, narrowed to --teacher's scores when one is given."""
+    scores = read_scores(args.scores)
+    if args.teacher is None:
+        return scores
+    scores = [s for s in scores if s.teacher_id == args.teacher]
+    if not scores:
+        raise ParameterError(f"no scores for teacher {args.teacher!r}")
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -183,25 +226,20 @@ def _report_failures(failures, what: str) -> None:
 def _run_harvest(args) -> int:
     from .harvester import DEFAULT_TEMPLATE, TEMPLATE, HarvestJob, harvest
 
-    endpoint = _required(args, "endpoint")
-    model = _required(args, "model")
-    teacher_id = _required(args, "teacher_id")
-    corpus_path = _resolve(args, args.corpus)
-    out = _resolve(args, args.out)
-    examples = read_corpus(corpus_path)
-    template_path = _resolve(args, args.template_file)
-    template = DEFAULT_TEMPLATE if template_path is None else read_json(template_path, TEMPLATE)
+    examples = read_corpus(args.corpus)
+    template = DEFAULT_TEMPLATE if args.template_file is None \
+        else read_json(args.template_file, TEMPLATE)
     teacher = TeacherProfile(
-        teacher_id=teacher_id,
-        endpoint_url=endpoint,
-        model_name=model,
+        teacher_id=args.teacher_id,
+        endpoint_url=args.endpoint,
+        model_name=args.model,
         template_id=template.template_id,
         samples_per_example=args.samples,
         temperature=args.temperature,
     )
     job = HarvestJob(
         teacher=teacher,
-        cache_dir=str(_resolve(args, args.cache_dir)),
+        cache_dir=str(Path(args.workdir, args.cache_dir)),
         rate_limit=args.rate_limit,
         template=template,
         max_retries=args.max_retries,
@@ -210,35 +248,17 @@ def _run_harvest(args) -> int:
         api_key_env=args.api_key_env,
     )
     result = harvest(examples, job)
-    write_traces(result.traces, out)
-    params = {
-        "endpoint": endpoint,
-        "model": model,
-        "teacher_id": teacher_id,
-        "template_id": template.template_id,
-        "samples": args.samples,
-        "temperature": args.temperature,
-        "rate_limit": args.rate_limit,
-        "max_retries": args.max_retries,
-        "max_in_flight": args.max_in_flight,
-    }
-    _write_sidecar(out, "harvest", params, [corpus_path])
+    write_traces(result.traces, args.out)
+    _write_sidecar(args.out, args)
     print(f"harvested {len(result.traces)} trace(s), "
           f"{result.cache_hits} from cache, {result.requests_sent} request(s) sent")
-    if result.failures:
-        _report_failures(
-            [(f.example_id, f.sample_index, f.reason) for f in result.failures],
-            "harvest",
-        )
-        return _EXIT_PARTIAL
-    return _EXIT_OK
+    return _exit_code([(f.example_id, f.sample_index, f.reason) for f in result.failures],
+                      "harvest")
 
 
 def _run_segment(args) -> int:
     from .segmenter import SegmentationRules, audit_sample, trace_from_text
 
-    completions_path = _resolve(args, args.completions)
-    out = _resolve(args, args.out)
     rules = SegmentationRules(
         min_step_chars=args.min_step_chars,
         max_marker_value=args.max_marker_value,
@@ -246,13 +266,18 @@ def _run_segment(args) -> int:
     )
     # Completions stream through to the output one at a time; the traces
     # themselves are kept only when an audit sample is drawn from them.
-    audit = [] if args.audit_fraction is not None else None
+    audit = None
+    if args.audit_fraction is not None:
+        if args.audit_out is None:
+            raise ParameterError("--audit-fraction needs --audit-out")
+        audit_sample([], args.audit_fraction, args.audit_seed)  # checks the fraction
+        audit = []
     failures = []
     written = low = 0
 
     def lines():
         nonlocal written, low
-        for rec in COMPLETION.iter(completions_path):
+        for rec in COMPLETION.iter(args.completions):
             try:
                 trace = trace_from_text(
                     rec["example_id"], rec["teacher_id"], rec["text"], rules)
@@ -265,78 +290,42 @@ def _run_segment(args) -> int:
                 audit.append(trace)
             yield TRACE.dump(trace)
 
-    write_atomic(out, lines())
-    params = {
-        "min_step_chars": args.min_step_chars,
-        "max_marker_value": args.max_marker_value,
-        "allow_paragraph_fallback": not args.no_paragraph_fallback,
-    }
-    _write_sidecar(out, "segment", params, [completions_path])
+    write_atomic(args.out, lines())
+    _write_sidecar(args.out, args)
 
     print(f"segmented {written} trace(s), {low} low-confidence")
     if audit is not None:
-        if args.audit_out is None:
-            raise ParameterError("--audit-fraction needs --audit-out")
-        audit_out = _resolve(args, args.audit_out)
         picked = audit_sample(audit, args.audit_fraction, args.audit_seed)
-        write_traces(picked, audit_out)
-        audit_params = dict(params)
-        audit_params.update({
-            "audit_fraction": args.audit_fraction,
-            "audit_seed": args.audit_seed,
-        })
-        _write_sidecar(audit_out, "segment", audit_params, [completions_path])
+        write_traces(picked, args.audit_out)
+        _write_sidecar(args.audit_out, args)
         print(f"audit sample: {len(picked)} trace(s)")
-    if failures:
-        _report_failures(failures, "segmentation")
-        return _EXIT_PARTIAL
-    return _EXIT_OK
+    return _exit_code(failures, "segmentation")
 
 
 def _run_score(args) -> int:
     from .scorer import score_corpus
 
-    traces_path = _resolve(args, args.traces)
-    out = _resolve(args, args.out)
-    scores, errors = score_corpus(TRACE.iter(traces_path))
-    write_scores(scores, out)
-    _write_sidecar(out, "score", {}, [traces_path])
+    scores, errors = score_corpus(TRACE.iter(args.traces))
+    write_scores(scores, args.out)
+    _write_sidecar(args.out, args)
     print(f"scored {len(scores)} (example, teacher) pair(s)")
-    if errors:
-        _report_failures(errors, "scoring")
-        return _EXIT_PARTIAL
-    return _EXIT_OK
+    return _exit_code(errors, "scoring")
 
 
 def _run_bucket(args) -> int:
     from .bucketer import BucketSpec, bucketize, describe, write_buckets
 
-    scores_path = _resolve(args, args.scores)
-    corpus_path = _resolve(args, args.corpus)
-    out = _resolve(args, args.out)
-    scores = read_scores(scores_path)
-    if args.teacher is not None:
-        scores = [s for s in scores if s.teacher_id == args.teacher]
-        if not scores:
-            raise ParameterError(f"no scores for teacher {args.teacher!r}")
-    examples = read_corpus(corpus_path)
-    tasks = {ex.id: ex.task for ex in examples}
+    scores = _teacher_scores(args)
+    tasks = {ex.id: ex.task for ex in read_corpus(args.corpus)}
     spec = BucketSpec(edges=args.edges, max_task_share=args.max_task_share)
     result = bucketize(scores, spec, tasks)
-    write_buckets(result, out)
-    params = {
-        "edges": [list(e) for e in spec.edges],
-        "max_task_share": args.max_task_share,
-        "teacher": args.teacher,
-    }
-    _write_sidecar(out, "bucket", params, [scores_path, corpus_path])
-    report = describe(result)
-    text = report.render()
+    write_buckets(result, args.out)
+    _write_sidecar(args.out, args)
+    text = describe(result).render()
     print(text)
     if args.report is not None:
-        report_path = _resolve(args, args.report)
-        write_atomic(report_path, [text, "\n"])
-        _write_sidecar(report_path, "bucket", params, [scores_path, corpus_path])
+        write_atomic(args.report, [text, "\n"])
+        _write_sidecar(args.report, args)
     return _EXIT_OK
 
 
@@ -344,36 +333,15 @@ def _run_schedule(args) -> int:
     from .bucketer import read_buckets
     from .scheduler import build_curriculum
 
-    phases = _required(args, "phases")
-    budget = _required(args, "budget_per_phase")
-    buckets_path = _resolve(args, args.buckets)
-    out = _resolve(args, args.out)
-    result = read_buckets(buckets_path)
-    plan = SchedulePlan(
-        mode=args.mode,
-        phases=phases,
-        budget_per_phase=budget,
-        seed=args.seed,
-        alpha=args.alpha,
-        with_replacement=args.with_replacement,
-        mixing=args.mixing,
-    )
+    result = read_buckets(args.buckets)
+    plan = SchedulePlan(**_knobs(args))  # schedule's knobs are the plan's fields
     provenance = {
-        "buckets_sha256": file_sha256(buckets_path),
+        "buckets_sha256": file_sha256(args.buckets),
         "tool_version": __version__,
     }
     manifest = build_curriculum(result, plan, provenance=provenance)
-    write_manifest(manifest, out)
-    params = {
-        "mode": plan.mode,
-        "alpha": plan.alpha,
-        "phases": plan.phases,
-        "budget_per_phase": plan.budget_per_phase,
-        "seed": plan.seed,
-        "with_replacement": plan.with_replacement,
-        "mixing": plan.mixing,
-    }
-    _write_sidecar(out, "schedule", params, [buckets_path])
+    write_manifest(manifest, args.out)
+    _write_sidecar(args.out, args)
     sizes = ", ".join(str(len(p.example_ids)) for p in manifest.phases)
     print(f"wrote {len(manifest.phases)} phase(s) with sizes [{sizes}]")
     return _EXIT_OK
@@ -382,90 +350,55 @@ def _run_schedule(args) -> int:
 def _run_baseline(args) -> int:
     from .scheduler import baseline_order
 
-    kind = _required(args, "kind")
-    phases = _required(args, "phases")
-    budget = _required(args, "budget_per_phase")
-    corpus_path = _resolve(args, args.corpus)
-    out = _resolve(args, args.out)
-    examples = read_corpus(corpus_path)
-    inputs = [corpus_path]
-    scores = None
-    if args.scores is not None:
-        scores_path = _resolve(args, args.scores)
-        scores = read_scores(scores_path)
-        inputs.append(scores_path)
+    examples = read_corpus(args.corpus)
+    scores = None if args.scores is None else read_scores(args.scores)
     plan = SchedulePlan(
         mode="staged",
-        phases=phases,
-        budget_per_phase=budget,
+        phases=args.phases,
+        budget_per_phase=args.budget_per_phase,
         seed=args.seed,
     )
-    manifest = baseline_order(examples, scores, kind, plan)
-    write_manifest(manifest, out)
-    params = {
-        "kind": kind,
-        "phases": plan.phases,
-        "budget_per_phase": plan.budget_per_phase,
-        "seed": plan.seed,
-    }
-    _write_sidecar(out, "baseline", params, inputs)
-    print(f"wrote {kind} baseline with {len(manifest.phases)} phase(s)")
+    manifest = baseline_order(examples, scores, args.kind, plan)
+    write_manifest(manifest, args.out)
+    _write_sidecar(args.out, args)
+    print(f"wrote {args.kind} baseline with {len(manifest.phases)} phase(s)")
     return _EXIT_OK
-
-
-def _load_scores_by_teacher(args) -> dict:
-    by_teacher: dict = {}
-    for path in args.scores:
-        for sc in read_scores(_resolve(args, path)):
-            by_teacher.setdefault(sc.teacher_id, []).append(sc)
-    return by_teacher
 
 
 def _run_agreement(args) -> int:
     from .analyzer import cross_teacher_agreement
 
-    report = cross_teacher_agreement(_load_scores_by_teacher(args))
+    by_teacher: dict = {}
+    for path in args.scores:
+        for sc in read_scores(path):
+            by_teacher.setdefault(sc.teacher_id, []).append(sc)
+    report = cross_teacher_agreement(by_teacher)
     print(report.render())
     if args.out is not None:
-        out = _resolve(args, args.out)
-        _write_json(out, report.to_json())
-        _write_sidecar(out, "analyze agreement", {"min_tau": args.min_tau},
-                       [_resolve(args, p) for p in args.scores])
-    if args.min_tau is not None:
-        weak = [p for p in report.pairs if p.tau_depth < args.min_tau]
-        if weak:
-            for p in weak:
-                print(f"tau(k) {p.tau_depth:.4f} below threshold {args.min_tau} "
-                      f"for ({p.teacher_a}, {p.teacher_b})", file=sys.stderr)
-            return _EXIT_ERROR
-    return _EXIT_OK
+        _write_json(args.out, report.to_json())
+        _write_sidecar(args.out, args)
+    weak = [] if args.min_tau is None else \
+        [p for p in report.pairs if p.tau_depth < args.min_tau]
+    for p in weak:
+        print(f"tau(k) {p.tau_depth:.4f} below threshold {args.min_tau} "
+              f"for ({p.teacher_a}, {p.teacher_b})", file=sys.stderr)
+    return _EXIT_ERROR if weak else _EXIT_OK
 
 
 def _run_confound(args) -> int:
     from .analyzer import length_confound
 
-    scores_path = _resolve(args, args.scores)
-    corpus_path = _resolve(args, args.labels_from)
-    scores = read_scores(scores_path)
-    if args.teacher is not None:
-        scores = [s for s in scores if s.teacher_id == args.teacher]
-        if not scores:
-            raise ParameterError(f"no scores for teacher {args.teacher!r}")
-    examples = read_corpus(corpus_path)
+    scores = _teacher_scores(args)
     labels = {}
-    for ex in examples:
+    for ex in read_corpus(args.labels_from):
         value = getattr(ex, args.label_field)
         if value is not None:
             labels[ex.id] = float(value)
     report = length_confound(scores, labels)
     print(report.render())
     if args.out is not None:
-        out = _resolve(args, args.out)
-        _write_json(out, report.to_json())
-        _write_sidecar(out, "analyze confound",
-                       {"label_field": args.label_field, "teacher": args.teacher,
-                        "min_spearman": args.min_spearman},
-                       [scores_path, corpus_path])
+        _write_json(args.out, report.to_json())
+        _write_sidecar(args.out, args)
     if args.min_spearman is not None and report.rho_depth < args.min_spearman:
         print(f"spearman {report.rho_depth:.4f} below threshold {args.min_spearman}",
               file=sys.stderr)
@@ -476,177 +409,155 @@ def _run_confound(args) -> int:
 def _run_filter(args) -> int:
     from .scheduler import filter_by_depth
 
-    scores_path = _resolve(args, args.scores)
-    out = _resolve(args, args.out)
-    scores = read_scores(scores_path)
-    ids = filter_by_depth(scores, min_k=args.min_k, max_k=args.max_k)
-    write_atomic(out, (ex_id + "\n" for ex_id in ids))
-    _write_sidecar(out, "filter", {"min_k": args.min_k, "max_k": args.max_k},
-                   [scores_path])
+    ids = filter_by_depth(read_scores(args.scores), min_k=args.min_k, max_k=args.max_k)
+    write_atomic(args.out, (ex_id + "\n" for ex_id in ids))
+    _write_sidecar(args.out, args)
     print(f"kept {len(ids)} example(s)")
     return _EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# Parser assembly
+# The option tables: subcommand -> (help, runner, options).  A name with a
+# space is a leaf of a command group ("analyze agreement").
+
+_PHASES = Option("--phases", KNOB, int, required=True)
+_BUDGET = Option("--budget", KNOB, int, required=True, dest="budget_per_phase")
+_SEED = Option("--seed", KNOB, int, 0)
+_TEACHER = Option("--teacher", KNOB)
+
+COMMANDS = {
+    "harvest": ("collect traces from a chat endpoint", _run_harvest, (
+        Option("--corpus", INPUT, required=True),
+        Option("--endpoint", KNOB, required=True),
+        Option("--model", KNOB, required=True),
+        Option("--teacher-id", KNOB, required=True),
+        Option("--samples", KNOB, int, 1),
+        Option("--temperature", KNOB, float, 0.7),
+        Option("--template-file", INPUT),
+        Option("--cache-dir", KNOB, str, "harvest-cache"),  # resolved by the runner
+        Option("--rate-limit", KNOB, float, 4.0, help="requests per second"),
+        Option("--max-retries", KNOB, int, 3),
+        Option("--timeout", KNOB, float, 30.0),
+        Option("--max-in-flight", KNOB, int, 4),
+        Option("--api-key-env", KNOB, str, "OPENAI_API_KEY"),
+        Option("--out", OUTPUT, required=True),
+    )),
+    "segment": ("split raw completions into step traces", _run_segment, (
+        Option("--completions", INPUT, required=True),
+        Option("--out", OUTPUT, required=True),
+        Option("--min-step-chars", KNOB, int, 3),
+        Option("--max-marker-value", KNOB, int, 999),
+        Option("--no-paragraph-fallback", KNOB, bool, False),
+        Option("--audit-fraction", KNOB, float),
+        Option("--audit-seed", KNOB, int, 0),
+        Option("--audit-out", OUTPUT),
+    )),
+    "score": ("compute depth scores from traces", _run_score, (
+        Option("--traces", INPUT, required=True),
+        Option("--out", OUTPUT, required=True),
+    )),
+    "bucket": ("group scores into depth buckets", _run_bucket, (
+        Option("--scores", INPUT, required=True),
+        Option("--corpus", INPUT, required=True),
+        _TEACHER,
+        Option("--edges", KNOB, _parse_edges, "1-3,4-6,7+"),
+        Option("--max-task-share", KNOB, float, 1.0),
+        Option("--out", OUTPUT, required=True),
+        Option("--report", OUTPUT),
+    )),
+    "schedule": ("build a curriculum manifest from buckets", _run_schedule, (
+        Option("--buckets", INPUT, required=True),
+        Option("--mode", KNOB, ("staged", "mixed"), "staged"),
+        Option("--alpha", KNOB, float, 0.0),
+        _PHASES,
+        _BUDGET,
+        _SEED,
+        Option("--with-replacement", KNOB, bool, False),
+        Option("--mixing", KNOB, ("union", "adjacent"), "union"),
+        Option("--out", OUTPUT, required=True),
+    )),
+    "baseline": ("build a matched-budget baseline ordering", _run_baseline, (
+        Option("--corpus", INPUT, required=True),
+        Option("--kind", KNOB, BASELINE_KINDS, required=True),
+        Option("--scores", INPUT),
+        _PHASES,
+        _BUDGET,
+        _SEED,
+        Option("--out", OUTPUT, required=True),
+    )),
+    "analyze agreement": ("cross-teacher rank agreement", _run_agreement, (
+        Option("--scores", INPUT, list, required=True,
+               help="scores file; repeat for more teachers"),
+        Option("--min-tau", KNOB, float),
+        Option("--out", OUTPUT),
+    )),
+    "analyze confound": ("depth vs difficulty with token length controlled", _run_confound, (
+        Option("--scores", INPUT, required=True),
+        Option("--labels-from", INPUT, required=True,
+               help="corpus file carrying the difficulty labels"),
+        Option("--label-field", KNOB, ("external_difficulty", "judge_score"),
+               "external_difficulty"),
+        _TEACHER,
+        Option("--min-spearman", KNOB, float),
+        Option("--out", OUTPUT),
+    )),
+    "filter": ("select example ids by depth range", _run_filter, (
+        Option("--scores", INPUT, required=True),
+        Option("--min-k", KNOB, int),
+        Option("--max-k", KNOB, int),
+        Option("--out", OUTPUT, required=True),
+    )),
+}
 
 
-def _build_parser() -> tuple[_Parser, list]:
-    """The parser plus every leaf subparser (config defaults go on the leaves:
-    subparsers parse into a fresh namespace, so top-level defaults get lost)."""
+def _build_parser() -> tuple[_Parser, _Parser, list]:
+    """The parser, the options every leaf shares (--config, --workdir), and
+    every leaf subparser (config defaults go on the leaves: subparsers parse
+    into a fresh namespace, so top-level defaults get lost)."""
     parser = _Parser(prog="stepladder",
                      description="depth-of-thought scoring and curriculum building")
     parser.add_argument("--version", action="version",
                         version=f"stepladder {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)  # also parses alone, ahead of the config file
     common.add_argument("--config", help="flat 'key = value' config file")
     common.add_argument("--workdir", default=".",
                         help="base directory for relative paths")
+    groups = {"": parser.add_subparsers(dest="command", required=True, parser_class=_Parser)}
     leaves = []
-
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("harvest", parents=[common],
-                       help="collect traces from a chat endpoint")
-    leaves.append(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--endpoint")
-    p.add_argument("--model")
-    p.add_argument("--teacher-id")
-    p.add_argument("--samples", type=int, default=1)
-    p.add_argument("--temperature", type=float, default=0.7)
-    p.add_argument("--template-file")
-    p.add_argument("--cache-dir", default="harvest-cache")
-    p.add_argument("--rate-limit", type=float, default=4.0,
-                   help="requests per second")
-    p.add_argument("--max-retries", type=int, default=3)
-    p.add_argument("--timeout", type=float, default=30.0)
-    p.add_argument("--max-in-flight", type=int, default=4)
-    p.add_argument("--api-key-env", default="OPENAI_API_KEY")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_run_harvest)
-
-    p = sub.add_parser("segment", parents=[common],
-                       help="split raw completions into step traces")
-    leaves.append(p)
-    p.add_argument("--completions", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--min-step-chars", type=int, default=3)
-    p.add_argument("--max-marker-value", type=int, default=999)
-    p.add_argument("--no-paragraph-fallback", action="store_true")
-    p.add_argument("--audit-fraction", type=float)
-    p.add_argument("--audit-seed", type=int, default=0)
-    p.add_argument("--audit-out")
-    p.set_defaults(func=_run_segment)
-
-    p = sub.add_parser("score", parents=[common],
-                       help="compute depth scores from traces")
-    leaves.append(p)
-    p.add_argument("--traces", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_run_score)
-
-    p = sub.add_parser("bucket", parents=[common],
-                       help="group scores into depth buckets")
-    leaves.append(p)
-    p.add_argument("--scores", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--teacher")
-    p.add_argument("--edges", type=_parse_edges, default="1-3,4-6,7+")
-    p.add_argument("--max-task-share", type=float, default=1.0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--report")
-    p.set_defaults(func=_run_bucket)
-
-    p = sub.add_parser("schedule", parents=[common],
-                       help="build a curriculum manifest from buckets")
-    leaves.append(p)
-    p.add_argument("--buckets", required=True)
-    p.add_argument("--mode", choices=("staged", "mixed"), default="staged")
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--phases", type=int)
-    p.add_argument("--budget", dest="budget_per_phase", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--with-replacement", action="store_true")
-    p.add_argument("--mixing", choices=("union", "adjacent"), default="union")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_run_schedule)
-
-    p = sub.add_parser("baseline", parents=[common],
-                       help="build a matched-budget baseline ordering")
-    leaves.append(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--kind", choices=BASELINE_KINDS)
-    p.add_argument("--scores")
-    p.add_argument("--phases", type=int)
-    p.add_argument("--budget", dest="budget_per_phase", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_run_baseline)
-
-    p = sub.add_parser("analyze", help="statistical validation reports")
-    asub = p.add_subparsers(dest="analysis", required=True, parser_class=_Parser)
-
-    a = asub.add_parser("agreement", parents=[common],
-                        help="cross-teacher rank agreement")
-    leaves.append(a)
-    a.add_argument("--scores", action="append", required=True,
-                   help="scores file; repeat for more teachers")
-    a.add_argument("--min-tau", type=float)
-    a.add_argument("--out")
-    a.set_defaults(func=_run_agreement)
-
-    a = asub.add_parser("confound", parents=[common],
-                        help="depth vs difficulty with token length controlled")
-    leaves.append(a)
-    a.add_argument("--scores", required=True)
-    a.add_argument("--labels-from", required=True,
-                   help="corpus file carrying the difficulty labels")
-    a.add_argument("--label-field",
-                   choices=("external_difficulty", "judge_score"),
-                   default="external_difficulty")
-    a.add_argument("--teacher")
-    a.add_argument("--min-spearman", type=float)
-    a.add_argument("--out")
-    a.set_defaults(func=_run_confound)
-
-    p = sub.add_parser("filter", parents=[common],
-                       help="select example ids by depth range")
-    leaves.append(p)
-    p.add_argument("--scores", required=True)
-    p.add_argument("--min-k", type=int)
-    p.add_argument("--max-k", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_run_filter)
-
-    return parser, leaves
+    for name, (help_text, run, options) in COMMANDS.items():
+        group, _, leaf_name = name.rpartition(" ")
+        if group not in groups:  # only "analyze"
+            groups[group] = groups[""].add_parser(group, help="statistical validation reports") \
+                .add_subparsers(dest="analysis", required=True, parser_class=_Parser)
+        leaf = groups[group].add_parser(leaf_name, parents=[common], help=help_text)
+        leaf.set_defaults(func=run, subcommand=name)
+        for opt in options:
+            how = {"action": "store_true"} if opt.type is bool else \
+                {"action": "append"} if opt.type is list else \
+                {"choices": opt.type} if type(opt.type) is tuple else {"type": opt.type}
+            leaf.add_argument(opt.flag, dest=opt.key, default=opt.default, help=opt.help,
+                              required=opt.required and opt.kind != KNOB, **how)
+        leaves.append(leaf)
+    return parser, common, leaves
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    pre.add_argument("--workdir", default=".")
-    pre_args, _rest = pre.parse_known_args(argv)
-
-    parser, leaves = _build_parser()
+    parser, common, leaves = _build_parser()
+    pre_args, _rest = common.parse_known_args(argv)
     try:
         if pre_args.config is not None:
-            config_path = Path(pre_args.workdir) / pre_args.config \
-                if not Path(pre_args.config).is_absolute() else Path(pre_args.config)
-            config = _read_config(config_path)
+            config = _read_config(Path(pre_args.workdir, pre_args.config))
             for leaf in leaves:
                 leaf.set_defaults(**config)
         args = parser.parse_args(argv)
+        _check_and_rebase(args)
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    except StepladderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_ERROR
-    except OSError as exc:
+    except (StepladderError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ERROR
 

@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import threading
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -397,9 +398,35 @@ class Record:
         write_atomic(path, map(self.dump, values))
 
 
-def _build(where: str, record: Record, obj):
-    """record.decode(obj), with every failure located at where."""
+# A JSON escape of a UTF-16 surrogate.  json.loads joins a valid pair into
+# one character but keeps a lone one, which UTF-8 cannot encode, so such a
+# record could be read and never written back.
+_SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _check_text(value) -> None:
+    """Raise _Invalid at the first string in value holding a lone surrogate."""
+    if type(value) is str:
+        if _SURROGATE.search(value):
+            raise _Invalid("lone surrogate escape, not text")
+    elif type(value) in (list, dict):
+        items = value.items() if type(value) is dict else \
+            ((f"[{i}]", item) for i, item in enumerate(value))
+        for key, item in items:
+            try:
+                _check_text(key)
+                _check_text(item)
+            except _Invalid as exc:
+                raise exc.inside(key)
+
+
+def _build(where: str, record: Record, obj, raw: bytes):
+    """record.decode(obj), with every failure located at where; raw is the
+    text obj was parsed from."""
     try:
+        if _SURROGATE_ESCAPE.search(raw):
+            _check_text(obj)
         return record.decode(obj)
     except _Invalid as exc:
         field = f"'{exc.field}': " if exc.field else ""
@@ -437,12 +464,13 @@ def read_jsonl(path, records) -> Iterator[tuple[str, object]]:
                 if record is None:
                     raise CorpusError(f"{where}: 'record': expected one of "
                                       f"{', '.join(map(repr, records))}, got {tag!r}")
-            yield where, _build(where, record, obj)
+            yield where, _build(where, record, obj, raw)
 
 
 def read_json(path, record: Record):
     """Decode a file holding one JSON object."""
-    return _build(str(path), record, _parse(str(path), Path(path).read_bytes()))
+    raw = Path(path).read_bytes()
+    return _build(str(path), record, _parse(str(path), raw), raw)
 
 
 def write_atomic(path, chunks: Iterable[str]) -> None:

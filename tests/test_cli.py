@@ -12,6 +12,7 @@ import pytest
 import stepladder
 from stepladder.cli import main
 from stepladder.corpus import (
+    file_sha256,
     read_corpus,
     read_manifest,
     read_scores,
@@ -19,6 +20,7 @@ from stepladder.corpus import (
     write_completions,
     write_corpus,
 )
+from stepladder.mockteacher import MockTeacher
 from stepladder.synthetic import build_demo_corpus
 
 
@@ -82,6 +84,71 @@ def test_pipeline_is_byte_deterministic(demo, tmp_path, capsys):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+# The knobs each subcommand's sidecar records under "parameters".
+SIDECAR_PARAMETERS = {
+    "harvest": {"endpoint", "model", "teacher_id", "samples", "temperature", "cache_dir",
+                "rate_limit", "max_retries", "timeout", "max_in_flight", "api_key_env"},
+    "segment": {"min_step_chars", "max_marker_value", "no_paragraph_fallback",
+                "audit_fraction", "audit_seed"},
+    "score": set(),
+    "bucket": {"teacher", "edges", "max_task_share"},
+    "schedule": {"mode", "alpha", "phases", "budget_per_phase", "seed", "with_replacement",
+                 "mixing"},
+    "baseline": {"kind", "phases", "budget_per_phase", "seed"},
+    "analyze agreement": {"min_tau"},
+    "analyze confound": {"label_field", "teacher", "min_spearman"},
+    "filter": {"min_k", "max_k"},
+}
+
+
+def test_sidecars_record_every_knob_and_every_input(demo, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OPENAI_API_KEY", "test-key-not-checked")
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    out = run_pipeline(demo, tmp_path)
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(read_corpus(demo / "examples.jsonl")[:3], corpus)
+    template = tmp_path / "template.json"
+    template.write_text(json.dumps({"template_id": "t1", "system_text": "Think.",
+                                    "user_text": "Solve: {prompt}"}), encoding="utf-8")
+    scores, examples = str(out / "scores.jsonl"), str(demo / "examples.jsonl")
+    fa, fb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    write_scores_file(fa, [(f"e{i}", "a", i + 1, 20 + i) for i in range(4)])
+    write_scores_file(fb, [(f"e{i}", "b", 4 - i, 30 + i) for i in range(4)])
+    with MockTeacher() as mock:
+        assert main(["harvest", "--corpus", str(corpus), "--endpoint", mock.base_url,
+                     "--model", "m", "--teacher-id", "t", "--template-file", str(template),
+                     "--rate-limit", "1000", "--cache-dir", str(tmp_path / "cache"),
+                     "--out", str(out / "harvest.jsonl")]) == 0
+    for argv in (["baseline", "--corpus", examples, "--kind", "random", "--phases", "1",
+                  "--budget", "5", "--out", str(out / "baseline.jsonl")],
+                 ["analyze", "agreement", "--scores", str(fa), "--scores", str(fb),
+                  "--out", str(out / "a.json")],
+                 ["analyze", "confound", "--scores", scores, "--labels-from", examples,
+                  "--out", str(out / "confound.json")],
+                 ["filter", "--scores", scores, "--min-k", "2", "--out", str(out / "filter.txt")]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    metas = {name: json.loads((out / f"{name}.meta.json").read_text(encoding="utf-8"))
+             for name in ("harvest.jsonl", "traces.jsonl", "scores.jsonl", "buckets.jsonl",
+                          "buckets.txt", "curriculum.jsonl", "baseline.jsonl", "a.json",
+                          "confound.json", "filter.txt")}
+    assert {m["command"] for m in metas.values()} == set(SIDECAR_PARAMETERS)
+    for name, meta in metas.items():
+        assert meta["tool"] == f"stepladder {stepladder.__version__}"
+        assert set(meta["parameters"]) == SIDECAR_PARAMETERS[meta["command"]], name
+    assert metas["harvest.jsonl"]["inputs"] == {
+        str(corpus): file_sha256(corpus), str(template): file_sha256(template)}
+    assert metas["harvest.jsonl"]["parameters"]["cache_dir"] == str(tmp_path / "cache")
+    assert metas["traces.jsonl"]["parameters"] == {  # defaults included
+        "min_step_chars": 3, "max_marker_value": 999, "no_paragraph_fallback": False,
+        "audit_fraction": None, "audit_seed": 0}
+    assert metas["buckets.jsonl"]["parameters"]["edges"] == [[1, 3], [4, 6], [7, None]]
+    assert metas["buckets.txt"] == metas["buckets.jsonl"]
+    assert metas["a.json"]["inputs"] == {str(p): file_sha256(p) for p in (fa, fb)}
+
+
 def test_bucket_prints_table(demo, tmp_path, capsys):
     out = run_pipeline(demo, tmp_path)
     capsys.readouterr()
@@ -143,19 +210,55 @@ def test_audit_fraction_without_out_is_an_error(demo, tmp_path, capsys):
     assert code == 1
 
 
+def test_bad_audit_settings_are_caught_before_anything_is_written(demo, tmp_path, capsys):
+    target = tmp_path / "t.jsonl"
+    target.write_bytes(b"previous bytes\n")
+    for bad in (["--audit-fraction", "2", "--audit-out", str(tmp_path / "a.jsonl")],
+                ["--audit-fraction", "0.1"]):
+        code = main(["segment", "--completions", str(demo / "completions.jsonl"),
+                     "--out", str(target), *bad])
+        assert code == 1, bad
+        assert target.read_bytes() == b"previous bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.jsonl"]
+    assert "audit fraction must lie in (0, 1]" in capsys.readouterr().err
+
+
 def test_config_file_equals_flags(demo, tmp_path, capsys):
     out = run_pipeline(demo, tmp_path)
     capsys.readouterr()
-    config = tmp_path / "schedule.cfg"
-    config.write_text(
-        "mode = mixed\nalpha = 1.0\nphases = 3\n"
-        "budget_per_phase = 12\nseed = 42\n", encoding="utf-8")
-    code = main(["schedule", "--config", str(config),
-                 "--buckets", str(out / "buckets.jsonl"),
-                 "--out", str(tmp_path / "from_config.jsonl")])
-    assert code == 0
-    assert (tmp_path / "from_config.jsonl").read_bytes() == \
-        (out / "curriculum.jsonl").read_bytes()
+    scores, buckets = str(out / "scores.jsonl"), str(out / "buckets.jsonl")
+    examples = str(demo / "examples.jsonl")
+    schedule = ["schedule", "--buckets", buckets, "--phases", "3", "--budget", "12"]
+    bucket = ["bucket", "--scores", scores, "--corpus", examples]
+    # (command with its inputs, knob flags, the same knobs as config lines):
+    # one case per value type.
+    cases = [
+        (["schedule", "--buckets", buckets],
+         ["--mode", "mixed", "--alpha", "1.0", "--phases", "3", "--budget", "12",
+          "--seed", "42"],
+         "mode = mixed\nalpha = 1.0\nphases = 3\nbudget_per_phase = 12\nseed = 42\n"),
+        (["filter", "--scores", scores], ["--min-k", "2", "--max-k", "3"],
+         "min_k = 2\nmax-k = 3\n"),
+        (bucket, ["--max-task-share", "0.4"], "max_task_share = 0.4\n"),
+        (bucket, ["--edges", "1-2,3-5,6+"], "edges = 1-2, 3-5, 6+\n"),
+        (schedule, ["--with-replacement"], "with_replacement = true\n"),
+        (["segment", "--completions", str(demo / "completions.jsonl")],
+         ["--no-paragraph-fallback"], "no_paragraph_fallback = yes\n"),
+        (schedule, ["--mode", "mixed", "--mixing", "adjacent"],
+         "mode = mixed  # a choice\nmixing = adjacent\n"),
+    ]
+    for i, (command, flags, lines) in enumerate(cases):
+        config = tmp_path / f"{i}.cfg"
+        config.write_text(lines, encoding="utf-8")
+        by_flag, by_config = tmp_path / f"{i}-flag.out", tmp_path / f"{i}-config.out"
+        code = main([*command, *flags, "--out", str(by_flag)])
+        assert code in (0, 2), flags
+        assert main([*command, "--config", str(config), "--out", str(by_config)]) == code
+        for suffix in ("", ".meta.json"):  # the sidecar records the same knob values
+            assert Path(f"{by_config}{suffix}").read_bytes() == \
+                Path(f"{by_flag}{suffix}").read_bytes(), (flags, suffix)
+    capsys.readouterr()
+    assert (tmp_path / "0-config.out").read_bytes() == (out / "curriculum.jsonl").read_bytes()
 
 
 def test_flag_overrides_config(demo, tmp_path, capsys):
@@ -173,11 +276,47 @@ def test_flag_overrides_config(demo, tmp_path, capsys):
 
 def test_unknown_config_key_fails(demo, tmp_path, capsys):
     config = tmp_path / "bad.cfg"
-    config.write_text("phasez = 3\n", encoding="utf-8")
-    code = main(["schedule", "--config", str(config), "--buckets", "x",
-                 "--out", str(tmp_path / "o.jsonl")])
+    # File options are flags only, never config keys.
+    for line in ("phasez = 3", "out = x.jsonl", "buckets = b.jsonl"):
+        config.write_text(line + "\n", encoding="utf-8")
+        code = main(["schedule", "--config", str(config), "--buckets", "x",
+                     "--out", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        key = line.split(" ")[0]
+        assert capsys.readouterr().err == \
+            f"error: {config}:1: unknown config key {key!r}\n"
+
+
+@pytest.mark.parametrize("key", ["kind", "mode", "mixing", "label_field"])
+def test_bad_config_choice_names_the_config_line(demo, tmp_path, capsys, key):
+    # A config value meets the same choices as its flag; the commands run on
+    # real inputs, so a value that slipped through would reach the stage.
+    out = run_pipeline(demo, tmp_path)
     capsys.readouterr()
-    assert code == 1
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"seed = 1\n{key} = sideways\n", encoding="utf-8")
+    argv = {
+        "kind": ["baseline", "--corpus", demo / "examples.jsonl", "--phases", "1",
+                 "--budget", "1", "--out", tmp_path / "o.jsonl"],
+        "mode": ["schedule", "--buckets", out / "buckets.jsonl", "--phases", "1",
+                 "--budget", "1", "--out", tmp_path / "o.jsonl"],
+        "label_field": ["analyze", "confound", "--scores", out / "scores.jsonl",
+                        "--labels-from", demo / "examples.jsonl"],
+    }
+    argv["mixing"] = argv["mode"]
+    result = _run_cli(*argv[key], "--config", config)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"error: {config}:2: {key}: invalid choice 'sideways'")
+
+
+def test_config_file_not_utf8_exits_1(tmp_path):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"seed = 1\nmode = \xff\n")
+    result = _run_cli("schedule", "--config", config, "--buckets", "b", "--out", "o")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"error: {config}: not UTF-8")
 
 
 def test_missing_required_setting_returns_usage_code(demo, tmp_path, capsys):
@@ -196,6 +335,10 @@ def test_argparse_errors_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 64
+    for dangling in ("--config", "--workdir"):  # read before the full parse
+        with pytest.raises(SystemExit) as exc:
+            main(["schedule", "--buckets", "x", "--out", "y", dangling])
+        assert exc.value.code == 64
     capsys.readouterr()
 
 
@@ -402,6 +545,13 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "stepladder" in capsys.readouterr().out
+
+
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == stepladder.__version__
 
 
 # ---------------------------------------------------------------------------

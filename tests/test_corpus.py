@@ -347,8 +347,10 @@ VALID = {
 COMPANION = {"plan": "phase", "phase": "plan", "bucket": "spec", "overflow": "spec"}
 
 # Values of the wrong JSON kind for any field whose valid value has another
-# type; NaN and Infinity are floats but never valid numbers.
-WRONG = [True, "x", None, [], {}, 2.5, float("nan"), float("-inf")]
+# type; NaN and Infinity are floats but never valid numbers, and a string
+# holding a lone surrogate is never valid text.
+LONE_SURROGATE = "a\ud800b"
+WRONG = [True, "x", None, [], {}, 2.5, float("nan"), float("-inf"), LONE_SURROGATE]
 # Where null is a valid value (an open-ended bucket range).
 NULLABLE = {("hi",), ("edges", 0, 1), ("edges", 1, 1)}
 
@@ -378,8 +380,8 @@ def _mutations(name):
         if in_record and path[-1] not in optional:
             out.append((path, "delete", None))
         for wrong in WRONG:
-            same = type(wrong) is type(value) and not (isinstance(wrong, float)
-                                                       and not math.isfinite(wrong))
+            same = type(wrong) is type(value) and wrong is not LONE_SURROGATE and not (
+                isinstance(wrong, float) and not math.isfinite(wrong))
             if not same and not (wrong is None and path in NULLABLE):
                 out.append((path, "replace", wrong))
     return out
