@@ -37,7 +37,7 @@ _EXPORTS = {
     ), "errors"),
     **dict.fromkeys((
         "DEFAULT_TEMPLATE", "HarvestFailure", "HarvestJob", "HarvestResult",
-        "PromptTemplate", "harvest",
+        "PromptTemplate", "harvest", "harvest_stream",
     ), "harvester"),
     **dict.fromkeys((
         "baseline_order", "build_curriculum", "filter_by_depth", "phase_weights",

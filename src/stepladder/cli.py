@@ -224,7 +224,8 @@ def _teacher_scores(args) -> list:
 
 
 def _run_harvest(args) -> int:
-    from .harvester import DEFAULT_TEMPLATE, TEMPLATE, HarvestJob, harvest
+    from .harvester import (DEFAULT_TEMPLATE, TEMPLATE, HarvestJob, HarvestResult,
+                            harvest_stream)
 
     examples = read_corpus(args.corpus)
     template = DEFAULT_TEMPLATE if args.template_file is None \
@@ -247,10 +248,13 @@ def _run_harvest(args) -> int:
         max_in_flight=args.max_in_flight,
         api_key_env=args.api_key_env,
     )
-    result = harvest(examples, job)
-    write_traces(result.traces, args.out)
+    # Traces stream to the output as they resolve; only failures are kept.
+    result = HarvestResult()
+    write_atomic(args.out, map(TRACE.dump, harvest_stream(examples, job, result)))
     _write_sidecar(args.out, args)
-    print(f"harvested {len(result.traces)} trace(s), "
+    # Each (example, sample) unit became a trace or a failure.
+    traces = len(examples) * args.samples - len(result.failures)
+    print(f"harvested {traces} trace(s), "
           f"{result.cache_hits} from cache, {result.requests_sent} request(s) sent")
     return _exit_code([(f.example_id, f.sample_index, f.reason) for f in result.failures],
                       "harvest")
@@ -541,12 +545,29 @@ def _build_parser() -> tuple[_Parser, _Parser, list]:
     return parser, common, leaves
 
 
+def _check_utf8(argv: list) -> None:
+    """Reject an argument holding a byte that is not UTF-8.  Python decodes
+    such a byte to a lone surrogate, which no output or sidecar can hold."""
+    for i, arg in enumerate(argv):
+        try:
+            arg.encode("utf-8")
+        except UnicodeEncodeError:
+            if arg.startswith("-"):
+                name = arg.partition("=")[0]
+            elif i and argv[i - 1].startswith("-"):
+                name = argv[i - 1]
+            else:
+                name = ascii(arg)
+            raise _UsageError(f"argument {name}: not valid UTF-8") from None
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser, common, leaves = _build_parser()
-    pre_args, _rest = common.parse_known_args(argv)
     try:
+        _check_utf8(argv)
+        pre_args, _rest = common.parse_known_args(argv)
         if pre_args.config is not None:
             config = _read_config(Path(pre_args.workdir, pre_args.config))
             for leaf in leaves:

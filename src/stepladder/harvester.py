@@ -3,29 +3,36 @@
 Every (example, sample) unit resolves to exactly one trace or one
 recorded failure, so a harvest is always accountable: traces + failures
 equals examples times samples_per_example.  Responses are cached on disk
-in one append-only log keyed by request content, cache hits bypass the
-network and the worker pool entirely, and live requests are paced by a
-shared token bucket and retried with exponential backoff on transient
-errors.  Each worker thread keeps one HTTP connection to the endpoint
-alive across its requests.
+in one append-only log keyed by request content, and cache hits bypass
+the network entirely.  Live requests are paced by a token bucket and
+retried with exponential backoff on transient errors.  Everything runs
+on the calling thread: one selector loop keeps up to max_in_flight
+keep-alive connections busy, and traces stream out in order as they
+resolve, so a trace is held only while it waits for an earlier unit.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import os
-import threading
+import selectors
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 from .corpus import Example, Record, TeacherProfile, Trace
 from .errors import HarvestError
 from .segmenter import DEFAULT_RULES, SegmentationRules, trace_from_text
 
 _PLACEHOLDER = "{prompt}"
+
+# At most this many units are admitted past the oldest unresolved one, so
+# a unit waiting out its backoff holds a bounded number of finished ones.
+_WINDOW = 1024
 
 
 @dataclass(frozen=True)
@@ -110,33 +117,13 @@ class HarvestResult:
 
     traces: list[Trace] = field(default_factory=list)
     failures: list[HarvestFailure] = field(default_factory=list)
-    requests_sent: int = 0
     cache_hits: int = 0
     grant_times: list[float] = field(default_factory=list)
 
-
-class _RateLimiter:
-    """Token bucket with capacity one: grants are spaced >= 1/rate apart.
-
-    Grant timestamps are recorded for audit; the schedule is computed
-    under a lock so concurrent workers and retries share one budget.
-    """
-
-    def __init__(self, rate: float):
-        self.interval = 1.0 / rate
-        self._lock = threading.Lock()
-        self._next_free = 0.0
-        self.grants: list[float] = []
-
-    def acquire(self) -> None:
-        with self._lock:
-            now = time.monotonic()
-            grant = max(now, self._next_free)
-            self._next_free = grant + self.interval
-            self.grants.append(grant)
-            wait = grant - now
-        if wait > 0:
-            time.sleep(wait)
+    @property
+    def requests_sent(self) -> int:
+        """Every limiter grant authorizes exactly one request."""
+        return len(self.grant_times)
 
 
 def _cache_key(job: HarvestJob, system_text: str, user_text: str,
@@ -166,7 +153,6 @@ class _ResponseLog:
 
     def __init__(self, path: Path):
         self._fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
-        self._lock = threading.Lock()
         self._index: dict[str, tuple[int, int]] = {}
         offset, line = 0, b"\n"
         try:
@@ -201,90 +187,215 @@ class _ResponseLog:
     def put(self, key: str, text: str) -> None:
         entry = (json.dumps({"key": key, "text": text}, ensure_ascii=False)
                  + "\n").encode("utf-8")
-        with self._lock:
-            line = b"\n" + entry if self._torn else entry
-            # Only a full disk writes part of a line; the next append then
-            # starts on a fresh line.
-            self._torn = os.write(self._fd, line) < len(line)
-            if not self._torn:
-                end = os.lseek(self._fd, 0, os.SEEK_CUR)
-                self._index[key] = (end - len(entry), len(entry))
+        line = b"\n" + entry if self._torn else entry
+        # Only a full disk writes part of a line; the next append then
+        # starts on a fresh line.
+        self._torn = os.write(self._fd, line) < len(line)
+        if not self._torn:
+            end = os.lseek(self._fd, 0, os.SEEK_CUR)
+            self._index[key] = (end - len(entry), len(entry))
 
     def close(self) -> None:
         os.close(self._fd)
 
 
-def _segment(job: HarvestJob, example: Example, sample_index: int, text: str,
-             hit: bool) -> tuple[Optional[Trace], Optional[HarvestFailure], bool]:
-    try:
-        trace = trace_from_text(example.id, job.teacher.teacher_id, text, job.rules)
-    except Exception as exc:
-        return None, HarvestFailure(
-            example.id, sample_index, f"segmentation failed: {exc}"
-        ), hit
-    return trace, None, hit
+@dataclass(eq=False, slots=True)
+class _Unit:
+    """One (example, sample) request; outcome is set once it resolves."""
+
+    position: int
+    example: Example
+    sample: int
+    texts: tuple[str, str]  # the rendered (system, user) messages
+    key: str
+    attempts: int = 0
+    outcome: Union[Trace, HarvestFailure, None] = None
 
 
-def _fetch_misses(job: HarvestJob, api_key: str, log: _ResponseLog,
-                  limiter: _RateLimiter, misses: list, outcomes: list) -> None:
-    """Fetch, cache and segment each (position, example, sample index)
-    miss, storing its outcome at its position in outcomes.
+def _units(job: HarvestJob, examples: Iterable[Example]) -> Iterator[_Unit]:
+    position = 0
+    for example in examples:
+        texts = job.template.render(example.prompt)
+        for s in range(job.teacher.samples_per_example):
+            yield _Unit(position, example, s, texts, _cache_key(job, *texts, s))
+            position += 1
 
-    max_in_flight workers take the misses in turn.  No future is queued
-    per unit, and a worker renders and keys each unit only when it takes
-    it, so nothing is held for a miss still waiting its turn.
+
+class _Harvest:
+    """One harvest, run on the calling thread.
+
+    Cache hits are segmented as they are looked up.  Misses are sent from
+    one selector loop over up to max_in_flight connections.  A retry's
+    backoff and the limiter's next grant are deadlines of that loop, so
+    no unit's wait holds up another unit's request.
     """
-    # Imported here, not at the top: http.client and ssl (about 30 ms) and
-    # the executor, which loads logging (about 8 ms), would slow the
-    # start-up of every other subcommand and of all-hit harvests.
-    from concurrent.futures import ThreadPoolExecutor
 
-    from .chatclient import ChatClient, fetch
+    def __init__(self, job: HarvestJob, api_key: str, tally: HarvestResult):
+        self.job = job
+        self.api_key = api_key
+        self.tally = tally
+        self.log = None  # opened when the stream starts
+        self.client = None  # opened with the first miss, as is the selector
+        self.selector = None
+        self.ready = []  # heap of (position, unit): misses that may be sent now
+        self.backoff = []  # heap of (due time, position, unit)
+        self.idle = []  # connections with no request on them
+        self.busy = {}  # connection -> the unit whose request it carries
+        self.next_grant = 0.0  # the rate limiter: no request before this time
 
-    client = ChatClient(job.teacher.endpoint_url, api_key, job.timeout)
-    pending = iter(misses)
-    lock = threading.Lock()
+    def run(self, examples: Iterable[Example]) -> Iterator[Trace]:
+        """Yield each trace, and tally each failure, in (example, sample)
+        order as soon as it and every earlier unit are resolved."""
+        self.log = _ResponseLog(Path(self.job.cache_dir) / "responses.jsonl")
+        window = deque()  # admitted units, oldest first
+        try:
+            for unit in _units(self.job, examples):
+                window.append(unit)
+                text = self.log.get(unit.key)
+                if text is None:
+                    heapq.heappush(self.ready, (unit.position, unit))
+                else:
+                    self._segment(unit, text, True)
+                yield from self._resolved(window)
+                # Read ahead only as far as the connections can use.
+                while len(self.ready) >= self.job.max_in_flight or len(window) >= _WINDOW:
+                    self._step()
+                    yield from self._resolved(window)
+            while window:
+                self._step()
+                yield from self._resolved(window)
+        finally:
+            for conn in [*self.idle, *self.busy]:
+                conn.close()
+            if self.selector is not None:
+                self.selector.close()
+            self.log.close()
 
-    def work():
-        while True:
-            with lock:
-                miss = next(pending, None)
-            if miss is None:
+    def _resolved(self, window: deque) -> Iterator[Trace]:
+        """Take the resolved units off the head of the window: yield each
+        trace and tally each failure."""
+        while window and window[0].outcome is not None:
+            outcome = window.popleft().outcome
+            if isinstance(outcome, Trace):
+                yield outcome
+            else:
+                self.tally.failures.append(outcome)
+
+    def _step(self) -> None:
+        """Wait for a response, a deadline or the next grant; send what may
+        be sent; then segment what arrived, while those requests are out."""
+        if self.client is None:
+            # Imported here, not at the top: the HTTP and TLS modules take
+            # about 30 ms, which all-hit harvests and other subcommands
+            # never pay.
+            from .chatclient import ChatClient
+
+            self.client = ChatClient(self.job.teacher, self.api_key, self.job.timeout)
+            self.selector = selectors.DefaultSelector()
+        waits = [conn.deadline for conn in self.busy]
+        if self.backoff:
+            waits.append(self.backoff[0][0])
+        if self.ready and len(self.busy) < self.job.max_in_flight:
+            waits.append(self.next_grant)
+        events = self.selector.select(max(0.0, min(waits) - time.monotonic()))
+        arrived = [self._receive(key.data) for key, _mask in events]
+        now = time.monotonic()
+        arrived += [self._receive(conn, expired=True)
+                    for conn in list(self.busy) if conn.deadline <= now]
+        while self.backoff and self.backoff[0][0] <= now:
+            _due, position, unit = heapq.heappop(self.backoff)
+            heapq.heappush(self.ready, (position, unit))
+        self._send()
+        for unit, text in filter(None, arrived):
+            self._segment(unit, text, False)
+
+    def _send(self) -> None:
+        """Send ready misses, earliest unit first, while a connection is free
+        and the limiter grants."""
+        while self.ready and len(self.busy) < self.job.max_in_flight:
+            now = time.monotonic()
+            if now < self.next_grant:
                 return
-            position, example, sample_index = miss
-            system_text, user_text = job.template.render(example.prompt)
-            key = _cache_key(job, system_text, user_text, sample_index)
+            _position, unit = heapq.heappop(self.ready)
             # An earlier unit sending the same request may have cached it.
-            text = log.get(key)
-            hit = text is not None
-            if not hit:
-                try:
-                    text = fetch(client, job, system_text, user_text, limiter)
-                except HarvestError as exc:
-                    outcomes[position] = (
-                        None, HarvestFailure(example.id, sample_index, str(exc)), False)
-                    continue
-                log.put(key, text)
-            outcomes[position] = _segment(job, example, sample_index, text, hit)
+            text = self.log.get(unit.key)
+            if text is not None:
+                self._segment(unit, text, True)
+                continue
+            self.tally.grant_times.append(now)
+            self.next_grant = now + 1.0 / self.job.rate_limit
+            unit.attempts += 1
+            conn = self.idle.pop() if self.idle else self.client.connection(self.selector)
+            self.busy[conn] = unit
+            try:
+                conn.start(self.client.request(*unit.texts))
+            except OSError as exc:
+                self._drop(conn, f"network error: {exc}")
 
-    try:
-        with ThreadPoolExecutor(max_workers=job.max_in_flight) as pool:
-            workers = [pool.submit(work)
-                       for _ in range(min(job.max_in_flight, len(misses)))]
-            for worker in workers:
-                worker.result()
-    finally:
-        client.close()
+    def _receive(self, conn, expired: bool = False) -> Optional[tuple[_Unit, str]]:
+        """Go on with a connection after an event, or after its deadline
+        passed; a finished unit's text, once cached, is returned for
+        segmenting."""
+        try:
+            response = conn.advance(expired)
+        except OSError as exc:
+            self._drop(conn, f"network error: {exc}")
+            return None
+        if response is None:
+            return None
+        unit = self.busy.pop(conn)
+        if conn.reusable:
+            self.idle.append(conn)
+        else:
+            conn.close()
+        status, data = response
+        if status == 429 or status >= 500:
+            self._retry(unit, f"HTTP {status}")
+            return None
+        try:
+            text = self.client.content(status, data)
+        except HarvestError as exc:
+            unit.outcome = HarvestFailure(unit.example.id, unit.sample, str(exc))
+            return None
+        self.log.put(unit.key, text)
+        return unit, text
+
+    def _drop(self, conn, reason: str) -> None:
+        """Close a failed connection; the request on it, if any, is retried."""
+        conn.close()
+        if conn in self.idle:
+            self.idle.remove(conn)
+        unit = self.busy.pop(conn, None)
+        if unit is not None:
+            self._retry(unit, reason)
+
+    def _retry(self, unit: _Unit, reason: str) -> None:
+        if unit.attempts > self.job.max_retries:
+            reason = f"{reason} after {unit.attempts} attempts"
+            unit.outcome = HarvestFailure(unit.example.id, unit.sample, reason)
+        else:
+            due = time.monotonic() + self.job.backoff_base * 2 ** (unit.attempts - 1)
+            heapq.heappush(self.backoff, (due, unit.position, unit))
+
+    def _segment(self, unit: _Unit, text: str, hit: bool) -> None:
+        self.tally.cache_hits += hit
+        try:
+            unit.outcome = trace_from_text(unit.example.id, self.job.teacher.teacher_id,
+                                           text, self.job.rules)
+        except Exception as exc:
+            reason = f"segmentation failed: {exc}"
+            unit.outcome = HarvestFailure(unit.example.id, unit.sample, reason)
 
 
-def harvest(examples: Iterable[Example], job: HarvestJob) -> HarvestResult:
-    """Fetch, cache and segment traces for every example.
+def harvest_stream(examples: Iterable[Example], job: HarvestJob,
+                   tally: HarvestResult) -> Iterator[Trace]:
+    """Fetch, cache and segment traces for every example, as a stream.
 
-    Cache hits are looked up and segmented on the calling thread; only
-    misses go to a bounded worker pool, so an all-hit run starts no
-    threads and opens no connection.  Results come back in (example,
-    sample) order regardless of completion order.  Per-unit errors become
-    HarvestFailure records instead of aborting the run.
+    Traces come out in (example, sample) order, each as soon as it and
+    every earlier unit are resolved.  Failures, cache hits and limiter
+    grants go to tally as the stream is consumed; a unit's error becomes
+    a HarvestFailure instead of aborting the run.  The API key is checked
+    and the cache directory made before the stream is returned.
     """
     api_key = os.environ.get(job.api_key_env)
     if not api_key:
@@ -292,37 +403,12 @@ def harvest(examples: Iterable[Example], job: HarvestJob) -> HarvestResult:
             f"environment variable {job.api_key_env} is not set; "
             "the endpoint needs an API key"
         )
-    cache_dir = Path(job.cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    limiter = _RateLimiter(job.rate_limit)
-    outcomes = []
-    misses = []  # (position in outcomes, example, sample index)
+    Path(job.cache_dir).mkdir(parents=True, exist_ok=True)
+    return _Harvest(job, api_key, tally).run(examples)
 
-    log = _ResponseLog(cache_dir / "responses.jsonl")
-    try:
-        for example in examples:
-            system_text, user_text = job.template.render(example.prompt)
-            for s in range(job.teacher.samples_per_example):
-                text = log.get(_cache_key(job, system_text, user_text, s))
-                if text is None:
-                    misses.append((len(outcomes), example, s))
-                    outcomes.append(None)
-                else:
-                    outcomes.append(_segment(job, example, s, text, True))
-        if misses:
-            _fetch_misses(job, api_key, log, limiter, misses, outcomes)
-    finally:
-        log.close()
 
+def harvest(examples: Iterable[Example], job: HarvestJob) -> HarvestResult:
+    """Every trace of harvest_stream in a list, with the tally."""
     result = HarvestResult()
-    for trace, failure, hit in outcomes:
-        if trace is not None:
-            result.traces.append(trace)
-        else:
-            result.failures.append(failure)
-        result.cache_hits += int(hit)
-    # Every limiter grant authorizes exactly one POST, so the grant log
-    # doubles as the request count.
-    result.requests_sent = len(limiter.grants)
-    result.grant_times = list(limiter.grants)
+    result.traces = list(harvest_stream(examples, job, result))
     return result

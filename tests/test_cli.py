@@ -342,6 +342,28 @@ def test_argparse_errors_exit_64(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("form", ["separate", "joined", "workdir"])
+def test_argument_not_utf8_exits_64_before_any_work(demo, tmp_path, form, capsys):
+    # A byte that is not UTF-8 reaches Python as a lone surrogate, which
+    # the sidecar cannot encode.
+    assert main(["segment", "--completions", str(demo / "completions.jsonl"),
+                 "--out", str(tmp_path / "t.jsonl")]) == 0
+    capsys.readouterr()
+    traces = tmp_path / "tr\udcff.jsonl"  # b"tr\xff.jsonl" on disk
+    os.replace(tmp_path / "t.jsonl", traces)
+    argv = {"separate": ["--traces", traces, "--out", tmp_path / "s.jsonl"],
+            "joined": [f"--traces={traces}", "--out", tmp_path / "s.jsonl"],
+            "workdir": ["--workdir", f"{tmp_path}/\udcff/..", "--traces", traces,
+                        "--out", "s.jsonl"]}[form]
+    result = _run_cli("score", *argv)
+    name = "--workdir" if form == "workdir" else "--traces"
+    assert result.returncode == 64
+    assert result.stderr == f"error: argument {name}: not valid UTF-8\n"
+    assert result.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["t.jsonl.meta.json", "tr\udcff.jsonl"]
+
+
 def test_bad_edges_syntax_exits_64(demo, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bucket", "--scores", "s", "--corpus", "c", "--out", "o",

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import select
+import socket
+import ssl
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from urllib.parse import urlsplit
 
 import pytest
@@ -18,13 +22,18 @@ from stepladder.errors import HarvestError
 from stepladder.harvester import (
     DEFAULT_TEMPLATE,
     HarvestJob,
+    HarvestResult,
     PromptTemplate,
     _cache_key,
+    _ResponseLog,
     harvest,
+    harvest_stream,
 )
 from stepladder.mockteacher import MockTeacher
 
 KEY_ENV = "OPENAI_API_KEY"
+# A self-signed key and certificate for localhost and 127.0.0.1.
+CERT = Path(__file__).parent / "data" / "localhost.pem"
 PROXY_ENVS = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
 
 
@@ -241,17 +250,139 @@ def test_concurrent_harvests_share_one_log(tmp_path):
 
 def test_warm_run_starts_no_workers(tmp_path, monkeypatch):
     examples = depth_examples(4)
+    threads = threading.active_count()
     with MockTeacher() as mock:
         teacher = profile(mock.base_url, samples=2)
         harvest(examples, job_for(teacher, tmp_path))
+    # The mock is stopped; wait for its request threads to end.
+    deadline = time.monotonic() + 5
+    while threading.active_count() > threads and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() == threads
 
-        def no_submit(*args, **kwargs):
-            raise AssertionError("a warm run submitted work to the pool")
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a warm run opened a connection")
 
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", no_submit)
-        warm = harvest(examples, job_for(teacher, tmp_path))
+    monkeypatch.setattr(socket, "create_connection", no_socket)
+    monkeypatch.setattr(socket.socket, "connect", no_socket)
+    warm = harvest(examples, job_for(teacher, tmp_path))
+    assert threading.active_count() == threads
     assert (warm.requests_sent, warm.cache_hits) == (0, 8)
     assert len(warm.traces) == 8
+
+
+def test_each_request_goes_out_in_one_send(tmp_path, monkeypatch):
+    sends = []
+    with MockTeacher() as mock:
+        port = urlsplit(mock.base_url).port
+        for name in ("send", "sendall"):
+            def counted(self, *args, _send=getattr(socket.socket, name), **kwargs):
+                if self.getsockname()[1] != port:  # not one of the server's sockets
+                    sends.append(args[0])
+                return _send(self, *args, **kwargs)
+
+            monkeypatch.setattr(socket.socket, name, counted)
+        result = harvest(depth_examples(6), job_for(profile(mock.base_url, samples=2),
+                                                    tmp_path))
+    assert result.failures == []
+    assert len(sends) == result.requests_sent == 12
+    assert all(data.startswith(b"POST ") and data.endswith(b"}") for data in sends)
+
+
+def _fails_first_attempt(prompt):
+    """Whether MockTeacher(failure_percent=1) answers this prompt's first
+    request with a 500, by the mock's own key hash."""
+    user = DEFAULT_TEMPLATE.render(prompt)[1]
+    key = hashlib.sha256(f"mock-model\x00{user}".encode("utf-8")).hexdigest()
+    return int(key[:8], 16) % 100 < 1
+
+
+def test_a_unit_in_backoff_does_not_hold_up_the_others(tmp_path):
+    prompts = [f"[[depth=2]] question {i}" for i in range(2000)]
+    first = next(p for p in prompts if _fails_first_attempt(p))
+    others = [p for p in prompts if not _fails_first_attempt(p)][:7]
+    examples = [Example(id=f"e{i}", task="math", prompt=p)
+                for i, p in enumerate([first, *others])]
+    with MockTeacher(failure_percent=1) as mock:
+        result = harvest(examples, job_for(profile(mock.base_url), tmp_path,
+                                           backoff_base=0.5, max_retries=1,
+                                           max_in_flight=1))
+    assert result.failures == []
+    assert [t.example_id for t in result.traces] == [ex.id for ex in examples]
+    assert result.requests_sent == 9
+    # The first grant is the first unit's first attempt; its retry is the
+    # only grant at least one backoff later, and every other unit's grant
+    # comes before it.
+    retries = [t for t in result.grant_times if t >= result.grant_times[0] + 0.5]
+    assert retries == result.grant_times[-1:]
+
+
+def test_first_trace_streams_out_before_the_rest_are_requested(tmp_path):
+    # With one connection the bound is exact: with more, a later unit can
+    # finish first and free its connection for another request.
+    max_in_flight = 1
+    tally = HarvestResult()
+    with MockTeacher() as mock:
+        stream = harvest_stream(depth_examples(40), job_for(
+            profile(mock.base_url), tmp_path, max_in_flight=max_in_flight), tally)
+        first = next(stream)
+        requested = mock.request_count
+        rest = list(stream)
+    assert first.example_id == "e000"
+    assert requested <= max_in_flight + 1
+    assert [t.example_id for t in rest] == [f"e{i:03d}" for i in range(1, 40)]
+    assert (tally.requests_sent, tally.failures) == (40, [])
+
+
+def _harvest_argv(corpus, base_url, tmp_path):
+    return ["harvest", "--corpus", str(corpus), "--endpoint", base_url,
+            "--model", "mock-model", "--teacher-id", "mock", "--samples", "2",
+            "--cache-dir", str(tmp_path / "cache"), "--rate-limit", "1000",
+            "--max-in-flight", "2", "--out", str(tmp_path / "traces.jsonl")]
+
+
+def test_cli_writes_every_other_trace_in_order_when_a_unit_fails(tmp_path, capsys):
+    examples = depth_examples(6)
+    examples[3] = Example(id="e003", task="math", prompt="[[malformed]] broken")
+    corpus = tmp_path / "examples.jsonl"
+    write_corpus(examples, corpus)
+    with MockTeacher() as mock:
+        code = main(_harvest_argv(corpus, mock.base_url, tmp_path))
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert [t.example_id for t in read_traces(tmp_path / "traces.jsonl")] == \
+        [ex.id for ex in examples if ex.id != "e003" for _ in range(2)]
+    assert out == "harvested 10 trace(s), 0 from cache, 12 request(s) sent\n"
+    assert err.splitlines() == [
+        "harvest failure: e003 / 0 / malformed response body (no message content)",
+        "harvest failure: e003 / 1 / malformed response body (no message content)",
+        "2 harvest failure(s) recorded",
+    ]
+
+
+def test_error_partway_through_the_stream_keeps_the_old_output(tmp_path, monkeypatch,
+                                                               capsys):
+    corpus = tmp_path / "examples.jsonl"
+    write_corpus(depth_examples(40), corpus)
+    out = tmp_path / "traces.jsonl"
+    out.write_bytes(b"old traces\n")
+    put = _ResponseLog.put
+    cached = []
+
+    def put_until_the_disk_fills(self, key, text):
+        if len(cached) == 5:
+            raise OSError(28, "No space left on device")
+        cached.append(key)
+        put(self, key, text)
+
+    monkeypatch.setattr(_ResponseLog, "put", put_until_the_disk_fills)
+    with MockTeacher() as mock:
+        code = main(_harvest_argv(corpus, mock.base_url, tmp_path))
+    assert code == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == b"old traces\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["cache", "examples.jsonl", "traces.jsonl"]
 
 
 def test_transient_failures_are_retried(tmp_path):
@@ -345,7 +476,7 @@ def test_job_validation(tmp_path):
 
 
 @contextmanager
-def keep_alive_teacher(idle_timeout=None, stall=0.0):
+def keep_alive_teacher(idle_timeout=None, stall=0.0, tls=False):
     """MockTeacher's completions from a server that keeps connections open.
 
     Yields (mock, log, base): mock counts answered requests, log records
@@ -354,6 +485,7 @@ def keep_alive_teacher(idle_timeout=None, stall=0.0):
     request is closed by the server.  With stall, the first request gets
     no answer for that many seconds.  Absolute-form targets are answered
     as a forwarding proxy would, so the server doubles as an HTTP proxy.
+    With tls, the server speaks HTTPS with the certificate in CERT.
     """
     mock = MockTeacher()
     log = []
@@ -384,10 +516,29 @@ def keep_alive_teacher(idle_timeout=None, stall=0.0):
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    if tls:
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(CERT)
+        server.socket = context.wrap_socket(server.socket, server_side=True)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield mock, log, f"http://127.0.0.1:{server.server_address[1]}"
+        scheme = "https" if tls else "http"
+        yield mock, log, f"{scheme}://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+@contextmanager
+def served(handler, scheme="http"):
+    """Serve handler from a thread on 127.0.0.1; yields the base URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"{scheme}://127.0.0.1:{server.server_address[1]}"
     finally:
         server.shutdown()
         server.server_close()
@@ -433,6 +584,157 @@ def test_timed_out_request_is_retried_on_a_new_connection(tmp_path):
     assert log == ["connect", "POST /v1/chat/completions"] * 2
 
 
+def test_a_response_that_trickles_in_is_not_timed_out(tmp_path):
+    # The timeout bounds each wait for data, not the whole exchange: each
+    # body arrives in six pieces 0.1 s apart, against a timeout of 0.25 s.
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            text = "1. first step\n2. second step"
+            payload = json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            piece = len(payload) // 6 + 1
+            for i in range(0, len(payload), piece):
+                time.sleep(0.1)
+                self.wfile.write(payload[i:i + piece])
+
+        def log_message(self, *args):
+            pass
+
+    with served(Handler) as base:
+        result = harvest(depth_examples(2), job_for(profile(base + "/v1"), tmp_path,
+                                                    timeout=0.25, max_retries=0))
+    assert result.failures == []
+    assert result.requests_sent == 2
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_CORK"), reason="needs TCP_CORK")
+def test_server_closing_right_after_its_response_loses_no_request(tmp_path):
+    # The server keeps each connection open by its headers, but corks the
+    # socket, so the response and the close arrive in one burst: the
+    # connection must not be reused for the next request.
+    mock = MockTeacher()
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def setup(self):
+            super().setup()
+            self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_CORK, 1)
+
+        def do_POST(self):
+            mock._handle(self)
+            self.close_connection = True
+
+        def log_message(self, *args):
+            pass
+
+    with served(Handler) as base:
+        result = harvest(depth_examples(8), job_for(profile(base + "/v1"), tmp_path,
+                                                    rate_limit=1e6, max_in_flight=1))
+    assert result.failures == []
+    assert mock.request_count == result.requests_sent == 8
+
+
+def test_connections_are_opened_side_by_side(tmp_path, monkeypatch):
+    # The server finishes no TLS handshake until four connections are being
+    # opened at once, so a client that opened one connection after another
+    # would time out on the first.
+    monkeypatch.setenv("SSL_CERT_FILE", str(CERT))
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(CERT)
+    barrier = threading.Barrier(4, timeout=5)
+    mock = MockTeacher()
+
+    class Handler(BaseHTTPRequestHandler):
+        def setup(self):
+            barrier.wait()
+            self.request = context.wrap_socket(self.request, server_side=True)
+            super().setup()
+
+        def finish(self):
+            super().finish()
+            self.request.close()  # the server closes only the socket it accepted
+
+        def do_POST(self):
+            mock._handle(self)
+
+        def log_message(self, *args):
+            pass
+
+    with served(Handler, "https") as base:
+        result = harvest(depth_examples(4), job_for(profile(base + "/v1"), tmp_path,
+                                                    timeout=1.0, max_retries=0,
+                                                    rate_limit=1e6, max_in_flight=4))
+    assert result.failures == []
+    assert mock.request_count == result.requests_sent == 4
+
+
+def test_https_endpoint_reuses_its_connections(tmp_path, monkeypatch):
+    # Each completion spans several TLS records, and the session tickets a
+    # TLS 1.3 server sends make a connection readable with no data for it.
+    monkeypatch.setenv("SSL_CERT_FILE", str(CERT))
+    with keep_alive_teacher(tls=True) as (mock, log, base):
+        mock.verbosity = 200
+        result = harvest(depth_examples(20),
+                         job_for(profile(base + "/v1", samples=2), tmp_path,
+                                 rate_limit=1e6, max_in_flight=4))
+    assert result.failures == []
+    assert len(result.traces) == 40
+    assert all(t.k == 3 and len(t.raw_text) > 30000 for t in result.traces)
+    assert mock.request_count == result.requests_sent == 40
+    assert 1 <= log.count("connect") <= 4
+
+
+@pytest.mark.parametrize("framing", ["chunked", "until-close"])
+def test_response_bodies_that_arrive_in_pieces(tmp_path, framing):
+    chunked = framing == "chunked"
+    connects = []
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1" if chunked else "HTTP/1.0"
+
+        def setup(self):
+            super().setup()
+            connects.append(1)
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            text = "\n".join(f"{i}. step {i} " + "words " * 500 for i in range(1, 4))
+            payload = json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+            self.send_response(200)
+            if chunked:
+                self.send_header("Transfer-Encoding", "chunked")
+            self.end_headers()  # and no Content-Length
+            for i in range(0, len(payload), 1000):
+                part = payload[i:i + 1000]
+                self.wfile.write(b"%x\r\n%s\r\n" % (len(part), part) if chunked else part)
+                time.sleep(0.001)
+            if chunked:
+                self.wfile.write(b"0\r\n\r\n")
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        result = harvest(depth_examples(6), job_for(
+            profile(f"http://127.0.0.1:{server.server_address[1]}/v1"), tmp_path,
+            max_in_flight=2, max_retries=0))
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert result.failures == []
+    assert [t.k for t in result.traces] == [3] * 6
+    # A chunked body leaves the connection open for the next request.
+    assert len(connects) <= 2 if chunked else len(connects) == 6
+
+
 def test_http_proxy_receives_absolute_form_target(tmp_path, monkeypatch):
     with keep_alive_teacher() as (mock, log, proxy):
         monkeypatch.setenv("http_proxy", proxy)
@@ -453,6 +755,39 @@ def test_https_endpoint_tunnels_through_the_proxy(tmp_path, monkeypatch):
     assert mock.request_count == 0
     [failure] = result.failures
     assert failure.reason.startswith("network error: Tunnel connection failed: 403")
+
+
+def test_https_endpoint_through_a_relaying_proxy(tmp_path, monkeypatch):
+    monkeypatch.setenv("SSL_CERT_FILE", str(CERT))
+    tunnels = []
+
+    class Relay(BaseHTTPRequestHandler):
+        def do_CONNECT(self):
+            tunnels.append(self.path)
+            host, port = self.path.rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=5) as upstream:
+                self.send_response(200, "Connection established")
+                self.end_headers()
+                ends = {self.connection: upstream, upstream: self.connection}
+                while True:
+                    readable = select.select(list(ends), [], [], 5)[0]
+                    data = readable[0].recv(65536) if readable else b""
+                    if not data:
+                        break
+                    ends[readable[0]].sendall(data)
+            self.close_connection = True
+
+        def log_message(self, *args):
+            pass
+
+    with keep_alive_teacher(tls=True) as (mock, log, base), served(Relay) as proxy:
+        monkeypatch.setenv("https_proxy", proxy)
+        result = harvest(depth_examples(6), job_for(profile(base + "/v1"), tmp_path,
+                                                    max_in_flight=2, max_retries=0))
+    assert result.failures == []
+    assert mock.request_count == result.requests_sent == 6
+    assert tunnels == [urlsplit(base).netloc] * log.count("connect")
+    assert 1 <= len(tunnels) <= 2
 
 
 def test_no_proxy_exempts_the_endpoint(tmp_path, monkeypatch):
@@ -510,6 +845,15 @@ def test_lone_surrogate_response_fails_only_its_unit(tmp_path, capsys):
     assert first[1][0].startswith("harvested 2 trace(s), 0 from cache, 3 request(s)")
     assert second[1][0].startswith("harvested 2 trace(s), 2 from cache, 1 request(s)")
     assert len(posts) == 4
+
+
+def test_control_character_in_the_request_head_is_an_error(tmp_path, monkeypatch):
+    monkeypatch.setenv(KEY_ENV, "key\r\nX-Injected: 1")
+    with pytest.raises(HarvestError, match="control character"):
+        harvest(depth_examples(1), job_for(profile("http://127.0.0.1:9/v1"), tmp_path))
+    monkeypatch.setenv(KEY_ENV, "key")
+    with pytest.raises(HarvestError, match="control character"):
+        harvest(depth_examples(1), job_for(profile("http://127.0.0.1:9/v 1"), tmp_path))
 
 
 def test_proxy_url_forms(monkeypatch):
