@@ -10,7 +10,8 @@ difficulty relation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .corpus import DoTScore
@@ -82,10 +83,7 @@ def _count_inversions(seq: list) -> int:
 
 
 def _tie_pairs(values: Sequence) -> int:
-    counts: dict = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return sum(c * (c - 1) // 2 for c in counts.values())
+    return sum(c * (c - 1) // 2 for c in Counter(values).values())
 
 
 def kendall_tau(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -143,19 +141,7 @@ class AgreementReport:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        return {
-            "teachers": list(self.teachers),
-            "n_common": self.n_common,
-            "pairs": [
-                {
-                    "teacher_a": p.teacher_a,
-                    "teacher_b": p.teacher_b,
-                    "tau_depth": p.tau_depth,
-                    "tau_tokens": p.tau_tokens,
-                }
-                for p in self.pairs
-            ],
-        }
+        return asdict(self)
 
 
 def cross_teacher_agreement(
@@ -243,14 +229,7 @@ class ConfoundReport:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "rho_depth": self.rho_depth,
-            "rho_tokens": self.rho_tokens,
-            "partial_depth": self.partial_depth,
-            "note": self.note,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 def _residuals(ys: Sequence[float], xs: Sequence[float]) -> list[float]:
@@ -287,16 +266,15 @@ def length_confound(scores: Iterable[DoTScore],
     toks = [float(s.tok) for s in scores]
     lab = [float(labels[s.example_id]) for s in scores]
 
-    rho_depth = spearman(ks, lab)
-
     rank_k, rank_tok, rank_lab = _ranks(ks), _ranks(toks), _ranks(lab)
+    rho_depth = _pearson(rank_k, rank_lab)
     rho_tokens: Optional[float] = None
     partial: Optional[float] = None
     note = ""
     if len(set(rank_tok)) == 1:
         note = "token counts are constant; token correlations are undefined"
     else:
-        rho_tokens = spearman(toks, lab)
+        rho_tokens = _pearson(rank_tok, rank_lab)
         res_k = _residuals(rank_k, rank_tok)
         res_lab = _residuals(rank_lab, rank_tok)
         try:

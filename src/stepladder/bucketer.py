@@ -10,6 +10,7 @@ reported as overflow, never dropped silently.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -116,7 +117,8 @@ def _apply_task_cap(members: list[tuple[int, str, str]], share: float):
 
     members are (k, id, task), already sorted.  The most over-cap task
     (ties broken by task name) loses its largest (k, id) member each
-    round.  Returns (retained, evicted), both in (k, id) order.
+    round.  Returns (retained, evicted): retained in (k, id) order,
+    evicted in reverse order of eviction, the last one evicted first.
     """
     retained = list(members)
     evicted: list[tuple[int, str, str]] = []
@@ -170,16 +172,14 @@ def bucketize(scores: Iterable[DoTScore], spec: BucketSpec,
     for i, (lo, hi) in enumerate(spec.edges, start=1):
         members = sorted(per_bucket.get(i, []))
         retained, evicted = _apply_task_cap(members, spec.max_task_share)
-        histogram: dict[str, int] = {}
-        for _k, _id, task in retained:
-            histogram[task] = histogram.get(task, 0) + 1
+        histogram = Counter(task for _k, _id, task in retained)
         buckets.append(Bucket(
             index=i,
             lo=lo,
             hi=hi,
             member_ids=tuple(m[1] for m in retained),
             member_ks=tuple(m[0] for m in retained),
-            task_histogram={t: histogram[t] for t in sorted(histogram)},
+            task_histogram=dict(sorted(histogram.items())),
         ))
         overflow.extend(
             OverflowRecord(bucket_index=i, example_id=m[1], task=m[2], k=m[0])
@@ -236,13 +236,11 @@ def describe(result: BucketizeResult) -> BucketReport:
             row["k_max"] = max(b.member_ks)
             row["tasks"] = dict(b.task_histogram)
         rows.append(row)
-    by_task: dict[str, int] = {}
-    for rec in result.overflow:
-        by_task[rec.task] = by_task.get(rec.task, 0) + 1
+    by_task = Counter(rec.task for rec in result.overflow)
     return BucketReport(
         rows=tuple(rows),
         overflow_total=len(result.overflow),
-        overflow_by_task={t: by_task[t] for t in sorted(by_task)},
+        overflow_by_task=dict(sorted(by_task.items())),
     )
 
 

@@ -184,8 +184,11 @@ class TeacherProfile:
             raise CorpusError("samples_per_example must be >= 1")
         if not self.temperature >= 0:
             raise CorpusError("temperature must be >= 0")
-        parsed = urlparse(self.endpoint_url)
-        if parsed.scheme not in ("http", "https") or not parsed.netloc:
+        try:
+            parsed = urlparse(self.endpoint_url)
+        except ValueError:  # e.g. an unclosed IPv6 bracket
+            parsed = None
+        if parsed is None or parsed.scheme not in ("http", "https") or not parsed.netloc:
             raise CorpusError(f"endpoint_url is not a valid URL: {self.endpoint_url!r}")
 
 

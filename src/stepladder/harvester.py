@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 from .corpus import Example, Record, TeacherProfile, Trace
 from .errors import HarvestError
-from .segmenter import DEFAULT_RULES, SegmentationRules, trace_from_text
+from .segmenter import trace_from_text
 
 _PLACEHOLDER = "{prompt}"
 
@@ -91,7 +91,6 @@ class HarvestJob:
     backoff_base: float = 0.5
     max_in_flight: int = 4
     api_key_env: str = "OPENAI_API_KEY"
-    rules: SegmentationRules = DEFAULT_RULES
 
     def __post_init__(self):
         if not self.rate_limit > 0:
@@ -380,8 +379,7 @@ class _Harvest:
     def _segment(self, unit: _Unit, text: str, hit: bool) -> None:
         self.tally.cache_hits += hit
         try:
-            unit.outcome = trace_from_text(unit.example.id, self.job.teacher.teacher_id,
-                                           text, self.job.rules)
+            unit.outcome = trace_from_text(unit.example.id, self.job.teacher.teacher_id, text)
         except Exception as exc:
             reason = f"segmentation failed: {exc}"
             unit.outcome = HarvestFailure(unit.example.id, unit.sample, reason)

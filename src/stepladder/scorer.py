@@ -8,7 +8,6 @@ dot_norm is recomputed, so one rambling outlier cannot drag the score up.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 from .corpus import DoTScore, Trace
@@ -17,22 +16,11 @@ from .errors import ScoringError
 
 def score(trace: Trace) -> DoTScore:
     """Score a single trace: k steps, tok tokens, dot_norm = k / ln(1 + tok)."""
-    k = trace.k
-    if k < 1:
+    if trace.k < 1:
         raise ScoringError(
             f"trace ({trace.example_id}, {trace.teacher_id}) has no steps"
         )
-    if trace.tok < 1:
-        raise ScoringError(
-            f"trace ({trace.example_id}, {trace.teacher_id}) has no tokens"
-        )
-    return DoTScore(
-        example_id=trace.example_id,
-        teacher_id=trace.teacher_id,
-        k=k,
-        tok=trace.tok,
-        dot_norm=k / math.log1p(trace.tok),
-    )
+    return DoTScore.compute(trace.example_id, trace.teacher_id, trace.k, trace.tok)
 
 
 def _lower_median(values: list[int]) -> int:

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from .corpus import Step, Trace, count_tokens
 from .errors import ParameterError, SegmentationError
 
-_FAMILIES = ("numbered", "labeled", "bulleted")
-
 # Spans whose contents must never be read as step markers.  Ordered:
 # fenced code first so backticks and dollars inside fences are dead by
 # the time the inline patterns run.
@@ -37,10 +35,17 @@ _MASK_PATTERNS = (
     re.compile(r"\$\$.*?\$\$", re.DOTALL),
     re.compile(r"\$[^$\n]+\$"),
 )
+_NOT_NEWLINE = re.compile(r"[^\n]")
 
-_NUMBERED = re.compile(r"(?m)^([ \t]*)(?:(\d+)[.)]|\((\d+)\))(?:[ \t]+|[ \t]*$)")
-_LABELED = re.compile(r"(?i)\bstep[ \t]+(\d+)[ \t]*:")
-_BULLETED = re.compile(r"(?m)^([ \t]*)[-*][ \t]+")
+# Marker families in priority order.  Every pattern has an indent and a
+# value group; labeled markers match an empty indent, bullets an empty
+# value.
+_MARKERS = {
+    "numbered": re.compile(
+        r"(?m)^(?P<indent>[ \t]*)(?P<paren>\()?(?P<value>\d+)(?(paren)\)|[.)])(?:[ \t]+|[ \t]*$)"),
+    "labeled": re.compile(r"(?i)(?P<indent>)\bstep[ \t]+(?P<value>\d+)[ \t]*:"),
+    "bulleted": re.compile(r"(?m)^(?P<indent>[ \t]*)[-*][ \t]+(?P<value>)"),
+}
 _PARAGRAPH_BREAK = re.compile(r"\n[ \t]*\n+")
 
 
@@ -60,15 +65,12 @@ class SegmentationRules:
     min_step_chars: int = 3
     max_marker_value: int = 999
     allow_paragraph_fallback: bool = True
-    families: tuple[str, ...] = _FAMILIES
 
     def __post_init__(self):
         if self.min_step_chars < 1:
             raise ParameterError("min_step_chars must be >= 1")
         if self.max_marker_value < 1:
             raise ParameterError("max_marker_value must be >= 1")
-        if not self.families or any(f not in _FAMILIES for f in self.families):
-            raise ParameterError(f"families must be a nonempty subset of {_FAMILIES}")
 
 
 DEFAULT_RULES = SegmentationRules()
@@ -76,29 +78,18 @@ DEFAULT_RULES = SegmentationRules()
 
 def _mask(text: str) -> str:
     """Replace code/math span contents with a sentinel, preserving offsets."""
-    masked = text
     for pattern in _MASK_PATTERNS:
-        def blot(m: re.Match) -> str:
-            return "".join("\n" if ch == "\n" else "￿" for ch in m.group(0))
-        masked = pattern.sub(blot, masked)
-    return masked
+        text = pattern.sub(lambda m: _NOT_NEWLINE.sub("\uffff", m[0]), text)
+    return text
 
 
-def _find_markers(masked: str, family: str, rules: SegmentationRules):
-    """Top-level marker matches for one family: [(start, content_start, value)]."""
-    if family == "numbered":
-        hits = [(m.start(), m.end(), int(m.group(2) or m.group(3)), len(m.group(1)))
-                for m in _NUMBERED.finditer(masked)]
-        hits = [h for h in hits if h[2] <= rules.max_marker_value]
-    elif family == "labeled":
-        hits = [(m.start(), m.end(), int(m.group(1)), 0)
-                for m in _LABELED.finditer(masked)
-                if int(m.group(1)) <= rules.max_marker_value]
-    elif family == "bulleted":
-        hits = [(m.start(), m.end(), None, len(m.group(1)))
-                for m in _BULLETED.finditer(masked)]
-    else:
-        raise ParameterError(f"unknown marker family {family!r}")
+def _find_markers(masked: str, pattern: re.Pattern, rules: SegmentationRules):
+    """Top-level marker matches of one family: [(start, content_start, value)]."""
+    hits = []
+    for m in pattern.finditer(masked):
+        value = int(m["value"]) if m["value"] else None
+        if value is None or value <= rules.max_marker_value:
+            hits.append((m.start(), m.end(), value, len(m["indent"])))
     if not hits:
         return []
     # Nested lists: only markers at the family's minimal indent delimit
@@ -155,15 +146,14 @@ def segment(raw_text: str, rules: SegmentationRules = DEFAULT_RULES):
         raise SegmentationError("cannot segment empty trace")
 
     masked = _mask(text)
-    for family in rules.families:
-        markers = _find_markers(masked, family, rules)
+    for family, pattern in _MARKERS.items():
+        markers = _find_markers(masked, pattern, rules)
         if markers:
             steps, mode, confidence = _segment_by_markers(text, markers, family, rules)
             # Two ordinal marker families in one trace means the step
             # structure is ambiguous, whatever the winner looked like.
             if (mode == "numbered" and confidence == "high"
-                    and "labeled" in rules.families
-                    and _find_markers(masked, "labeled", rules)):
+                    and _find_markers(masked, _MARKERS["labeled"], rules)):
                 confidence = "low"
             return steps, mode, confidence
 

@@ -87,11 +87,22 @@ def test_task_cap_hand_case():
     assert len(result.overflow) == 5
     assert all(r.task == "math" for r in result.overflow)
     # evictions take the largest (k, id) first, so the survivors are the
-    # smallest ids; overflow is reported back in (k, id) order
+    # smallest ids; overflow lists the last eviction first, which within
+    # one task is (k, id) order
     assert b.member_ids[:5] == ("m00", "m01", "m02", "m03", "m04")
     assert [r.example_id for r in result.overflow] == \
         ["m05", "m06", "m07", "m08", "m09"]
 
+
+def test_overflow_lists_the_last_eviction_first():
+    # n=4, cap 1: x and y are both one over, y wins the tie on name and
+    # loses (3, e1); n=3, cap 1: x loses (3, e2).  Overflow comes back as
+    # [e2, e1], which is not (k, id) order.
+    scores = [ds("e3", 1), ds("e0", 2), ds("e1", 3), ds("e2", 3)]
+    tasks = {"e3": "y", "e0": "x", "e1": "y", "e2": "x"}
+    result = bucketize(scores, BucketSpec(max_task_share=0.2), tasks)
+    assert result.buckets[0].member_ids == ("e3", "e0")
+    assert [r.example_id for r in result.overflow] == ["e2", "e1"]
 
 def max_feasible_total(counts: dict[str, int], share: float) -> int:
     # Largest T such that every task fits under ceil(share * T) and the

@@ -492,6 +492,15 @@ def test_template_file_not_json_exits_1(demo, tmp_path):
     assert result.stderr.startswith(f"error: {template}: malformed JSON")
 
 
+def test_unparsable_endpoint_exits_1(demo, tmp_path):
+    # urlparse raises on an unclosed IPv6 bracket.
+    result = _run_cli("harvest", "--corpus", demo / "examples.jsonl",
+                      "--endpoint", "http://[::1/v1", "--model", "m",
+                      "--teacher-id", "t", "--out", tmp_path / "t.jsonl")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert "endpoint_url is not a valid URL" in result.stderr
+
 STAGES = tuple(f"stepladder.{name}" for name in
                ("analyzer", "bucketer", "harvester", "scheduler", "scorer", "segmenter"))
 

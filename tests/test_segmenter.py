@@ -20,7 +20,7 @@ from stepladder.segmenter import (
     trace_from_text,
 )
 
-from conftest import naive_merge_micro_steps
+from conftest import naive_merge_micro_steps, naive_segment
 
 SUITE = Path(__file__).parent / "data" / "segmenter_suite.jsonl"
 
@@ -108,6 +108,44 @@ def test_merge_micro_steps_matches_oracle(texts, min_chars):
     assert _merge_micro_steps(texts, min_chars) == naive_merge_micro_steps(texts, min_chars)
 
 
+# Traces built line by line from every marker family, at several indents,
+# with values past max_marker_value, code and math spans that hide
+# markers, and every line ending the segmenter normalizes.
+_VALUES = st.one_of(st.integers(min_value=0, max_value=4), st.sampled_from([999, 1000]))
+_MARKER = st.one_of(
+    st.builds("{}. ".format, _VALUES),
+    st.builds("{})".format, _VALUES),
+    st.builds("({}) ".format, _VALUES),
+    st.builds("Step {}: ".format, _VALUES),
+    st.builds("step {} :".format, _VALUES),
+    st.sampled_from(["- ", "* ", "-", ""]),
+)
+_BODY = st.one_of(
+    st.text(alphabet="ab `$", max_size=8),
+    st.sampled_from(["`1. x`", "$2) y$", "```\n1. code\n```", "$$\n- m\n$$", "so step 2: on"]),
+)
+_LINE = st.tuples(st.sampled_from(["", " ", "  ", "\t"]), _MARKER, _BODY,
+                  st.sampled_from(["\n", "\r\n", "\r", "\n\n"]))
+_TRACES = st.lists(_LINE, max_size=8).map(lambda lines: "".join(map("".join, lines)))
+_RULES = st.builds(SegmentationRules,
+                   min_step_chars=st.integers(min_value=1, max_value=4),
+                   max_marker_value=st.sampled_from([3, 999]),
+                   allow_paragraph_fallback=st.booleans())
+
+
+@settings(max_examples=600, deadline=None)
+@given(_TRACES, _RULES)
+def test_segment_matches_oracle(text, rules):
+    try:
+        expected = naive_segment(text, rules)
+    except SegmentationError as exc:
+        with pytest.raises(SegmentationError) as raised:
+            segment(text, rules)
+        assert str(raised.value) == str(exc)
+    else:
+        assert segment(text, rules) == expected
+
+
 def test_strict_mode_raises_without_markers():
     rules = SegmentationRules(allow_paragraph_fallback=False)
     with pytest.raises(SegmentationError, match="fallback"):
@@ -134,17 +172,6 @@ def test_rules_validation():
         SegmentationRules(min_step_chars=0)
     with pytest.raises(ParameterError):
         SegmentationRules(max_marker_value=0)
-    with pytest.raises(ParameterError):
-        SegmentationRules(families=())
-    with pytest.raises(ParameterError):
-        SegmentationRules(families=("numbered", "emoji"))
-
-
-def test_family_priority_is_configurable():
-    text = "1. Numbered line one здесь.\n- bullet line"
-    steps, mode, _ = segment(text, SegmentationRules(families=("bulleted",)))
-    assert mode == "bulleted"
-    assert len(steps) == 1  # only the bullet is a marker; number folds in as preamble
 
 
 def test_trace_from_text_normalizes_and_counts():
