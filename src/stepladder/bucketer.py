@@ -9,6 +9,7 @@ reported as overflow, never dropped silently.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -108,35 +109,35 @@ class BucketizeResult:
     overflow: tuple[OverflowRecord, ...] = ()
 
 
-def _cap(share: float, n: int) -> int:
-    return math.ceil(share * n)
-
-
 def _apply_task_cap(members: list[tuple[int, str, str]], share: float):
     """Evict members until every task holds <= ceil(share * n) of n retained.
 
-    members are (k, id, task), already sorted.  The most over-cap task
-    (ties broken by task name) loses its largest (k, id) member each
-    round.  Returns (retained, evicted): retained in (k, id) order,
+    members are (k, id, task), already sorted.  Each round, the most
+    over-cap task (ties broken by task name) loses its largest (k, id)
+    member.  Returns (retained, evicted): retained in (k, id) order,
     evicted in reverse order of eviction, the last one evicted first.
+
+    One sorted pass finds the same evictions as that round-by-round loop.
+    The cap ceil(share * n) is the same for every task, so the most
+    over-cap task of a round is the task with the most members, ties
+    going to the larger name.  That task loses its j-th member (in
+    (k, id) order) when it holds j members.  The whole eviction sequence
+    is therefore every task's slots (j, task) in descending order, and it
+    stops at the first slot with j <= ceil(share * (n - evicted so far)).
     """
-    retained = list(members)
+    by_task: dict[str, list[tuple[int, str, str]]] = {}
+    for member in members:
+        by_task.setdefault(member[2], []).append(member)
+    slots = sorted(((j, task) for task, own in by_task.items()
+                    for j in range(1, len(own) + 1)), reverse=True)
     evicted: list[tuple[int, str, str]] = []
-    while retained:
-        counts: dict[str, int] = {}
-        for _k, _id, task in retained:
-            counts[task] = counts.get(task, 0) + 1
-        cap = _cap(share, len(retained))
-        over = [(cnt - cap, task) for task, cnt in counts.items() if cnt > cap]
-        if not over:
+    for j, task in slots:
+        if j <= math.ceil(share * (len(members) - len(evicted))):
             break
-        _excess, worst = max(over, key=lambda t: (t[0], t[1]))
-        for i in range(len(retained) - 1, -1, -1):
-            if retained[i][2] == worst:
-                evicted.append(retained.pop(i))
-                break
+        evicted.append(by_task[task][j - 1])
+    gone = {m[1] for m in evicted}
     evicted.reverse()
-    return retained, evicted
+    return [m for m in members if m[1] not in gone], evicted
 
 
 def bucketize(scores: Iterable[DoTScore], spec: BucketSpec,
@@ -148,8 +149,8 @@ def bucketize(scores: Iterable[DoTScore], spec: BucketSpec,
     scores from several teachers) and ids missing from tasks are errors:
     collapse to one score per example first.
     """
-    scores = list(scores)
     seen: set[str] = set()
+    per_bucket: dict[int, list[tuple[int, str, str]]] = {}
     for sc in scores:
         if sc.example_id in seen:
             raise ParameterError(
@@ -159,13 +160,8 @@ def bucketize(scores: Iterable[DoTScore], spec: BucketSpec,
         seen.add(sc.example_id)
         if sc.example_id not in tasks:
             raise ParameterError(f"example {sc.example_id!r} has no task mapping")
-
-    per_bucket: dict[int, list[tuple[int, str, str]]] = {}
-    for sc in scores:
-        idx = spec.bucket_for_k(sc.k)
-        per_bucket.setdefault(idx, []).append(
-            (sc.k, sc.example_id, tasks[sc.example_id])
-        )
+        member = (sc.k, sc.example_id, tasks[sc.example_id])
+        per_bucket.setdefault(spec.bucket_for_k(sc.k), []).append(member)
 
     buckets: list[Bucket] = []
     overflow: list[OverflowRecord] = []
@@ -278,18 +274,44 @@ def write_buckets(result: BucketizeResult, path) -> None:
 
 
 def read_buckets(path) -> BucketizeResult:
+    """Decode a buckets file and check it against its own spec header.
+
+    Bucket lines must carry indices 1, 2, ... with one line per spec edge
+    and that edge's lo and hi.  An example id may appear at most once
+    across every bucket's members and the overflow.
+    """
     records = {"spec": SPEC, "bucket": BUCKET, "overflow": OVERFLOW}
-    spec = None
-    values = []
+    spec = spec_where = None
+    buckets: list[tuple[str, Bucket]] = []
+    overflow: list[OverflowRecord] = []
+    seen: dict[str, str] = {}
     for where, value in read_jsonl(path, records):
-        if not isinstance(value, BucketSpec):
-            values.append(value)
-        elif spec is not None:
-            raise CorpusError(f"{where}: duplicate spec header")
+        if isinstance(value, BucketSpec):
+            if spec is not None:
+                raise CorpusError(f"{where}: duplicate spec header")
+            spec, spec_where = value, where
+            continue
+        if isinstance(value, Bucket):
+            buckets.append((where, value))
+            key, ids = "members", value.member_ids
         else:
-            spec = value
+            overflow.append(value)
+            key, ids = "id", (value.example_id,)
+        for example_id in ids:
+            if example_id in seen:
+                raise CorpusError(f"{where}: {key!r}: example {example_id!r} "
+                                  f"already appears at {seen[example_id]}")
+            seen[example_id] = where
     if spec is None:
         raise CorpusError(f"{path}: buckets file has no spec header")
-    return BucketizeResult(spec=spec,
-                           buckets=tuple(v for v in values if isinstance(v, Bucket)),
-                           overflow=tuple(v for v in values if isinstance(v, OverflowRecord)))
+    for i, ((where, bucket), (lo, hi)) in enumerate(zip(buckets, spec.edges), start=1):
+        for key, want, got in (("index", i, bucket.index), ("lo", lo, bucket.lo),
+                               ("hi", hi, bucket.hi)):
+            if got != want:
+                raise CorpusError(f"{where}: {key!r}: expected {json.dumps(want)} "
+                                  f"for bucket line {i}, got {json.dumps(got)}")
+    if len(buckets) != len(spec.edges):
+        raise CorpusError(f"{spec_where}: 'edges': {len(spec.edges)} edges but "
+                          f"{len(buckets)} bucket line(s)")
+    return BucketizeResult(spec=spec, buckets=tuple(b for _where, b in buckets),
+                           overflow=tuple(overflow))

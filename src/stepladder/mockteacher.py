@@ -67,7 +67,9 @@ class MockTeacher:
                 owner._handle(self)
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # A short poll interval lets stop() return within 0.05 s, not 0.5 s.
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.05,),
+                                        daemon=True)
         self._thread.start()
         return self
 

@@ -25,6 +25,12 @@ from .errors import ParameterError, ScheduleError
 if TYPE_CHECKING:
     from .bucketer import BucketizeResult
 
+# The most ids a with-replacement curriculum may draw, phases times
+# budget_per_phase.  Such draws never run short, and the manifest holds
+# every drawn id in memory, so a budget past this bound is refused
+# before any draw.
+MAX_REPLACEMENT_DRAWS = 10_000_000
+
 
 def phase_weights(t: int, alpha: float) -> list[float]:
     """Normalized mixing weights over buckets 1..t, w_i proportional to i**alpha.
@@ -94,14 +100,22 @@ def build_curriculum(result: BucketizeResult, plan: SchedulePlan, *,
 
     Without replacement (the default), pools are global: ids consumed in
     one phase are gone for later phases, and a shortfall raises
-    ScheduleError naming the phase and bucket.  phase_weights_fn, when
-    given, replaces the built-in weighting: it receives (t, plan) and
-    returns unnormalized weights for buckets 1..t.
+    ScheduleError naming the phase and bucket.  With replacement, more
+    than MAX_REPLACEMENT_DRAWS ids in all raise ScheduleError before any
+    draw.  phase_weights_fn, when given, replaces the built-in weighting:
+    it receives (t, plan) and returns unnormalized weights for buckets
+    1..t.
     """
     buckets = result.buckets
     if plan.phases > len(buckets):
         raise ScheduleError(
             f"plan wants {plan.phases} phases but only {len(buckets)} buckets exist"
+        )
+    draws = plan.phases * plan.budget_per_phase
+    if plan.with_replacement and draws > MAX_REPLACEMENT_DRAWS:
+        raise ScheduleError(
+            f"with replacement, phases * budget_per_phase is {draws}; "
+            f"the most a manifest may draw is {MAX_REPLACEMENT_DRAWS}"
         )
     pools: dict[int, list[str]] = {b.index: list(b.member_ids) for b in buckets}
     remaining: dict[int, list[str]] = {i: list(p) for i, p in pools.items()}

@@ -163,3 +163,26 @@ def naive_segment(raw_text, rules):
     parts = [p.strip() for p in re.split(r"\n[ \t]*\n+", text)]
     texts, _ = naive_merge_micro_steps([p for p in parts if p], rules.min_step_chars)
     return _naive_steps(texts), "paragraph-fallback", "low"
+
+
+def naive_apply_task_cap(members, share):
+    """The bucketer's task-share cap as an evict-and-recount loop: every
+    round recounts the tasks, evicts one member of the most over-cap task
+    (ties to the larger name), and stops once every task fits."""
+    retained = list(members)
+    evicted = []
+    while retained:
+        counts = {}
+        for _k, _id, task in retained:
+            counts[task] = counts.get(task, 0) + 1
+        cap = math.ceil(share * len(retained))
+        over = [(cnt - cap, task) for task, cnt in counts.items() if cnt > cap]
+        if not over:
+            break
+        _excess, worst = max(over, key=lambda t: (t[0], t[1]))
+        for i in range(len(retained) - 1, -1, -1):
+            if retained[i][2] == worst:
+                evicted.append(retained.pop(i))
+                break
+    evicted.reverse()
+    return retained, evicted

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import naive_apply_task_cap
 from stepladder.bucketer import (
     DEFAULT_EDGES,
     BucketSpec,
+    _apply_task_cap,
     bucketize,
     describe,
     read_buckets,
@@ -103,6 +109,29 @@ def test_overflow_lists_the_last_eviction_first():
     result = bucketize(scores, BucketSpec(max_task_share=0.2), tasks)
     assert result.buckets[0].member_ids == ("e3", "e0")
     assert [r.example_id for r in result.overflow] == ["e2", "e1"]
+
+
+@st.composite
+def capped_members(draw):
+    """Sorted (k, id, task) members over 1-6 task names, so that count
+    ties are common, and a share near 1/T, at 1.0, tiny, or anywhere."""
+    names = [f"task{i}" for i in range(draw(st.integers(1, 6)))]
+    rows = draw(st.lists(st.tuples(st.integers(1, 3), st.sampled_from(names)), max_size=40))
+    members = sorted((k, f"e{i:02d}", task) for i, (k, task) in enumerate(rows))
+    near = 1 / len(names)
+    share = draw(st.one_of(
+        st.sampled_from([near, math.nextafter(near, 0), math.nextafter(near, 1), 1.0, 1e-9]),
+        st.floats(min_value=1e-9, max_value=1.0),
+    ))
+    return members, min(share, 1.0)
+
+
+@given(capped_members())
+@settings(max_examples=300, deadline=None)
+def test_task_cap_matches_the_evict_and_recount_loop(case):
+    members, share = case
+    assert _apply_task_cap(members, share) == naive_apply_task_cap(members, share)
+
 
 def max_feasible_total(counts: dict[str, int], share: float) -> int:
     # Largest T such that every task fits under ceil(share * T) and the
@@ -216,4 +245,58 @@ def test_duplicate_spec_header_is_an_error(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join(lines + lines[:1]), encoding="utf-8")
     with pytest.raises(CorpusError, match=rf":{len(lines) + 1}: duplicate spec header"):
+        read_buckets(path)
+
+
+def _edit_buckets_file(path, case):
+    """Break a written three-bucket file in one way; return the line and
+    the field the reader must name."""
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    first_member = lines[1]["members"][0]["id"]
+    if case == "index-gap":  # bucket lines 1 and 3, the repro of a KeyError in schedule
+        lines[2:] = lines[3:]
+        line, field = 3, "index"
+    elif case == "missing-bucket":
+        del lines[3]
+        line, field = 1, "edges"
+    elif case == "extra-bucket":
+        lines.insert(4, dict(lines[3], index=4, lo=10, members=[]))
+        line, field = 1, "edges"
+    elif case == "lo":
+        lines[2]["lo"] = 5
+        line, field = 3, "lo"
+    elif case == "hi":
+        lines[3]["hi"] = 50
+        line, field = 4, "hi"
+    elif case == "member-twice":
+        lines[3]["members"].append({"id": first_member, "k": 9})
+        line, field = 4, "members"
+    else:  # an overflow id that is also a member
+        lines.append({"record": "overflow", "bucket": 1, "id": first_member,
+                      "task": "math", "k": 1})
+        line, field = len(lines), "id"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+    return line, field
+
+
+BUCKETS_FILE_FAULTS = ["index-gap", "missing-bucket", "extra-bucket", "lo", "hi",
+                       "member-twice", "overflow-is-member"]
+
+
+def three_buckets(path):
+    scores = [ds("a", 1), ds("b", 2), ds("c", 5), ds("d", 9), ds("e", 1)]
+    tasks = {"a": "math", "b": "math", "c": "qa", "d": "qa", "e": "math"}
+    result = bucketize(scores, BucketSpec(max_task_share=0.5), tasks)
+    assert result.overflow  # the file holds every kind of line
+    write_buckets(result, path)
+    return result
+
+
+@pytest.mark.parametrize("case", BUCKETS_FILE_FAULTS)
+def test_buckets_file_must_agree_with_its_spec(tmp_path, case):
+    path = tmp_path / "b.jsonl"
+    result = three_buckets(path)
+    assert read_buckets(path) == result
+    line, field = _edit_buckets_file(path, case)
+    with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}:{line}: '{field}': "):
         read_buckets(path)

@@ -468,6 +468,48 @@ def test_duplicate_spec_header_exits_1(demo, tmp_path, capsys):
     assert result.stderr.startswith(f"error: {bad}:2: duplicate spec header")
 
 
+def _buckets_file(path, buckets):
+    """A hand-made buckets file over the default edges; buckets holds
+    (index, lo, hi, member ids) rows."""
+    lines = [{"record": "spec", "edges": [[1, 3], [4, 6], [7, None]], "max_task_share": 1.0}]
+    lines += [{"record": "bucket", "index": index, "lo": lo, "hi": hi,
+               "members": [{"id": i, "k": lo} for i in ids]}
+              for index, lo, hi, ids in buckets]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("case", ["index-gap", "id-twice"])
+def test_schedule_rejects_a_buckets_file_at_odds_with_itself(tmp_path, case):
+    bad = tmp_path / "bad.jsonl"
+    if case == "index-gap":  # was a KeyError traceback
+        _buckets_file(bad, [(1, 1, 3, ["a"]), (3, 7, None, ["c"])])
+        line, field = 3, "'index'"
+    else:  # was drawn in phase 1 and again in phase 2, without replacement
+        _buckets_file(bad, [(1, 1, 3, ["a"]), (2, 4, 6, ["a"]), (3, 7, None, ["c"])])
+        line, field = 3, "'members'"
+    result = _run_cli("schedule", "--buckets", bad, "--phases", "2", "--budget", "1",
+                      "--out", tmp_path / "m.jsonl")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"error: {bad}:{line}: {field}: "), result.stderr
+    assert not (tmp_path / "m.jsonl").exists()
+
+
+def test_schedule_with_replacement_refuses_a_budget_past_the_bound(tmp_path):
+    from stepladder.scheduler import MAX_REPLACEMENT_DRAWS
+
+    buckets = _buckets_file(tmp_path / "b.jsonl",
+                            [(1, 1, 3, ["a"]), (2, 4, 6, ["b"]), (3, 7, None, ["c"])])
+    result = _run_cli("schedule", "--buckets", buckets, "--with-replacement",
+                      "--phases", "1", "--budget", MAX_REPLACEMENT_DRAWS + 1,
+                      "--out", tmp_path / "m.jsonl")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: with replacement, phases * budget_per_phase is ")
+    assert not (tmp_path / "m.jsonl").exists()
+
+
 def test_template_file_missing_field_exits_1(demo, tmp_path):
     template = tmp_path / "template.json"
     template.write_text(json.dumps({"template_id": "t", "system_text": "s"}), encoding="utf-8")

@@ -324,7 +324,7 @@ VALID = {
         "record": "phase", "index": 1, "example_ids": ["a", "b"], "bucket_counts": {"1": 2},
     }, {"bucket_counts"}, None),
     "spec": (read_buckets, {
-        "record": "spec", "edges": [[1, 3], [4, None]], "max_task_share": 0.5,
+        "record": "spec", "edges": [[1, None]], "max_task_share": 0.5,
     }, {"max_task_share"}, _cli_reading("schedule", "--buckets", "{path}", "--phases", "1",
                                         "--budget", "1", "--out", "{tmp}/o.jsonl")),
     "bucket": (read_buckets, {
@@ -333,7 +333,7 @@ VALID = {
     }, {"task_histogram"}, _cli_reading("schedule", "--buckets", "{path}", "--phases", "1",
                                         "--budget", "1", "--out", "{tmp}/o.jsonl")),
     "overflow": (read_buckets, {
-        "record": "overflow", "bucket": 1, "id": "a", "task": "math", "k": 2,
+        "record": "overflow", "bucket": 1, "id": "c", "task": "math", "k": 2,
     }, set(), _cli_reading("schedule", "--buckets", "{path}", "--phases", "1",
                            "--budget", "1", "--out", "{tmp}/o.jsonl")),
     "template": (lambda path: read_json(path, TEMPLATE), {
@@ -343,8 +343,10 @@ VALID = {
                            "--template-file", "{path}", "--out", "{tmp}/o.jsonl")),
 }
 
-# A tagged record's file also needs the record named here, on a later line.
-COMPANION = {"plan": "phase", "phase": "plan", "bucket": "spec", "overflow": "spec"}
+# A tagged record's file also needs the records named here, on later lines:
+# a buckets file holds one bucket line per spec edge.
+COMPANION = {"plan": ["phase"], "phase": ["plan"], "spec": ["bucket"], "bucket": ["spec"],
+             "overflow": ["spec", "bucket"]}
 
 # Values of the wrong JSON kind for any field whose valid value has another
 # type; NaN and Infinity are floats but never valid numbers, and a string
@@ -352,7 +354,7 @@ COMPANION = {"plan": "phase", "phase": "plan", "bucket": "spec", "overflow": "sp
 LONE_SURROGATE = "a\ud800b"
 WRONG = [True, "x", None, [], {}, 2.5, float("nan"), float("-inf"), LONE_SURROGATE]
 # Where null is a valid value (an open-ended bucket range).
-NULLABLE = {("hi",), ("edges", 0, 1), ("edges", 1, 1)}
+NULLABLE = {("hi",), ("edges", 0, 1)}
 
 
 def _leaves(obj, path=()):
@@ -406,7 +408,7 @@ def test_one_bad_field_is_a_located_corpus_error(data):
     reader, valid, _optional, argv = VALID[name]
     path, op, value = data.draw(st.sampled_from(_mutations(name)))
     field = _field_name(path)
-    rest = "".join(json.dumps(VALID[c][1]) + "\n" for c in [COMPANION.get(name)] if c)
+    rest = "".join(json.dumps(VALID[c][1]) + "\n" for c in COMPANION.get(name, ()))
     with tempfile.TemporaryDirectory() as tmp:
         good = Path(tmp) / "good.jsonl"
         good.write_text(json.dumps(valid) + "\n" + rest, encoding="utf-8")

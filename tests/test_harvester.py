@@ -520,7 +520,7 @@ def keep_alive_teacher(idle_timeout=None, stall=0.0, tls=False):
         context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
         context.load_cert_chain(CERT)
         server.socket = context.wrap_socket(server.socket, server_side=True)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
         scheme = "https" if tls else "http"
@@ -535,7 +535,7 @@ def keep_alive_teacher(idle_timeout=None, stall=0.0, tls=False):
 def served(handler, scheme="http"):
     """Serve handler from a thread on 127.0.0.1; yields the base URL."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
         yield f"{scheme}://127.0.0.1:{server.server_address[1]}"
@@ -719,7 +719,7 @@ def test_response_bodies_that_arrive_in_pieces(tmp_path, framing):
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
         result = harvest(depth_examples(6), job_for(
@@ -823,7 +823,7 @@ def test_lone_surrogate_response_fails_only_its_unit(tmp_path, capsys):
                   Example(id="b", task="t", prompt="lone surrogate"),
                   Example(id="c", task="t", prompt="plain two")], corpus)
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     argv = ["harvest", "--corpus", str(corpus), "--model", "m", "--teacher-id", "t",
             "--endpoint", f"http://127.0.0.1:{server.server_address[1]}/v1",

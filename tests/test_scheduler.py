@@ -11,6 +11,7 @@ from stepladder.corpus import DoTScore, Example, SchedulePlan
 from stepladder.errors import ParameterError, ScheduleError
 from stepladder.scheduler import (
     BASELINE_KINDS,
+    MAX_REPLACEMENT_DRAWS,
     _largest_remainder,
     baseline_order,
     build_curriculum,
@@ -206,6 +207,32 @@ def test_more_phases_than_buckets_is_an_error():
     result = bucketed()
     with pytest.raises(ScheduleError, match="phases"):
         build_curriculum(result, plan_of(phases=4))
+
+
+class ReachedTheDraws(Exception):
+    pass
+
+
+def _reach_the_draws(t, plan):
+    raise ReachedTheDraws
+
+
+def test_with_replacement_bound_is_checked_before_any_draw():
+    # The weights callback runs before the first draw, so raising from it
+    # shows where a plan got to without drawing millions of ids.
+    result = bucketed()
+    half = MAX_REPLACEMENT_DRAWS // 2
+    with pytest.raises(ScheduleError, match=f"is {2 * half + 2}; .* {MAX_REPLACEMENT_DRAWS}"):
+        build_curriculum(result, plan_of(with_replacement=True, phases=2,
+                                         budget_per_phase=half + 1),
+                         phase_weights_fn=_reach_the_draws)
+    with pytest.raises(ReachedTheDraws):  # at the bound: allowed
+        build_curriculum(result, plan_of(with_replacement=True, phases=2,
+                                         budget_per_phase=half),
+                         phase_weights_fn=_reach_the_draws)
+    with pytest.raises(ReachedTheDraws):  # without replacement pools run short instead
+        build_curriculum(result, plan_of(phases=2, budget_per_phase=half + 1),
+                         phase_weights_fn=_reach_the_draws)
 
 
 def test_provenance_is_copied_into_the_manifest():
