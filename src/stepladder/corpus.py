@@ -285,6 +285,7 @@ class _Invalid(Exception):
 
 
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
+_ENCODE_TEXT = json.encoder.encode_basestring  # how _ENCODER writes a str
 _NAMES = {str: "string", int: "integer", bool: "boolean", list: "array", dict: "object",
           type(None): "null"}
 
@@ -447,6 +448,9 @@ def _parse(where: str, raw: bytes):
         problem = "blank line is not a record" if not raw.strip() \
             else f"malformed JSON ({exc.msg})"
         raise CorpusError(f"{where}: {problem}") from None
+    except (ValueError, RecursionError) as exc:
+        # An integer literal past int()'s digit limit, or nesting too deep.
+        raise CorpusError(f"{where}: malformed JSON ({str(exc).partition(';')[0]})") from None
 
 
 def read_jsonl(path, records) -> Iterator[tuple[str, object]]:
@@ -519,7 +523,55 @@ COMPLETION = Record((("example_id", str, False), ("teacher_id", str, False),
 
 STEP = Record((("index", int, False), ("text", str, False)), Step)
 
-TRACE = Record((
+
+class _TraceRecord(Record):
+    """The trace table, with a direct codec for the rows it describes.
+
+    dump formats a line straight from a trace, and decode builds a Trace
+    straight from an object whose every field holds exactly its kind.
+    Any other value goes through the table, which stays the definition of
+    the format and the source of every error.
+    """
+
+    _STEP = '{"index": %d, "text": %s}'
+    _ROW = ('{"example_id": %s, "teacher_id": %s, "raw_text": %s, "steps": [%s], '
+            '"tok": %d, "segmentation_mode": %s, "confidence": %s}\n')
+    _FIELDS = itemgetter("example_id", "teacher_id", "raw_text", "steps", "tok",
+                         "segmentation_mode", "confidence")
+
+    def dump(self, trace) -> str:
+        steps, quote = trace.steps, _ENCODE_TEXT
+        # %d writes a bool or a float as an integer; JSON does not.
+        if type(trace.tok) is int and all([type(step.index) is int for step in steps]):
+            try:
+                return self._ROW % (
+                    quote(trace.example_id), quote(trace.teacher_id), quote(trace.raw_text),
+                    ", ".join([self._STEP % (step.index, quote(step.text)) for step in steps]),
+                    trace.tok, quote(trace.segmentation_mode), quote(trace.confidence))
+            except TypeError:  # a text field holding no str
+                pass
+        return super().dump(trace)
+
+    def decode(self, obj):
+        try:
+            example_id, teacher_id, raw_text, rows, tok, mode, confidence = self._FIELDS(obj)
+            if type(rows) is list and type(tok) is int and type(example_id) is \
+                    type(teacher_id) is type(raw_text) is type(mode) is type(confidence) is str:
+                steps = []
+                for row in rows:
+                    index, text = row["index"], row["text"]
+                    if type(index) is not int or type(text) is not str:
+                        break
+                    steps.append(Step(index, text))
+                else:
+                    return Trace(example_id, teacher_id, raw_text, tuple(steps), tok, mode,
+                                 confidence)
+        except (KeyError, TypeError, CorpusError):
+            pass
+        return super().decode(obj)
+
+
+TRACE = _TraceRecord((
     ("example_id", str, False),
     ("teacher_id", str, False),
     ("raw_text", str, False),

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
 from .corpus import Example, Record, TeacherProfile, Trace
-from .errors import HarvestError
+from .errors import HarvestError, StepladderError
 from .segmenter import trace_from_text
 
 _PLACEHOLDER = "{prompt}"
@@ -125,15 +125,18 @@ class HarvestResult:
         return len(self.grant_times)
 
 
-def _cache_key(job: HarvestJob, system_text: str, user_text: str,
-               sample_index: int) -> str:
-    payload = json.dumps(
-        [job.teacher.model_name, job.template.template_id, system_text,
-         user_text, sample_index, float(job.teacher.temperature),
-         job.teacher.endpoint_url.rstrip("/")],
-        ensure_ascii=True,
-    )
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+def _cache_keys(job: HarvestJob, system_text: str, user_text: str) -> list[str]:
+    """The cache key of each sample of one request: the sha256 of the JSON
+    array [model, template_id, system_text, user_text, sample index,
+    temperature, endpoint without a trailing "/"], ASCII-escaped.  The
+    array's text is built once, around the sample index."""
+    teacher = job.teacher
+    head = json.dumps([teacher.model_name, job.template.template_id, system_text, user_text],
+                      ensure_ascii=True)[:-1]
+    tail = json.dumps([float(teacher.temperature), teacher.endpoint_url.rstrip("/")],
+                      ensure_ascii=True)[1:]
+    return [hashlib.sha256(f"{head}, {sample}, {tail}".encode("ascii")).hexdigest()
+            for sample in range(teacher.samples_per_example)]
 
 
 class _ResponseLog:
@@ -215,8 +218,8 @@ def _units(job: HarvestJob, examples: Iterable[Example]) -> Iterator[_Unit]:
     position = 0
     for example in examples:
         texts = job.template.render(example.prompt)
-        for s in range(job.teacher.samples_per_example):
-            yield _Unit(position, example, s, texts, _cache_key(job, *texts, s))
+        for s, key in enumerate(_cache_keys(job, *texts)):
+            yield _Unit(position, example, s, texts, key)
             position += 1
 
 
@@ -380,7 +383,7 @@ class _Harvest:
         self.tally.cache_hits += hit
         try:
             unit.outcome = trace_from_text(unit.example.id, self.job.teacher.teacher_id, text)
-        except Exception as exc:
+        except StepladderError as exc:
             reason = f"segmentation failed: {exc}"
             unit.outcome = HarvestFailure(unit.example.id, unit.sample, reason)
 
@@ -391,9 +394,11 @@ def harvest_stream(examples: Iterable[Example], job: HarvestJob,
 
     Traces come out in (example, sample) order, each as soon as it and
     every earlier unit are resolved.  Failures, cache hits and limiter
-    grants go to tally as the stream is consumed; a unit's error becomes
-    a HarvestFailure instead of aborting the run.  The API key is checked
-    and the cache directory made before the stream is returned.
+    grants go to tally as the stream is consumed; a unit's error (network,
+    HTTP, response or segmentation) becomes a HarvestFailure instead of
+    aborting the run, while any other exception is a fault and propagates.
+    The API key is checked and the cache directory made before the stream
+    is returned.
     """
     api_key = os.environ.get(job.api_key_env)
     if not api_key:

@@ -39,13 +39,20 @@ _NOT_NEWLINE = re.compile(r"[^\n]")
 
 # Marker families in priority order.  Every pattern has an indent and a
 # value group; labeled markers match an empty indent, bullets an empty
-# value.
+# value.  The patterns scan the masked text behind one extra "\n", and the
+# line-start families match that newline instead of (?m)^: the regex
+# engine jumps to a literal first character, where it would try ^ at
+# every position.
 _MARKERS = {
     "numbered": re.compile(
-        r"(?m)^(?P<indent>[ \t]*)(?P<paren>\()?(?P<value>\d+)(?(paren)\)|[.)])(?:[ \t]+|[ \t]*$)"),
+        r"(?m)\n(?P<indent>[ \t]*)(?P<paren>\()?(?P<value>\d+)(?(paren)\)|[.)])(?:[ \t]+|[ \t]*$)"),
     "labeled": re.compile(r"(?i)(?P<indent>)\bstep[ \t]+(?P<value>\d+)[ \t]*:"),
-    "bulleted": re.compile(r"(?m)^(?P<indent>[ \t]*)[-*][ \t]+(?P<value>)"),
+    "bulleted": re.compile(r"\n(?P<indent>[ \t]*)[-*][ \t]+(?P<value>)"),
 }
+# Every labeled marker holds "tep" in some case: under (?i), t, e and p
+# match only their two ASCII cases (unlike s, which also matches U+017F).
+# A text whose lowercase lacks "tep" skips the labeled scans.
+_UNLABELED = {family: p for family, p in _MARKERS.items() if family != "labeled"}
 _PARAGRAPH_BREAK = re.compile(r"\n[ \t]*\n+")
 
 
@@ -69,8 +76,8 @@ class SegmentationRules:
     def __post_init__(self):
         if self.min_step_chars < 1:
             raise ParameterError("min_step_chars must be >= 1")
-        if self.max_marker_value < 1:
-            raise ParameterError("max_marker_value must be >= 1")
+        if not 1 <= self.max_marker_value < 10 ** 4300:  # str() refuses more digits
+            raise ParameterError("max_marker_value must be >= 1 and under 4300 digits")
 
 
 DEFAULT_RULES = SegmentationRules()
@@ -78,25 +85,43 @@ DEFAULT_RULES = SegmentationRules()
 
 def _mask(text: str) -> str:
     """Replace code/math span contents with a sentinel, preserving offsets."""
+    if "`" not in text and "$" not in text:
+        return text
     for pattern in _MASK_PATTERNS:
         text = pattern.sub(lambda m: _NOT_NEWLINE.sub("\uffff", m[0]), text)
     return text
 
 
 def _find_markers(masked: str, pattern: re.Pattern, rules: SegmentationRules):
-    """Top-level marker matches of one family: [(start, content_start, value)]."""
+    """Top-level marker matches of one family in "\n" + the masked text:
+    [(indent, start, content_start, value)], at offsets into the text.
+
+    A value above max_marker_value is no marker.  Only the last
+    len(str(max_marker_value)) digits go through int(), which refuses
+    over 4300 digits: every digit before them must be a zero, of any
+    script, so the cost is linear in the number of digits.
+    """
+    limit = rules.max_marker_value
+    width = len(str(limit))
     hits = []
     for m in pattern.finditer(masked):
-        value = int(m["value"]) if m["value"] else None
-        if value is None or value <= rules.max_marker_value:
-            hits.append((m.start(), m.end(), value, len(m["indent"])))
+        digits = m["value"]
+        if digits:
+            if len(digits) > width and any(map(int, digits[:-width])):
+                continue
+            value = int(digits[-width:])
+            if value > limit:
+                continue
+        else:
+            value = None
+        start = m.start("indent")
+        hits.append((m.end("indent") - start, start - 1, m.end() - 1, value))
     if not hits:
-        return []
+        return hits
     # Nested lists: only markers at the family's minimal indent delimit
     # steps; deeper ones stay inside their parent step's text.
-    top = min(h[3] for h in hits)
-    return [(start, content, value) for start, content, value, indent in hits
-            if indent == top]
+    top = min(hits)[0]
+    return [hit for hit in hits if hit[0] == top]
 
 
 def _merge_micro_steps(texts: list[str], min_chars: int) -> tuple[list[str], bool]:
@@ -145,14 +170,15 @@ def segment(raw_text: str, rules: SegmentationRules = DEFAULT_RULES):
     if not text.strip():
         raise SegmentationError("cannot segment empty trace")
 
-    masked = _mask(text)
-    for family, pattern in _MARKERS.items():
+    masked = "\n" + _mask(text)
+    families = _MARKERS if "tep" in masked.lower() else _UNLABELED
+    for family, pattern in families.items():
         markers = _find_markers(masked, pattern, rules)
         if markers:
             steps, mode, confidence = _segment_by_markers(text, markers, family, rules)
             # Two ordinal marker families in one trace means the step
             # structure is ambiguous, whatever the winner looked like.
-            if (mode == "numbered" and confidence == "high"
+            if (mode == "numbered" and confidence == "high" and families is _MARKERS
                     and _find_markers(masked, _MARKERS["labeled"], rules)):
                 confidence = "low"
             return steps, mode, confidence
@@ -165,23 +191,23 @@ def segment(raw_text: str, rules: SegmentationRules = DEFAULT_RULES):
 
 
 def _segment_by_markers(text: str, markers, family: str, rules: SegmentationRules):
-    texts: list[str] = []
-    for i, (start, content_start, _value) in enumerate(markers):
-        end = markers[i + 1][0] if i + 1 < len(markers) else len(text)
-        texts.append(text[content_start:end].strip())
+    ends = [start for _indent, start, _content, _value in markers[1:]]
+    ends.append(len(text))
+    texts = [text[content:end].strip()
+             for (_indent, _start, content, _value), end in zip(markers, ends)]
     # Anything before the first marker belongs to the first step.
-    preamble = text[: markers[0][0]].strip()
+    preamble = text[: markers[0][1]].strip()
     if preamble:
         texts[0] = preamble + "\n" + texts[0] if texts[0] else preamble
 
     texts, merged = _merge_micro_steps(texts, rules.min_step_chars)
     if not any(t.strip() for t in texts):
         raise SegmentationError("trace contains step markers but no step content")
-    steps = tuple(Step(index=i, text=t) for i, t in enumerate(texts, start=1))
+    steps = tuple(map(Step, range(1, len(texts) + 1), texts))
 
     confidence = "low"
     if family in ("numbered", "labeled") and not merged:
-        values = [value for _, _, value in markers]
+        values = [value for _indent, _start, _content, value in markers]
         if values == list(range(1, len(values) + 1)):
             confidence = "high"
     return steps, family, confidence
@@ -191,7 +217,7 @@ def _segment_paragraphs(text: str, rules: SegmentationRules):
     parts = [p.strip() for p in _PARAGRAPH_BREAK.split(text)]
     parts = [p for p in parts if p]
     texts, _ = _merge_micro_steps(parts, rules.min_step_chars)
-    steps = tuple(Step(index=i, text=t) for i, t in enumerate(texts, start=1))
+    steps = tuple(map(Step, range(1, len(texts) + 1), texts))
     return steps, "paragraph-fallback", "low"
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 import statistics
+import unicodedata
 
 from stepladder.corpus import Step
 from stepladder.errors import SegmentationError
@@ -103,15 +104,28 @@ def _naive_mask(text):
     return text
 
 
+def _naive_value(digits, limit):
+    """A marker's value if it is at most limit, else None: its digits, of
+    any script, read one by one with unicodedata, leading zeros dropped, so
+    that no int() sees more digits than limit has."""
+    values = [unicodedata.decimal(ch) for ch in digits]
+    first = next((i for i, v in enumerate(values) if v), len(values))
+    if len(values) - first > len(str(limit)):
+        return None
+    value = sum(v * 10 ** i for i, v in enumerate(reversed(values[first:])))
+    return value if value <= limit else None
+
+
 def _naive_find_markers(masked, family, rules):
     if family == "numbered":
-        hits = [(m.start(), m.end(), int(m.group(2) or m.group(3)), len(m.group(1)))
+        hits = [(m.start(), m.end(), _naive_value(m.group(2) or m.group(3),
+                                                  rules.max_marker_value), len(m.group(1)))
                 for m in _NAIVE_NUMBERED.finditer(masked)]
-        hits = [h for h in hits if h[2] <= rules.max_marker_value]
+        hits = [h for h in hits if h[2] is not None]
     elif family == "labeled":
-        hits = [(m.start(), m.end(), int(m.group(1)), 0)
-                for m in _NAIVE_LABELED.finditer(masked)
-                if int(m.group(1)) <= rules.max_marker_value]
+        hits = [(m.start(), m.end(), _naive_value(m.group(1), rules.max_marker_value), 0)
+                for m in _NAIVE_LABELED.finditer(masked)]
+        hits = [h for h in hits if h[2] is not None]
     else:
         hits = [(m.start(), m.end(), None, len(m.group(1)))
                 for m in _NAIVE_BULLETED.finditer(masked)]

@@ -534,6 +534,36 @@ def test_template_file_not_json_exits_1(demo, tmp_path):
     assert result.stderr.startswith(f"error: {template}: malformed JSON")
 
 
+@pytest.mark.parametrize("command", ["filter", "score"])
+def test_integer_literal_past_the_digit_limit_exits_1(tmp_path, command):
+    # json.loads raises a plain ValueError for an integer over 4300 digits.
+    bad = tmp_path / "bad.jsonl"
+    if command == "filter":
+        bad.write_text('{"example_id": "e", "teacher_id": "t", "k": %s, "tok": 1, '
+                       '"dot_norm": 1.0}\n' % ("1" * 5000), encoding="utf-8")
+        argv = ["filter", "--scores", bad, "--out", tmp_path / "ids.txt"]
+    else:
+        bad.write_text('{"example_id": "e", "teacher_id": "t", "raw_text": "1. aaa", '
+                       '"steps": [{"index": 1, "text": "aaa"}], "tok": %s, '
+                       '"segmentation_mode": "numbered", "confidence": "high"}\n'
+                       % ("7" * 5000), encoding="utf-8")
+        argv = ["score", "--traces", bad, "--out", tmp_path / "scores.jsonl"]
+    result = _run_cli(*argv)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"error: {bad}:1: malformed JSON (Exceeds the limit")
+
+
+def test_segment_reads_a_marker_value_past_the_digit_limit(tmp_path):
+    completions = tmp_path / "c.jsonl"
+    write_completions([{"example_id": "e", "teacher_id": "t",
+                        "text": "1" * 5000 + ". foo\n2. bar baz"}], completions)
+    result = _run_cli("segment", "--completions", completions, "--out", tmp_path / "t.jsonl")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("segmented 1 trace(s), 1 low-confidence")
+    assert read_traces(tmp_path / "t.jsonl")[0].segmentation_mode == "numbered"
+
+
 def test_unparsable_endpoint_exits_1(demo, tmp_path):
     # urlparse raises on an unclosed IPv6 bracket.
     result = _run_cli("harvest", "--corpus", demo / "examples.jsonl",

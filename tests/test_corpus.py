@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -14,10 +15,14 @@ from hypothesis import strategies as st
 from stepladder.bucketer import read_buckets
 from stepladder.cli import main
 from stepladder.corpus import (
+    CONFIDENCE_LEVELS,
+    SEGMENTATION_MODES,
+    TRACE,
     CurriculumManifest,
     DoTScore,
     Example,
     Phase,
+    Record,
     SchedulePlan,
     Step,
     TeacherProfile,
@@ -26,6 +31,7 @@ from stepladder.corpus import (
     read_completions,
     read_corpus,
     read_json,
+    read_jsonl,
     read_manifest,
     read_scores,
     read_traces,
@@ -437,3 +443,112 @@ def test_overflowing_number_literal_is_rejected(tmp_path):
                     '"dot_norm": 1e999}\n', encoding="utf-8")
     with pytest.raises(CorpusError, match=r"s\.jsonl:1: 'dot_norm': expected finite number"):
         read_scores(path)
+
+
+def test_integer_literal_past_the_digit_limit_is_malformed_json(tmp_path):
+    path = tmp_path / "s.jsonl"
+    path.write_text('{"example_id": "e", "teacher_id": "t", "k": %s, "tok": 1, '
+                    '"dot_norm": 1.0}\n' % ("1" * 5000), encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"s\.jsonl:1: malformed JSON \(Exceeds the limit"):
+        read_scores(path)
+    path.write_text("[" * 100000 + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"s\.jsonl:1: malformed JSON \(maximum recursion"):
+        read_scores(path)
+
+
+# ---------------------------------------------------------------------------
+# The trace row codec against the TRACE table it must agree with
+
+
+# The table's own generic codec, without the direct trace paths.
+TABLE = Record(TRACE.fields, Trace)
+
+# Text with JSON's special characters: quotes, backslashes, control
+# characters, U+2028, non-ASCII and astral characters.
+_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029\u00e9\U0001F600'),
+    st.characters(blacklist_categories=("Cs",))))
+
+
+def _index(i):
+    """Step index i, or a value of another kind that equals it."""
+    return st.sampled_from([i, float(i)] + ([True] if i == 1 else []))
+
+
+@st.composite
+def _traces(draw, exact=False):
+    """Valid traces; unless exact, some hold a bool or a float for an int,
+    or a number for a text."""
+    texts = draw(st.lists(_TEXT.filter(bool), max_size=5))
+    steps = tuple(Step(index=i if exact else draw(_index(i)), text=t)
+                  for i, t in enumerate(texts, start=1))
+    tok = draw(st.integers(min_value=1, max_value=2 ** 70) if exact else
+               st.one_of(st.integers(min_value=1), st.just(True), st.just(3.0)))
+    example_id = draw(_TEXT if exact else st.one_of(_TEXT, st.integers()))
+    return Trace(example_id, draw(_TEXT), draw(_TEXT), steps, tok,
+                 draw(st.sampled_from(SEGMENTATION_MODES)),
+                 draw(st.sampled_from(CONFIDENCE_LEVELS)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_traces())
+def test_trace_rows_are_written_as_the_table_writes_them(trace):
+    assert TRACE.dump(trace) == TABLE.dump(trace)
+
+
+_SURROGATES = re.compile("[\ud800-\udfff]")
+
+
+def _read_both(obj):
+    """What read_traces and the table each make of obj as a one-line file:
+    the traces, or the CorpusError message."""
+    line = json.dumps(obj, ensure_ascii=False)
+    if _SURROGATES.search(line):  # only a \u escape can carry one
+        line = json.dumps(obj)
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        for read in (read_traces, lambda p: [v for _where, v in read_jsonl(p, TABLE)]):
+            try:
+                out.append(read(path))
+            except CorpusError as exc:
+                out.append(str(exc))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_traces(exact=True), _traces()))
+def test_trace_rows_are_read_as_the_table_reads_them(trace):
+    fast, table = _read_both(json.loads(TABLE.dump(trace)))
+    assert fast == table
+
+
+def _with(change):
+    obj = json.loads(json.dumps(VALID["trace"][1]))
+    change(obj)
+    return obj
+
+
+# Every one-field corruption of a valid line; then values that break an
+# invariant, rows and objects of the wrong shape, and extra keys, which
+# both readers ignore.
+_BAD_TRACES = [_corrupt(VALID["trace"][1], *m) for m in _mutations("trace")] + [
+    _with(lambda r: r["steps"][0].update(index=0)),
+    _with(lambda r: r["steps"][1].update(index=3)),
+    _with(lambda r: r["steps"][0].update(text="")),
+    _with(lambda r: r["steps"].append({"index": 3, "text": "ccc", "extra": 1})),
+    _with(lambda r: r["steps"].__setitem__(0, ["index", 1])),
+    _with(lambda r: r.update(tok=0)),
+    _with(lambda r: r.update(segmentation_mode="freestyle")),
+    _with(lambda r: r.update(confidence="medium")),
+    _with(lambda r: r.update(steps=[])),
+    _with(lambda r: r.update(extra={"a": [1]})),
+    [], "x", 1, None, [VALID["trace"][1]],
+]
+
+
+@pytest.mark.parametrize("obj", _BAD_TRACES, ids=range(len(_BAD_TRACES)))
+def test_odd_trace_rows_are_read_as_the_table_reads_them(obj):
+    fast, table = _read_both(obj)
+    assert fast == table

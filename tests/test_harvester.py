@@ -18,13 +18,13 @@ import pytest
 from stepladder.chatclient import _proxy_for
 from stepladder.cli import main
 from stepladder.corpus import Example, TeacherProfile, read_traces, write_corpus
-from stepladder.errors import HarvestError
+from stepladder.errors import HarvestError, SegmentationError
 from stepladder.harvester import (
     DEFAULT_TEMPLATE,
     HarvestJob,
     HarvestResult,
     PromptTemplate,
-    _cache_key,
+    _cache_keys,
     _ResponseLog,
     harvest,
     harvest_stream,
@@ -101,25 +101,43 @@ def test_default_template_mentions_numbered_steps():
 
 
 def test_cache_key_separates_every_axis(tmp_path):
-    teacher = profile("http://127.0.0.1:9/v1")
+    teacher = profile("http://127.0.0.1:9/v1", samples=2)
     base = job_for(teacher, tmp_path)
     keys = {
-        _cache_key(base, "sys", "user", 0),
-        _cache_key(base, "sys", "user", 1),          # sample index
-        _cache_key(base, "sys", "other user", 0),    # rendered prompt
-        _cache_key(base, "other sys", "user", 0),    # system text
-        _cache_key(job_for(profile("http://127.0.0.1:9/v1", model="m2"),
-                           tmp_path), "sys", "user", 0),
+        *_cache_keys(base, "sys", "user"),              # sample index 0 and 1
+        *_cache_keys(base, "sys", "other user"),        # rendered prompt
+        *_cache_keys(base, "other sys", "user"),        # system text
+        *_cache_keys(job_for(profile("http://127.0.0.1:9/v1", model="m2"),
+                             tmp_path), "sys", "user"),
     }
     other_template = PromptTemplate(template_id="terse-v2", system_text="s",
                                     user_text="{prompt}")
-    keys.add(_cache_key(job_for(teacher, tmp_path, template=other_template),
-                        "sys", "user", 0))
-    keys.add(_cache_key(job_for(profile("http://127.0.0.1:9/v1", temperature=0.7),
-                                tmp_path), "sys", "user", 0))
-    keys.add(_cache_key(job_for(profile("http://127.0.0.1:8/v1"), tmp_path),
-                        "sys", "user", 0))
-    assert len(keys) == 8
+    keys.update(_cache_keys(job_for(teacher, tmp_path, template=other_template),
+                            "sys", "user"))
+    keys.update(_cache_keys(job_for(profile("http://127.0.0.1:9/v1", temperature=0.7),
+                                    tmp_path), "sys", "user"))
+    keys.update(_cache_keys(job_for(profile("http://127.0.0.1:8/v1"), tmp_path),
+                            "sys", "user"))
+    assert len(keys) == 11
+
+
+def test_cache_keys_stay_those_of_existing_caches(tmp_path):
+    # The sha256 of json.dumps([model, template_id, system, user, sample,
+    # float(temperature), endpoint.rstrip("/")], ensure_ascii=True), as
+    # every responses.jsonl written so far was keyed.
+    teacher = TeacherProfile(teacher_id="mock", endpoint_url="http://127.0.0.1:9/v1/",
+                             model_name="m\u00f6del-\u00fc",
+                             template_id=DEFAULT_TEMPLATE.template_id,
+                             samples_per_example=3, temperature=1e-7)
+    texts = DEFAULT_TEMPLATE.render("Pr\u00fcfe: 2 \u00d7 3 = ? \u2028 \"q\" \\ \U0001F600")
+    assert _cache_keys(job_for(teacher, tmp_path), *texts) == [
+        "e2805567adee87b3582e3d21c36bdce899447566bcdaf9330f07007e241d62f7",
+        "d4f4a068091b48da35d213a7f2bb8476b6d34b63746da10167a5d942c4aefc44",
+        "3111fc9dc5b9064425e0ae903da02a1c08665a8ad857809195771790c3bddc13",
+    ]
+    teacher = profile("http://127.0.0.1:9/v1", model="m", temperature=0.7)
+    assert _cache_keys(job_for(teacher, tmp_path), "s", "u") == [
+        "461a21c8d8053fed23fd9967101058f3b72027c020e6b20fa8bc5b71ad5f99a7"]
 
 
 # ---------------------------------------------------------------------------
@@ -797,6 +815,23 @@ def test_no_proxy_exempts_the_endpoint(tmp_path, monkeypatch):
         result = harvest(depth_examples(2), job_for(profile(mock.base_url), tmp_path))
     assert len(result.traces) == 2
     assert log == []
+
+
+@pytest.mark.parametrize("error", [SegmentationError, RuntimeError])
+def test_only_pipeline_errors_count_as_segmentation_failures(tmp_path, monkeypatch, error):
+    def segment_fails(*args):
+        raise error("segmenter fault")
+
+    monkeypatch.setattr("stepladder.harvester.trace_from_text", segment_fails)
+    with MockTeacher() as mock:
+        job = job_for(profile(mock.base_url), tmp_path)
+        if error is RuntimeError:  # a fault in the program, not in the data
+            with pytest.raises(RuntimeError, match="segmenter fault"):
+                harvest(depth_examples(2), job)
+            return
+        result = harvest(depth_examples(2), job)
+    assert result.traces == []
+    assert [f.reason for f in result.failures] == ["segmentation failed: segmenter fault"] * 2
 
 
 def test_lone_surrogate_response_fails_only_its_unit(tmp_path, capsys):

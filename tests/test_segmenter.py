@@ -3,13 +3,14 @@ from __future__ import annotations
 import json
 import math
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepladder.corpus import count_tokens
+from stepladder.corpus import count_tokens, read_traces, write_traces
 from stepladder.errors import ParameterError, SegmentationError
 from stepladder.segmenter import (
     DEFAULT_RULES,
@@ -109,27 +110,36 @@ def test_merge_micro_steps_matches_oracle(texts, min_chars):
 
 
 # Traces built line by line from every marker family, at several indents,
-# with values past max_marker_value, code and math spans that hide
+# with values past max_marker_value (some past int()'s 4300 digits), digits
+# of other scripts, labels in every case, code and math spans that hide
 # markers, and every line ending the segmenter normalizes.
-_VALUES = st.one_of(st.integers(min_value=0, max_value=4), st.sampled_from([999, 1000]))
+_VALUES = st.one_of(
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from([999, 1000, "007", "\u0661", "\u0662", "\uff11", "\uff12", "\u00b2",
+                     "1" * 4301, "9" * 5000, "0" * 4400 + "2", "\u0660" * 4400 + "\u0661"]),
+)
 _MARKER = st.one_of(
     st.builds("{}. ".format, _VALUES),
     st.builds("{})".format, _VALUES),
     st.builds("({}) ".format, _VALUES),
     st.builds("Step {}: ".format, _VALUES),
     st.builds("step {} :".format, _VALUES),
+    st.builds("{} {}: ".format, st.sampled_from(["STEP", "sTeP", "\u017ftep", "Ste", "tep"]),
+              _VALUES),
     st.sampled_from(["- ", "* ", "-", ""]),
 )
 _BODY = st.one_of(
     st.text(alphabet="ab `$", max_size=8),
-    st.sampled_from(["`1. x`", "$2) y$", "```\n1. code\n```", "$$\n- m\n$$", "so step 2: on"]),
+    st.text(alphabet="ab", max_size=8),
+    st.sampled_from(["`1. x`", "$2) y$", "```\n1. code\n```", "$$\n- m\n$$", "so step 2: on",
+                     "`step 1:`", "a TEP b"]),
 )
 _LINE = st.tuples(st.sampled_from(["", " ", "  ", "\t"]), _MARKER, _BODY,
                   st.sampled_from(["\n", "\r\n", "\r", "\n\n"]))
 _TRACES = st.lists(_LINE, max_size=8).map(lambda lines: "".join(map("".join, lines)))
 _RULES = st.builds(SegmentationRules,
                    min_step_chars=st.integers(min_value=1, max_value=4),
-                   max_marker_value=st.sampled_from([3, 999]),
+                   max_marker_value=st.sampled_from([1, 3, 999, 10 ** 6]),
                    allow_paragraph_fallback=st.booleans())
 
 
@@ -144,6 +154,36 @@ def test_segment_matches_oracle(text, rules):
         assert str(raised.value) == str(exc)
     else:
         assert segment(text, rules) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_TRACES, max_size=4), _RULES)
+def test_traces_read_back_as_written(texts, rules):
+    traces = []
+    for i, text in enumerate(texts):
+        try:
+            traces.append(trace_from_text(f"e{i}", "t", text, rules))
+        except SegmentationError:
+            pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "traces.jsonl"
+        write_traces(traces, path)
+        assert read_traces(path) == traces
+
+
+@pytest.mark.parametrize("text, expected", [
+    # A value past int()'s 4300 digits is a number, not a marker.
+    ("1" * 5000 + ". foo\n2. bar", ("numbered", "low", 1)),
+    ("Step " + "1" * 5000 + ": foo", ("paragraph-fallback", "low", 1)),
+    # Leading zeros of any script do not count.
+    ("0" * 5000 + "1. foo\n" + "0" * 4400 + "2. bar", ("numbered", "high", 2)),
+    ("\u0660" * 5000 + "\u0661. foo\n\u0662. bar", ("numbered", "high", 2)),
+    ("\u0661. aaa\n\u0662. bbb", ("numbered", "high", 2)),
+    ("\u00b2. aaa\n\u00b3. bbb", ("paragraph-fallback", "low", 1)),
+])
+def test_marker_values_of_any_length_and_script(text, expected):
+    steps, mode, confidence = segment(text)
+    assert (mode, confidence, len(steps)) == expected
 
 
 def test_strict_mode_raises_without_markers():
@@ -172,6 +212,9 @@ def test_rules_validation():
         SegmentationRules(min_step_chars=0)
     with pytest.raises(ParameterError):
         SegmentationRules(max_marker_value=0)
+    with pytest.raises(ParameterError):
+        SegmentationRules(max_marker_value=10 ** 4300)
+    SegmentationRules(max_marker_value=10 ** 4300 - 1)
 
 
 def test_trace_from_text_normalizes_and_counts():
