@@ -1,10 +1,13 @@
 """A stdlib client for OpenAI-compatible chat completions endpoints.
 
 The harvester imports this module only when it has requests to send, so
-the HTTP and TLS modules stay out of every other subcommand's start-up.
-Proxies come from the environment (http_proxy, https_proxy, all_proxy,
-no_proxy); TLS is verified against the system trust store, which
-SSL_CERT_FILE and SSL_CERT_DIR override.
+it stays out of every other subcommand's start-up.  The module itself
+loads no transport code beyond sockets: ssl is imported only for an
+https endpoint, and urllib.request (which brings http.client, email and
+ssl) only when some environment variable is named *_proxy.  Proxies come
+from the environment only (http_proxy, https_proxy, all_proxy,
+no_proxy, in either case); TLS is verified against the system trust
+store, which SSL_CERT_FILE and SSL_CERT_DIR override.
 
 Connections are driven by the caller's selector, so one thread can open
 and keep many of them busy at once.  Only the endpoint's name lookup
@@ -13,7 +16,6 @@ and keep many of them busy at once.  Only the endpoint's name lookup
 
 from __future__ import annotations
 
-import base64
 import errno
 import json
 import math
@@ -21,9 +23,7 @@ import os
 import re
 import selectors
 import socket
-import ssl
 import time
-import urllib.request
 from typing import TYPE_CHECKING, Optional
 from urllib.parse import unquote, urlsplit
 
@@ -40,6 +40,13 @@ def _proxy_for(scheme: str, host: str,
                port: int) -> Optional[tuple[str, int, dict[str, str]]]:
     """(host, port, auth headers) of the environment's proxy for this
     endpoint, or None when no proxy applies or no_proxy exempts it."""
+    # urllib.request reads a proxy only from a variable named so; without
+    # one, its (and http.client's) import is skipped.
+    if not any(name.lower().endswith("_proxy") for name in os.environ):
+        return None
+    import base64
+    import urllib.request
+
     proxies = urllib.request.getproxies()
     proxy = proxies.get(scheme) or proxies.get("all")
     if not proxy or urllib.request.proxy_bypass(f"{host}:{port}"):
@@ -88,10 +95,16 @@ class ChatClient:
         self.addresses = None  # getaddrinfo() of address, once looked up
         self.tunnel = None  # the CONNECT request for the proxy, if any
         self.context = None
+        # What a non-blocking read raises when nothing has arrived; TLS
+        # adds its own, for a record not yet whole or for housekeeping.
+        self.nothing_yet = (BlockingIOError,)
         if https:
+            import ssl
+
             # One context for every connection: loading the trust store
             # is the expensive part of a TLS set-up.
             self.context = ssl.create_default_context()
+            self.nothing_yet += (ssl.SSLWantReadError,)
             self.context.set_alpn_protocols(["http/1.1"])
             if proxy is not None:
                 authority = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
@@ -274,6 +287,8 @@ class Connection:
             if status != 200:
                 raise OSError(f"Tunnel connection failed: {status} {reason}")
         if client.context is not None:
+            import ssl  # loaded already, with the context
+
             self.sock = client.context.wrap_socket(
                 self.sock, server_hostname=client.host, do_handshake_on_connect=False)
             while True:
@@ -347,7 +362,7 @@ class Connection:
                 # 64 KiB is more than a TLS record holds, so one call
                 # drains the record that made the socket readable.
                 data = self.sock.recv(65536)
-            except (BlockingIOError, ssl.SSLWantReadError):  # TLS housekeeping
+            except self.client.nothing_yet:  # e.g. TLS housekeeping
                 continue
             if not (data or until_close):
                 raise ConnectionError("the server closed the connection mid-response")
@@ -359,7 +374,7 @@ class Connection:
         try:
             self.sock.recv(1)
         except OSError as exc:  # a reset is no better than a close
-            return isinstance(exc, (BlockingIOError, ssl.SSLWantReadError))
+            return isinstance(exc, self.client.nothing_yet)
         return False
 
 

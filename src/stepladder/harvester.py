@@ -17,6 +17,7 @@ import hashlib
 import heapq
 import json
 import os
+import re
 import selectors
 import time
 from collections import deque
@@ -142,28 +143,31 @@ def _cache_keys(job: HarvestJob, system_text: str, user_text: str) -> list[str]:
 class _ResponseLog:
     """The response cache: one append-only file of {"key", "text"} lines.
 
-    Opening scans the file once into an index of key -> (offset, length);
-    texts stay on disk until looked up.  A line that does not parse, whose
-    "key" is not the key it was indexed under, or whose "text" is not a
-    string is a plain miss.  When a key has several lines, the last one
-    wins.  Each entry is appended with one write() on an O_APPEND
-    descriptor, so concurrent harvests sharing the file never interleave
-    their lines.
+    Opening scans the file once into an index from each key's 32-byte
+    digest to one int, offset << 40 | length (a line is read into memory
+    whole, so its length is far below 2**40); texts stay on disk until
+    looked up.  A line whose key is not 64 lowercase hex digits is left
+    out of the index: no cache key could look it up.  A line that does
+    not parse, whose "key" is not the key it was indexed under, or whose
+    "text" is not a string that UTF-8 can encode is a plain miss.  When
+    a key has several lines, the last one wins.  Each entry is appended
+    with one write() on an O_APPEND descriptor, so concurrent harvests
+    sharing the file never interleave their lines.
     """
 
-    _PREFIX = b'{"key": "'
+    _KEY = re.compile(rb'\{"key": "([0-9a-f]{64})"')
+    _SPAN = 1 << 40  # offset << 40 | length == offset * _SPAN + length
 
     def __init__(self, path: Path):
         self._fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
-        self._index: dict[str, tuple[int, int]] = {}
+        self._index: dict[bytes, int] = {}
         offset, line = 0, b"\n"
         try:
             with open(self._fd, "rb", closefd=False) as fh:
                 for line in fh:
-                    end = line.find(b'"', len(self._PREFIX))
-                    if line.startswith(self._PREFIX) and end > 0 and line.endswith(b"\n"):
-                        key = line[len(self._PREFIX):end].decode("latin-1")
-                        self._index[key] = (offset, len(line))
+                    if line.endswith(b"\n") and (key := self._KEY.match(line)):
+                        self._index[bytes.fromhex(key[1].decode())] = \
+                            offset * self._SPAN + len(line)
                     offset += len(line)
         except BaseException:
             os.close(self._fd)
@@ -174,17 +178,26 @@ class _ResponseLog:
 
     def get(self, key: str) -> Optional[str]:
         """The cached text for key, or None on a miss."""
-        where = self._index.get(key)
+        where = self._index.get(bytes.fromhex(key))
         if where is None:
             return None
+        offset, length = divmod(where, self._SPAN)
         try:
-            obj = json.loads(os.pread(self._fd, where[1], where[0]))
+            obj = json.loads(os.pread(self._fd, length, offset))
         except ValueError:
             return None
         if type(obj) is not dict or obj.get("key") != key:
             return None
         text = obj.get("text")
-        return text if isinstance(text, str) else None
+        if not isinstance(text, str):
+            return None
+        try:
+            # A lone surrogate escape ("\ud800") parses but can be
+            # written out no more than it can be received.
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            return None
+        return text
 
     def put(self, key: str, text: str) -> None:
         entry = (json.dumps({"key": key, "text": text}, ensure_ascii=False)
@@ -195,7 +208,7 @@ class _ResponseLog:
         self._torn = os.write(self._fd, line) < len(line)
         if not self._torn:
             end = os.lseek(self._fd, 0, os.SEEK_CUR)
-            self._index[key] = (end - len(entry), len(entry))
+            self._index[bytes.fromhex(key)] = (end - len(entry)) * self._SPAN + len(entry)
 
     def close(self) -> None:
         os.close(self._fd)
@@ -287,9 +300,9 @@ class _Harvest:
         """Wait for a response, a deadline or the next grant; send what may
         be sent; then segment what arrived, while those requests are out."""
         if self.client is None:
-            # Imported here, not at the top: the HTTP and TLS modules take
-            # about 30 ms, which all-hit harvests and other subcommands
-            # never pay.
+            # Imported here, not at the top: the client and the socket
+            # module, which all-hit harvests and other subcommands never
+            # use.
             from .chatclient import ChatClient
 
             self.client = ChatClient(self.job.teacher, self.api_key, self.job.timeout)

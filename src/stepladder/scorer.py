@@ -14,13 +14,19 @@ from .corpus import DoTScore, Trace
 from .errors import ScoringError
 
 
-def score(trace: Trace) -> DoTScore:
-    """Score a single trace: k steps, tok tokens, dot_norm = k / ln(1 + tok)."""
-    if trace.k < 1:
+def _steps(trace: Trace) -> int:
+    """The trace's step count k; ScoringError if it has none."""
+    k = trace.k
+    if k < 1:
         raise ScoringError(
             f"trace ({trace.example_id}, {trace.teacher_id}) has no steps"
         )
-    return DoTScore.compute(trace.example_id, trace.teacher_id, trace.k, trace.tok)
+    return k
+
+
+def score(trace: Trace) -> DoTScore:
+    """Score a single trace: k steps, tok tokens, dot_norm = k / ln(1 + tok)."""
+    return DoTScore.compute(trace.example_id, trace.teacher_id, _steps(trace), trace.tok)
 
 
 def _lower_median(values: list[int]) -> int:
@@ -62,17 +68,17 @@ def score_corpus(traces: Iterable[Trace]) -> tuple[list[DoTScore], list[tuple[st
     teacher_id); errors are (example_id, teacher_id, reason) triples for
     traces that could not be scored.  Unscorable traces never abort the
     run, they are reported.  Only each trace's k and tok are kept, so
-    traces may stream in from a file.
+    traces may stream in from a file; a DoTScore is built once per pair.
+    (A trace's tok is >= 1 by construction, so k is all score() checks.)
     """
     groups: dict[tuple[str, str], list[tuple[int, int]]] = {}
     errors: list[tuple[str, str, str]] = []
     for trace in traces:
         try:
-            single = score(trace)
+            k = _steps(trace)
         except ScoringError as exc:
             errors.append((trace.example_id, trace.teacher_id, str(exc)))
             continue
-        groups.setdefault((trace.example_id, trace.teacher_id), []).append(
-            (single.k, single.tok))
+        groups.setdefault((trace.example_id, trace.teacher_id), []).append((k, trace.tok))
 
     return [_aggregate(*key, samples) for key, samples in sorted(groups.items())], errors

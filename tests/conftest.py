@@ -200,3 +200,40 @@ def naive_apply_task_cap(members, share):
                 break
     evicted.reverse()
     return retained, evicted
+
+
+class CacheLogModel:
+    """The response cache log as a dict: what a lookup of each key must
+    give after a run of appended lines.
+
+    The last complete line under a key decides: its text if the line is
+    intact, a miss (None) if it is bad.  A torn line (one cut short with
+    no newline) decides nothing while it is last; once another line
+    follows, it is a line of its own, intact only if nothing but its
+    newline was cut.
+    """
+
+    def __init__(self):
+        self.texts = {}
+        self._torn = None  # (key or None, text or None) once completed
+
+    def line(self, key, text):
+        """A complete line indexed under key (None: under no key), whose
+        text is text, or None for a bad line."""
+        self._complete()
+        if key is not None:
+            self.texts[key] = text
+
+    def torn(self, key, text):
+        self._complete()
+        self._torn = (key, text)
+
+    def _complete(self):
+        if self._torn is not None:
+            key, text = self._torn
+            self._torn = None
+            if key is not None:
+                self.texts[key] = text
+
+    def get(self, key):
+        return self.texts.get(key)

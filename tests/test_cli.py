@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -585,6 +586,67 @@ def test_cli_import_loads_no_http_stack():
     probe = (f"import sys, stepladder.cli; "
              f"print(sorted(m for m in {unwanted!r} if m in sys.modules))")
     assert _python("-c", probe, check=True).stdout.strip() == "[]"
+
+
+def _without_proxies(monkeypatch):
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+
+
+def _harvest_probe(url, tmp_path, modules):
+    """Python code that runs a cold harvest through cli.main, then prints
+    its exit code and which of modules were loaded."""
+    argv = ["harvest", "--corpus", str(tmp_path / "examples.jsonl"), "--endpoint", url,
+            "--model", "m", "--teacher-id", "t", "--rate-limit", "1000",
+            "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "t.jsonl")]
+    return ("import sys; from stepladder.cli import main; "
+            f"code = main({argv!r}); "
+            f"print(code, *sorted(m for m in {modules!r} if m in sys.modules))")
+
+
+def test_plain_http_harvest_loads_no_tls_or_proxy_modules(tmp_path, monkeypatch):
+    # TLS is for an https endpoint, and urllib.request (with http.client
+    # and email) for reading a proxy from the environment.
+    modules = ("ssl", "urllib.request", "http.client", "email")
+    write_corpus(build_demo_corpus(3, 0)[0], tmp_path / "examples.jsonl")
+    monkeypatch.setenv("OPENAI_API_KEY", "test-key-not-checked")
+    _without_proxies(monkeypatch)
+    with MockTeacher() as mock:
+        out = _python("-c", _harvest_probe(mock.base_url, tmp_path, modules), check=True)
+        assert out.stdout.splitlines()[-1] == "0"
+        shutil.rmtree(tmp_path / "cache")
+        monkeypatch.setenv("http_proxy", "http://proxy.invalid:3128")
+        monkeypatch.setenv("no_proxy", "127.0.0.1,localhost")
+        out = _python("-c", _harvest_probe(mock.base_url, tmp_path, modules), check=True)
+        code, *loaded = out.stdout.splitlines()[-1].split()
+        assert code == "0" and "urllib.request" in loaded
+
+
+def test_cached_lone_surrogate_is_refetched(tmp_path, monkeypatch):
+    write_corpus(build_demo_corpus(1, 0)[0], tmp_path / "examples.jsonl")
+    monkeypatch.setenv("OPENAI_API_KEY", "test-key-not-checked")
+    _without_proxies(monkeypatch)
+    argv = ["harvest", "--corpus", tmp_path / "examples.jsonl", "--model", "m",
+            "--teacher-id", "t", "--samples", "2", "--rate-limit", "1000",
+            "--cache-dir", tmp_path / "cache", "--out", tmp_path / "t.jsonl"]
+    log = tmp_path / "cache" / "responses.jsonl"
+    with MockTeacher() as mock:
+        argv += ["--endpoint", mock.base_url]
+        assert _run_cli(*argv).returncode == 0
+        traces = (tmp_path / "t.jsonl").read_bytes()
+        # One entry's text, under its own key, gets a lone surrogate.
+        lines = log.read_bytes().splitlines(keepends=True)
+        entry = json.loads(lines[0])
+        lines[0] = json.dumps({"key": entry["key"], "text": entry["text"] + "\ud800"},
+                              ensure_ascii=True).encode("ascii") + b"\n"
+        log.write_bytes(b"".join(lines))
+        runs = [_run_cli(*argv) for _ in range(2)]
+    assert [(r.returncode, r.stdout) for r in runs] == [
+        (0, "harvested 2 trace(s), 1 from cache, 1 request(s) sent\n"),
+        (0, "harvested 2 trace(s), 2 from cache, 0 request(s) sent\n")]
+    assert not any("Traceback" in r.stderr for r in runs)
+    assert (tmp_path / "t.jsonl").read_bytes() == traces
 
 
 def test_segment_loads_only_its_own_stage(demo, tmp_path):

@@ -6,6 +6,7 @@ import select
 import socket
 import ssl
 import sys
+import tempfile
 import threading
 import time
 from contextlib import contextmanager
@@ -14,7 +15,10 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import CacheLogModel
 from stepladder.chatclient import _proxy_for
 from stepladder.cli import main
 from stepladder.corpus import Example, TeacherProfile, read_traces, write_corpus
@@ -232,6 +236,81 @@ def test_entry_whose_key_differs_from_its_index_is_a_miss(tmp_path):
         result = harvest(examples, job_for(teacher, tmp_path))
     assert (result.requests_sent, result.cache_hits) == (1, 2)
     assert len(result.traces) == 3
+
+
+_POOL = [hashlib.sha256(b"%d" % i).hexdigest() for i in range(3)]
+_CACHE_TEXT = st.text(st.one_of(st.sampled_from('\n"\\{}\u2028\xe9\u4e2d\U0001f600 '),
+                                st.characters(exclude_categories=("Cs",))), max_size=12)
+_CACHE_OPS = st.lists(st.tuples(
+    st.sampled_from(["put", "put", "torn", "not-hex", "no-prefix", "other-key", "not-str",
+                     "surrogate"]),
+    st.sampled_from(_POOL), _CACHE_TEXT, st.integers(min_value=0, max_value=10 ** 6)),
+    max_size=14)
+
+
+def _cache_line(model, kind, key, text, n):
+    """A line the log did not write, and what the model makes of it."""
+    entry = json.dumps({"key": key, "text": text}, ensure_ascii=False).encode("utf-8")
+    if kind == "torn":
+        # Cut before or after the key's closing quote (past it, the line
+        # is indexed under the key), or anywhere.
+        cut = (73, 74, len(entry) - 1, len(entry), 1 + n % len(entry))[n % 5]
+        model.torn(key if cut >= 74 else None, text if cut == len(entry) else None)
+        return entry[:cut]
+    if kind == "not-hex":
+        bad = (key.upper(), key[:-1], key + "0")[n % 3]
+        model.line(None, None)
+        return json.dumps({"key": bad, "text": text}).encode("ascii") + b"\n"
+    if kind == "no-prefix":
+        model.line(None, None)
+        return json.dumps({"text": text, "key": key}).encode("ascii") + b"\n"
+    model.line(key, None)
+    if kind == "other-key":  # JSON keeps the last "key"
+        other = _POOL[(_POOL.index(key) + 1) % len(_POOL)]
+        return entry[:-1] + b', "key": "%s"}\n' % other.encode("ascii")
+    if kind == "not-str":
+        wrong = (n, None, [text], {"text": text}, True)[n % 5]
+        return json.dumps({"key": key, "text": wrong}).encode("ascii") + b"\n"
+    assert kind == "surrogate"
+    return json.dumps({"key": key, "text": text + "\ud800"}).encode("ascii") + b"\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CACHE_OPS)
+def test_response_log_answers_as_a_dict_model(ops):
+    """Puts through the log, and bad lines appended behind its back (each
+    on a fresh line, as the log's own next append would be), answer every
+    lookup as the model does once the log is reopened.  An open log also
+    answers for each key it put (a line it completed is not in its index).
+    """
+    model = CacheLogModel()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "responses.jsonl"
+        path.touch()
+        log, put = None, set()
+        for kind, key, text, n in ops:
+            if kind == "put":
+                log = log or _ResponseLog(path)
+                log.put(key, text)
+                model.line(key, text)
+                put.add(key)
+                continue
+            if log is not None:
+                assert {k: log.get(k) for k in put} == {k: model.get(k) for k in put}
+                log.close()
+                log, put = None, set()
+            line = _cache_line(model, kind, key, text, n)
+            data = path.read_bytes()
+            with open(path, "ab") as fh:
+                fh.write((b"\n" if data and not data.endswith(b"\n") else b"") + line)
+        if log is not None:
+            assert {k: log.get(k) for k in put} == {k: model.get(k) for k in put}
+            log.close()
+        log = _ResponseLog(path)
+        try:
+            assert [log.get(key) for key in _POOL] == [model.get(key) for key in _POOL]
+        finally:
+            log.close()
 
 
 def test_concurrent_harvests_share_one_log(tmp_path):
@@ -898,6 +977,24 @@ def test_proxy_url_forms(monkeypatch):
     monkeypatch.setenv("http_proxy", "proxy.example")  # no scheme, no port
     assert _proxy_for("http", "teacher.invalid", 80) == ("proxy.example", 80, {})
     assert _proxy_for("https", "teacher.invalid", 443) is None
+
+
+@pytest.mark.parametrize("env, scheme, want", [
+    ({}, "http", None),
+    ({"no_proxy": "*"}, "http", None),
+    ({"HTTP_PROXY": "http://p.example:1"}, "http", ("p.example", 1, {})),
+    ({"ALL_PROXY": "p.example:2"}, "https", ("p.example", 2, {})),
+    ({"https_proxy": "http://p.example:3"}, "http", None),
+    # A lower-case name wins, and an empty one clears the upper-case one.
+    ({"HTTP_PROXY": "http://a.example:1", "http_proxy": "http://b.example:2"}, "http",
+     ("b.example", 2, {})),
+    ({"HTTP_PROXY": "http://a.example:1", "http_proxy": ""}, "http", None),
+    ({"http_proxy": "http://p.example:1", "NO_PROXY": ".invalid"}, "http", None),
+])
+def test_proxy_variables_in_either_case(monkeypatch, env, scheme, want):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert _proxy_for(scheme, "teacher.invalid", 80) == want
 
 
 def test_unsupported_proxy_scheme_is_an_error(tmp_path, monkeypatch):
