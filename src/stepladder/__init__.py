@@ -26,7 +26,7 @@ _EXPORTS = {
     **dict.fromkeys((
         "BASELINE_KINDS",
         "CurriculumManifest", "DoTScore", "Example", "Phase", "SchedulePlan",
-        "Step", "TeacherProfile", "Trace", "count_tokens",
+        "TeacherProfile", "Trace", "count_tokens",
         "read_completions", "read_corpus", "read_manifest", "read_scores",
         "read_traces", "write_completions", "write_corpus", "write_manifest",
         "write_scores", "write_traces",

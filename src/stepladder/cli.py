@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -205,6 +206,13 @@ def _exit_code(failures, what: str) -> int:
     return _EXIT_PARTIAL
 
 
+def _check_threshold(value, flag: str) -> None:
+    """A gate's threshold must be finite: every comparison with NaN is
+    false, which would pass any data."""
+    if value is not None and not math.isfinite(value):
+        raise ParameterError(f"{flag} must be a finite number, got {value}")
+
+
 def _teacher_scores(args) -> list:
     """The --scores file, narrowed to --teacher's scores when one is given."""
     scores = read_scores(args.scores)
@@ -270,10 +278,10 @@ def _run_segment(args) -> int:
     )
     # Completions stream through to the output one at a time; the traces
     # themselves are kept only when an audit sample is drawn from them.
+    if (args.audit_fraction is None) != (args.audit_out is None):
+        raise ParameterError("--audit-fraction and --audit-out must be given together")
     audit = None
     if args.audit_fraction is not None:
-        if args.audit_out is None:
-            raise ParameterError("--audit-fraction needs --audit-out")
         audit_sample([], args.audit_fraction, args.audit_seed)  # checks the fraction
         audit = []
     failures = []
@@ -372,6 +380,7 @@ def _run_baseline(args) -> int:
 def _run_agreement(args) -> int:
     from .analyzer import cross_teacher_agreement
 
+    _check_threshold(args.min_tau, "--min-tau")
     by_teacher: dict = {}
     for path in args.scores:
         for sc in read_scores(path):
@@ -392,6 +401,7 @@ def _run_agreement(args) -> int:
 def _run_confound(args) -> int:
     from .analyzer import length_confound
 
+    _check_threshold(args.min_spearman, "--min-spearman")
     scores = _teacher_scores(args)
     labels = {}
     for ex in read_corpus(args.labels_from):

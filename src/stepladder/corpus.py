@@ -43,6 +43,10 @@ CONFIDENCE_LEVELS = ("high", "low")
 # Relative tolerance for the dot_norm = k / ln(1 + tok) identity.
 DOT_NORM_RTOL = 1e-12
 
+# The most samples a teacher may be asked for per example.  A harvest
+# works out every sample's cache key before it sends the first request.
+MAX_SAMPLES_PER_EXAMPLE = 10_000
+
 # Orderings scheduler.baseline_order builds; defined here so the CLI's
 # parser can list them without loading the scheduler.
 BASELINE_KINDS = ("token_length", "judge_score", "random")
@@ -81,39 +85,23 @@ class Example:
 
 
 @dataclass(frozen=True)
-class Step:
-    """A single reasoning step extracted from a trace."""
-
-    index: int
-    text: str
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise CorpusError(f"step index must be >= 1, got {self.index}")
-        if not self.text:
-            raise CorpusError(f"step {self.index}: text must be nonempty")
-
-
-@dataclass(frozen=True)
 class Trace:
-    """A teacher's reasoning output for one example, segmented into steps."""
+    """A teacher's reasoning output for one example, segmented into steps:
+    step i's text is steps[i - 1]."""
 
     example_id: str
     teacher_id: str
     raw_text: str
-    steps: tuple[Step, ...]
+    steps: tuple[str, ...]
     tok: int
     segmentation_mode: str
     confidence: str
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        indices = [s.index for s in self.steps]
-        if indices != list(range(1, len(indices) + 1)):
-            raise CorpusError(
-                f"trace ({self.example_id}, {self.teacher_id}): "
-                f"step indices must be exactly 1..k, got {indices}"
-            )
+        if "" in self.steps:
+            raise CorpusError(f"trace ({self.example_id}, {self.teacher_id}): step "
+                              f"{self.steps.index('') + 1}: text must be nonempty")
         if self.tok < 1:
             raise CorpusError(
                 f"trace ({self.example_id}, {self.teacher_id}): tok must be >= 1"
@@ -180,10 +168,11 @@ class TeacherProfile:
     def __post_init__(self):
         if not self.teacher_id:
             raise CorpusError("teacher_id must be nonempty")
-        if self.samples_per_example < 1:
-            raise CorpusError("samples_per_example must be >= 1")
-        if not self.temperature >= 0:
-            raise CorpusError("temperature must be >= 0")
+        if not 1 <= self.samples_per_example <= MAX_SAMPLES_PER_EXAMPLE:
+            raise CorpusError(f"samples_per_example must lie in 1..{MAX_SAMPLES_PER_EXAMPLE}, "
+                              f"got {self.samples_per_example}")
+        if not 0 <= self.temperature < math.inf:
+            raise CorpusError(f"temperature must be finite and >= 0, got {self.temperature}")
         try:
             parsed = urlparse(self.endpoint_url)
         except ValueError:  # e.g. an unclosed IPv6 bracket
@@ -521,16 +510,29 @@ EXAMPLE = Record((
 COMPLETION = Record((("example_id", str, False), ("teacher_id", str, False),
                      ("text", str, False)), dict)
 
-STEP = Record((("index", int, False), ("text", str, False)), Step)
+# A step row is (index, text); a trace holds only the texts, in index order.
+STEP = Record((("index", int, False), ("text", str, False)),
+              lambda index, text: (index, text), lambda row: row)
+
+
+def _trace(steps, **fields) -> Trace:
+    """A Trace from its decoded fields, once its step rows' indices are
+    checked to run exactly 1..k."""
+    indices = [index for index, _text in steps]
+    if indices != list(range(1, len(steps) + 1)):
+        raise CorpusError(f"trace ({fields['example_id']}, {fields['teacher_id']}): "
+                          f"step indices must be exactly 1..k, got {indices}")
+    return Trace(steps=[text for _index, text in steps], **fields)
 
 
 class _TraceRecord(Record):
     """The trace table, with a direct codec for the rows it describes.
 
     dump formats a line straight from a trace, and decode builds a Trace
-    straight from an object whose every field holds exactly its kind.
-    Any other value goes through the table, which stays the definition of
-    the format and the source of every error.
+    straight from an object whose every field holds exactly its kind and
+    whose step rows carry the indices 1..k in order.  Any other value goes
+    through the table, which stays the definition of the format and the
+    source of every error.
     """
 
     _STEP = '{"index": %d, "text": %s}'
@@ -540,13 +542,13 @@ class _TraceRecord(Record):
                          "segmentation_mode", "confidence")
 
     def dump(self, trace) -> str:
-        steps, quote = trace.steps, _ENCODE_TEXT
+        quote = _ENCODE_TEXT
         # %d writes a bool or a float as an integer; JSON does not.
-        if type(trace.tok) is int and all([type(step.index) is int for step in steps]):
+        if type(trace.tok) is int:
             try:
                 return self._ROW % (
                     quote(trace.example_id), quote(trace.teacher_id), quote(trace.raw_text),
-                    ", ".join([self._STEP % (step.index, quote(step.text)) for step in steps]),
+                    ", ".join([self._STEP % row for row in enumerate(map(quote, trace.steps), 1)]),
                     trace.tok, quote(trace.segmentation_mode), quote(trace.confidence))
             except TypeError:  # a text field holding no str
                 pass
@@ -558,14 +560,13 @@ class _TraceRecord(Record):
             if type(rows) is list and type(tok) is int and type(example_id) is \
                     type(teacher_id) is type(raw_text) is type(mode) is type(confidence) is str:
                 steps = []
-                for row in rows:
+                for i, row in enumerate(rows, 1):
                     index, text = row["index"], row["text"]
-                    if type(index) is not int or type(text) is not str:
+                    if type(index) is not int or index != i or type(text) is not str:
                         break
-                    steps.append(Step(index, text))
+                    steps.append(text)
                 else:
-                    return Trace(example_id, teacher_id, raw_text, tuple(steps), tok, mode,
-                                 confidence)
+                    return Trace(example_id, teacher_id, raw_text, steps, tok, mode, confidence)
         except (KeyError, TypeError, CorpusError):
             pass
         return super().decode(obj)
@@ -579,7 +580,8 @@ TRACE = _TraceRecord((
     ("tok", int, False),
     ("segmentation_mode", str, False),
     ("confidence", str, False),
-), Trace)
+), _trace, lambda t: (t.example_id, t.teacher_id, t.raw_text, enumerate(t.steps, 1), t.tok,
+                      t.segmentation_mode, t.confidence))
 
 SCORE = Record((
     ("example_id", str, False),
@@ -650,19 +652,40 @@ def write_manifest(manifest: CurriculumManifest, path) -> None:
 
 
 def read_manifest(path) -> CurriculumManifest:
-    header = None
-    phases: list[Phase] = []
+    """Decode a manifest file and check it against its own plan header.
+
+    Phase lines must carry indices 1, 2, ... in order, one per phase of
+    the plan.  Without replacement an example id may appear at most once
+    across every phase.
+    """
+    header = header_where = None
+    phases: list[tuple[str, Phase]] = []
     for where, value in read_jsonl(path, {"plan": PLAN, "phase": PHASE}):
         if isinstance(value, Phase):
-            phases.append(value)
+            phases.append((where, value))
+            if value.index != len(phases):
+                raise CorpusError(f"{where}: 'index': expected {len(phases)} for phase "
+                                  f"line {len(phases)}, got {value.index}")
         elif header is not None:
             raise CorpusError(f"{where}: duplicate plan header")
         else:
-            header = value
+            header, header_where = value, where
     if header is None:
         raise CorpusError(f"{path}: manifest has no plan header")
     plan, provenance = header
+    if len(phases) != plan.phases:
+        raise CorpusError(f"{header_where}: 'phases': {plan.phases} phases but "
+                          f"{len(phases)} phase line(s)")
+    if not plan.with_replacement:
+        seen: dict[str, str] = {}
+        for where, phase in phases:
+            for example_id in phase.example_ids:
+                if example_id in seen:
+                    raise CorpusError(f"{where}: 'example_ids': example {example_id!r} "
+                                      f"already appears at {seen[example_id]}")
+                seen[example_id] = where
     try:
-        return CurriculumManifest(plan=plan, phases=tuple(phases), provenance=provenance)
+        return CurriculumManifest(plan=plan, phases=tuple(phase for _where, phase in phases),
+                                  provenance=provenance)
     except CorpusError as exc:
         raise CorpusError(f"{path}: {exc}") from exc

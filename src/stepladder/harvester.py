@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 import os
 import re
 import selectors
@@ -34,6 +35,11 @@ _PLACEHOLDER = "{prompt}"
 # At most this many units are admitted past the oldest unresolved one, so
 # a unit waiting out its backoff holds a bounded number of finished ones.
 _WINDOW = 1024
+
+# The longest wait, in seconds, that a timeout or the gap between two
+# requests (1 / rate_limit) may ask for.  The selector refuses a wait
+# past 2**31 ms, about 24.8 days; this is about 11.6 days.
+MAX_WAIT = 1e6
 
 
 @dataclass(frozen=True)
@@ -94,14 +100,18 @@ class HarvestJob:
     api_key_env: str = "OPENAI_API_KEY"
 
     def __post_init__(self):
-        if not self.rate_limit > 0:
-            raise HarvestError("rate_limit must be > 0 requests per second")
+        if not 1 / MAX_WAIT <= self.rate_limit < math.inf:
+            raise HarvestError(f"rate_limit must be finite and >= {1 / MAX_WAIT:g} requests "
+                               f"per second, got {self.rate_limit}")
         if self.max_retries < 0:
             raise HarvestError("max_retries must be >= 0")
         if self.max_in_flight < 1:
             raise HarvestError("max_in_flight must be >= 1")
-        if not (self.backoff_base >= 0 and self.timeout > 0):
-            raise HarvestError("backoff_base must be >= 0 and timeout > 0")
+        if not 0 < self.timeout <= MAX_WAIT:
+            raise HarvestError(f"timeout must be > 0 and at most {MAX_WAIT:g} s, "
+                               f"got {self.timeout}")
+        if not self.backoff_base >= 0:
+            raise HarvestError("backoff_base must be >= 0")
 
 
 @dataclass(frozen=True)

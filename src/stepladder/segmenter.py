@@ -23,7 +23,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .corpus import Step, Trace, count_tokens
+from .corpus import Trace, count_tokens
 from .errors import ParameterError, SegmentationError
 
 # Spans whose contents must never be read as step markers.  Ordered:
@@ -161,7 +161,8 @@ def _merge_micro_steps(texts: list[str], min_chars: int) -> tuple[list[str], boo
 
 
 def segment(raw_text: str, rules: SegmentationRules = DEFAULT_RULES):
-    """Segment a trace.  Returns (steps, segmentation_mode, confidence).
+    """Segment a trace.  Returns (steps, segmentation_mode, confidence),
+    steps being the tuple of step texts in order.
 
     Raises SegmentationError on empty input, or on marker-free input when
     paragraph fallback is disabled.
@@ -203,22 +204,20 @@ def _segment_by_markers(text: str, markers, family: str, rules: SegmentationRule
     texts, merged = _merge_micro_steps(texts, rules.min_step_chars)
     if not any(t.strip() for t in texts):
         raise SegmentationError("trace contains step markers but no step content")
-    steps = tuple(map(Step, range(1, len(texts) + 1), texts))
 
     confidence = "low"
     if family in ("numbered", "labeled") and not merged:
         values = [value for _indent, _start, _content, value in markers]
         if values == list(range(1, len(values) + 1)):
             confidence = "high"
-    return steps, family, confidence
+    return tuple(texts), family, confidence
 
 
 def _segment_paragraphs(text: str, rules: SegmentationRules):
     parts = [p.strip() for p in _PARAGRAPH_BREAK.split(text)]
     parts = [p for p in parts if p]
     texts, _ = _merge_micro_steps(parts, rules.min_step_chars)
-    steps = tuple(map(Step, range(1, len(texts) + 1), texts))
-    return steps, "paragraph-fallback", "low"
+    return tuple(texts), "paragraph-fallback", "low"
 
 
 def trace_from_text(example_id: str, teacher_id: str, raw_text: str,

@@ -12,7 +12,6 @@ import re
 import statistics
 import unicodedata
 
-from stepladder.corpus import Step
 from stepladder.errors import SegmentationError
 
 
@@ -136,10 +135,6 @@ def _naive_find_markers(masked, family, rules):
             if indent == top]
 
 
-def _naive_steps(texts):
-    return tuple(Step(index=i, text=t) for i, t in enumerate(texts, start=1))
-
-
 def naive_segment(raw_text, rules):
     """The segmenter with one hand-written branch per marker family, tried
     in the order numbered, labeled, bulleted; each family is scanned
@@ -170,13 +165,13 @@ def naive_segment(raw_text, rules):
         if (family == "numbered" and confidence == "high"
                 and _naive_find_markers(masked, "labeled", rules)):
             confidence = "low"
-        return _naive_steps(texts), family, confidence
+        return tuple(texts), family, confidence
     if not rules.allow_paragraph_fallback:
         raise SegmentationError(
             "no explicit step markers found and paragraph fallback is disabled")
     parts = [p.strip() for p in re.split(r"\n[ \t]*\n+", text)]
     texts, _ = naive_merge_micro_steps([p for p in parts if p], rules.min_step_chars)
-    return _naive_steps(texts), "paragraph-fallback", "low"
+    return tuple(texts), "paragraph-fallback", "low"
 
 
 def naive_apply_task_cap(members, share):

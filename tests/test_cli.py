@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import stepladder
-from stepladder.cli import main
+from stepladder.cli import COMMANDS, KNOB, main
 from stepladder.corpus import (
     file_sha256,
     read_corpus,
@@ -23,6 +23,8 @@ from stepladder.corpus import (
 )
 from stepladder.mockteacher import MockTeacher
 from stepladder.synthetic import build_demo_corpus
+
+BUNDLED = Path(__file__).parent.parent / "data" / "synthetic"
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +217,8 @@ def test_bad_audit_settings_are_caught_before_anything_is_written(demo, tmp_path
     target = tmp_path / "t.jsonl"
     target.write_bytes(b"previous bytes\n")
     for bad in (["--audit-fraction", "2", "--audit-out", str(tmp_path / "a.jsonl")],
-                ["--audit-fraction", "0.1"]):
+                ["--audit-fraction", "0.1"],
+                ["--audit-out", str(tmp_path / "a.jsonl")]):
         code = main(["segment", "--completions", str(demo / "completions.jsonl"),
                      "--out", str(target), *bad])
         assert code == 1, bad
@@ -565,6 +568,32 @@ def test_segment_reads_a_marker_value_past_the_digit_limit(tmp_path):
     assert read_traces(tmp_path / "t.jsonl")[0].segmentation_mode == "numbered"
 
 
+@pytest.mark.parametrize("flag, value, setting", [
+    ("--timeout", "inf", "timeout"),
+    ("--timeout", "1e10", "timeout"),
+    ("--timeout", "nan", "timeout"),
+    ("--rate-limit", "1e-200", "rate_limit"),
+    ("--rate-limit", "inf", "rate_limit"),
+    ("--temperature", "inf", "temperature"),
+    ("--samples", str(10 ** 12), "samples_per_example"),
+])
+def test_harvest_settings_out_of_bounds_exit_1_before_any_request(
+        demo, tmp_path, capsys, monkeypatch, flag, value, setting):
+    monkeypatch.setenv("OPENAI_API_KEY", "test-key-not-checked")
+    out = tmp_path / "t.jsonl"
+    out.write_bytes(b"previous bytes\n")
+    # Nothing listens on port 9: a request sent would end as a failure, exit 2.
+    code = main(["harvest", "--corpus", str(demo / "examples.jsonl"),
+                 "--endpoint", "http://127.0.0.1:9/v1", "--model", "m", "--teacher-id", "t",
+                 "--max-retries", "0", "--cache-dir", str(tmp_path / "cache"),
+                 "--out", str(out), flag, value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {setting} must ") and "Traceback" not in err
+    assert out.read_bytes() == b"previous bytes\n"
+    assert not (tmp_path / "cache").exists()
+
+
 def test_unparsable_endpoint_exits_1(demo, tmp_path):
     # urlparse raises on an unclosed IPv6 bracket.
     result = _run_cli("harvest", "--corpus", demo / "examples.jsonl",
@@ -780,3 +809,88 @@ def test_analyze_confound(demo, tmp_path, capsys):
                  "--labels-from", str(demo / "examples.jsonl"),
                  "--min-spearman", "0.999"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "agreement", "--scores", "missing.jsonl", "--min-tau"],
+    ["analyze", "confound", "--scores", "missing.jsonl", "--labels-from", "missing.jsonl",
+     "--min-spearman"],
+], ids=["agreement", "confound"])
+def test_non_finite_threshold_exits_1_before_any_input_is_read(tmp_path, capsys, argv, value):
+    # Every comparison with NaN is false, so a NaN threshold would pass any data.
+    code = main([*argv[:-1], f"{argv[-1]}={value}", "--workdir", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {argv[-1]} must be a finite number, got {value}\n"
+
+
+# ---------------------------------------------------------------------------
+# Every numeric setting alone at an extreme value
+
+EXTREMES = ("0", "-1", "1e-300", "1e300", str(10 ** 30), "nan", "inf")
+
+
+def _parses(parse, text) -> bool:
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
+
+
+def test_no_numeric_setting_crashes_a_subcommand(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OPENAI_API_KEY", "test-key-not-checked")
+    _without_proxies(monkeypatch)
+    examples, completions = BUNDLED / "examples.jsonl", BUNDLED / "completions.jsonl"
+    corpus = tmp_path / "two.jsonl"  # harvest asks for two examples
+    write_corpus(read_corpus(examples)[:2], corpus)
+    traces, scores, other = tmp_path / "t.jsonl", tmp_path / "s.jsonl", tmp_path / "o.jsonl"
+    buckets = tmp_path / "b.jsonl"
+    for argv in (["segment", "--completions", completions, "--out", traces],
+                 ["score", "--traces", traces, "--out", scores],
+                 ["bucket", "--scores", scores, "--corpus", examples, "--out", buckets]):
+        assert main(list(map(str, argv))) == 0, argv
+    write_scores_file(other, [(s.example_id, "other", s.k, s.tok)
+                              for s in read_scores(scores)])
+    with MockTeacher() as mock:
+        # Each subcommand's required settings, with small valid values.
+        base = {
+            "harvest": ["--corpus", corpus, "--endpoint", mock.base_url, "--model", "m",
+                        "--teacher-id", "t", "--rate-limit", "1000000", "--max-retries", "0"],
+            "segment": ["--completions", completions],
+            "bucket": ["--scores", scores, "--corpus", examples],
+            "schedule": ["--buckets", buckets, "--phases", "2", "--budget", "5"],
+            "baseline": ["--corpus", examples, "--kind", "random", "--phases", "2",
+                         "--budget", "5"],
+            "analyze agreement": ["--scores", scores, "--scores", other],
+            "analyze confound": ["--scores", scores, "--labels-from", examples],
+            "filter": ["--scores", scores],
+        }
+        findings = []
+        for name, (_help, _run, options) in COMMANDS.items():
+            for opt in options:
+                if opt.kind != KNOB or opt.type not in (int, float):
+                    continue
+                for value in filter(lambda text: _parses(opt.type, text), EXTREMES):
+                    case = tmp_path / f"{name}{opt.flag}={value}".replace(" ", "-")
+                    case.mkdir()
+                    out = case / "out"
+                    out.write_bytes(b"previous bytes\n")
+                    argv = [*name.split(), *base[name], f"{opt.flag}={value}", "--out", out]
+                    if name == "harvest":  # a cold cache: every run sends its requests
+                        argv += ["--cache-dir", case / "cache"]
+                    try:
+                        code = main(list(map(str, argv)))
+                    except SystemExit as exc:
+                        code = exc.code
+                    except Exception as exc:
+                        findings.append(f"{name} {opt.flag}={value}: {exc!r}")
+                        continue
+                    # Exit 2 completes the run, and writes its output; so
+                    # does an analysis whose gate then fails.
+                    gate = "below threshold" in capsys.readouterr().err
+                    if code not in (0, 1, 2, 64) or list(case.glob(".*.tmp")) \
+                            or code in (1, 64) and not gate \
+                            and out.read_bytes() != b"previous bytes\n":
+                        findings.append(f"{name} {opt.flag}={value}: exit {code}")
+    assert not findings

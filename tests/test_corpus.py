@@ -24,7 +24,6 @@ from stepladder.corpus import (
     Phase,
     Record,
     SchedulePlan,
-    Step,
     TeacherProfile,
     Trace,
     count_tokens,
@@ -46,7 +45,7 @@ from stepladder.harvester import TEMPLATE
 
 
 def make_trace(example_id="e1", teacher_id="t1", k=2, tok=10) -> Trace:
-    steps = tuple(Step(index=i, text=f"step {i} content") for i in range(1, k + 1))
+    steps = tuple(f"step {i} content" for i in range(1, k + 1))
     return Trace(example_id=example_id, teacher_id=teacher_id,
                  raw_text="1. step one\n2. step two", steps=steps, tok=tok,
                  segmentation_mode="numbered", confidence="high")
@@ -71,15 +70,14 @@ def test_example_validation():
         Example(id="x", task="math", prompt="p", external_difficulty=float("nan"))
 
 
-def test_trace_requires_contiguous_indices():
-    steps = (Step(index=1, text="aaa"), Step(index=3, text="bbb"))
-    with pytest.raises(CorpusError, match="1..k"):
-        Trace(example_id="e", teacher_id="t", raw_text="x", steps=steps,
+def test_trace_rejects_an_empty_step_text():
+    with pytest.raises(CorpusError, match="step 2: text must be nonempty"):
+        Trace(example_id="e", teacher_id="t", raw_text="x", steps=("aaa", ""),
               tok=5, segmentation_mode="numbered", confidence="high")
 
 
 def test_trace_rejects_bad_enum_values():
-    steps = (Step(index=1, text="aaa"),)
+    steps = ("aaa",)
     with pytest.raises(CorpusError):
         Trace("e", "t", "x", steps, 5, "freestyle", "high")
     with pytest.raises(CorpusError):
@@ -277,6 +275,44 @@ def test_manifest_requires_plan_header(tmp_path):
         read_manifest(path)
 
 
+def _plan_line(phases, with_replacement=False):
+    return json.dumps({"record": "plan", "mode": "staged", "phases": phases,
+                       "budget_per_phase": 2, "seed": 0, "with_replacement": with_replacement})
+
+
+def _phase_line(index, *ids):
+    return json.dumps({"record": "phase", "index": index, "example_ids": ids,
+                       "bucket_counts": {str(index): len(ids)}})
+
+
+@pytest.mark.parametrize("lines, error", [
+    # Two "index": 2 lines drawing the same id, under a three-phase plan.
+    ([_plan_line(3), _phase_line(2, "a"), _phase_line(2, "a")],
+     "2: 'index': expected 1 for phase line 1, got 2"),
+    ([_plan_line(3), _phase_line(1, "a"), _phase_line(2, "b"), _phase_line(2, "c")],
+     "4: 'index': expected 3 for phase line 3, got 2"),
+    ([_plan_line(3), _phase_line(1, "a"), _phase_line(2, "b")],
+     "1: 'phases': 3 phases but 2 phase line(s)"),
+    ([_plan_line(1), _phase_line(1, "a"), _phase_line(2, "b")],
+     "1: 'phases': 1 phases but 2 phase line(s)"),
+    ([_plan_line(2), _phase_line(1, "a", "b"), _phase_line(2, "b")],
+     "3: 'example_ids': example 'b' already appears at {path}:2"),
+    ([_plan_line(1), _phase_line(1, "a", "a")],
+     "2: 'example_ids': example 'a' already appears at {path}:2"),
+])
+def test_read_manifest_checks_phase_lines_against_the_plan(tmp_path, lines, error):
+    path = tmp_path / "m.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as exc:
+        read_manifest(path)
+    assert str(exc.value) == f"{path}:" + error.format(path=path)
+    # With replacement, an id may be drawn again.
+    if "already appears" in error:
+        lines[0] = _plan_line(len(lines) - 1, with_replacement=True)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert len(read_manifest(path).phases) == len(lines) - 1
+
+
 def test_failed_write_keeps_the_previous_file(tmp_path):
     path = tmp_path / "scores.jsonl"
     write_scores([DoTScore.compute("a", "t", 2, 10)], path)
@@ -461,7 +497,7 @@ def test_integer_literal_past_the_digit_limit_is_malformed_json(tmp_path):
 
 
 # The table's own generic codec, without the direct trace paths.
-TABLE = Record(TRACE.fields, Trace)
+TABLE = Record(TRACE.fields, TRACE.make, TRACE.parts)
 
 # Text with JSON's special characters: quotes, backslashes, control
 # characters, U+2028, non-ASCII and astral characters.
@@ -470,18 +506,11 @@ _TEXT = st.text(st.one_of(
     st.characters(blacklist_categories=("Cs",))))
 
 
-def _index(i):
-    """Step index i, or a value of another kind that equals it."""
-    return st.sampled_from([i, float(i)] + ([True] if i == 1 else []))
-
-
 @st.composite
 def _traces(draw, exact=False):
-    """Valid traces; unless exact, some hold a bool or a float for an int,
-    or a number for a text."""
-    texts = draw(st.lists(_TEXT.filter(bool), max_size=5))
-    steps = tuple(Step(index=i if exact else draw(_index(i)), text=t)
-                  for i, t in enumerate(texts, start=1))
+    """Valid traces; unless exact, some hold a bool or a float for tok, or
+    a number for a text."""
+    steps = tuple(draw(st.lists(_TEXT.filter(bool), max_size=5)))
     tok = draw(st.integers(min_value=1, max_value=2 ** 70) if exact else
                st.one_of(st.integers(min_value=1), st.just(True), st.just(3.0)))
     example_id = draw(_TEXT if exact else st.one_of(_TEXT, st.integers()))

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from stepladder.corpus import DoTScore, Step, Trace
+from stepladder.corpus import DoTScore, Trace
 from stepladder.errors import ScoringError
 from stepladder.scorer import aggregate_self_consistency, score, score_corpus
 
@@ -37,7 +37,7 @@ def test_score_matches_high_precision_reference():
 
 
 def test_score_rejects_stepless_trace():
-    # steps=() passes the contiguity check vacuously, so the scorer is the gate
+    # steps=() passes every check of Trace's, so the scorer is the gate
     hollow = Trace(example_id="e", teacher_id="t", raw_text="word " * 4,
                    steps=(), tok=4, segmentation_mode="paragraph-fallback",
                    confidence="low")

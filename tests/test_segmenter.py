@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepladder.corpus import count_tokens, read_traces, write_traces
+from stepladder.corpus import TRACE, count_tokens, read_traces, write_traces
 from stepladder.errors import ParameterError, SegmentationError
 from stepladder.segmenter import (
     DEFAULT_RULES,
@@ -75,27 +75,27 @@ def test_no_content_loss_for_numbered():
                  for i in range(1, k + 1)]
         text = "\n".join(lines)
         steps, _, _ = segment(text)
-        assert sum(count_tokens(s.text) for s in steps) + k == count_tokens(text)
+        assert sum(map(count_tokens, steps)) + k == count_tokens(text)
 
 
 def test_preamble_folds_into_first_step():
     steps, _, confidence = segment(
         "Thinking out loud first.\n1. Real step one here.\n2. Real step two here.")
     assert len(steps) == 2
-    assert steps[0].text.startswith("Thinking out loud first.")
+    assert steps[0].startswith("Thinking out loud first.")
     assert confidence == "high"
 
 
 def test_trailing_text_folds_into_last_step():
     steps, _, _ = segment("1. Work it out fully.\n2. Check it over.\nAnswer: 40")
-    assert steps[-1].text.endswith("Answer: 40")
+    assert steps[-1].endswith("Answer: 40")
 
 
 def test_step_indices_are_canonical_even_for_gapped_markers():
-    steps, _, confidence = segment(
-        "2. Marker says two first.\n5. Marker says five next.\n9. Marker says nine.")
-    assert [s.index for s in steps] == [1, 2, 3]
-    assert confidence == "low"
+    trace = trace_from_text(
+        "e", "t", "2. Marker says two first.\n5. Marker says five next.\n9. Marker says nine.")
+    assert [row["index"] for row in json.loads(TRACE.dump(trace))["steps"]] == [1, 2, 3]
+    assert trace.confidence == "low"
 
 
 # Parts built from a few letters and whitespace of several kinds, so
