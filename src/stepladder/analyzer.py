@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .corpus import DoTScore
-from .errors import AnalysisError
+from .errors import AnalysisError, some_ids
 
 
 def _ranks(values: Sequence[float]) -> list[float]:
@@ -257,7 +257,7 @@ def length_confound(scores: Iterable[DoTScore],
         seen.add(sc.example_id)
     missing = sorted(s.example_id for s in scores if s.example_id not in labels)
     if missing:
-        raise AnalysisError(f"unlabeled examples: {', '.join(missing)}")
+        raise AnalysisError(f"unlabeled examples: {some_ids(missing)}")
     if len(scores) < 4:
         raise AnalysisError(f"need at least 4 labeled examples, got {len(scores)}")
 

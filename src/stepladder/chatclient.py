@@ -27,6 +27,7 @@ import time
 from typing import TYPE_CHECKING, Optional
 from urllib.parse import unquote, urlsplit
 
+from .corpus import is_text
 from .errors import HarvestError
 
 if TYPE_CHECKING:
@@ -147,11 +148,7 @@ class ChatClient:
             raise HarvestError("malformed response body (no message content)")
         if not isinstance(text, str):
             raise HarvestError("malformed response body (content is not text)")
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError:
-            # A lone surrogate escape ("\ud800") parses but can be neither
-            # cached nor written out.
+        if not is_text(text):  # neither cached nor written out
             raise HarvestError("malformed response body (content is not valid Unicode)")
         return text
 

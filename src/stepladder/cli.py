@@ -5,13 +5,14 @@ schedule, baseline, analyze, filter.  Each subcommand declares its
 options once, as rows of COMMANDS; the parser, the config-file keys,
 path resolution, the required-setting checks and the sidecars are all
 derived from those rows.  A flat "key = value" config file can preset
-any knob; explicit flags always win.  Every written output gets a
-<name>.meta.json sidecar recording every knob's value and the sha256 of
-each input, and nothing in any output depends on wall-clock time, so
-reruns are byte-identical.
+any knob; explicit flags always win.  Once a command has run (exit 0 or
+2), each output file given gets a <name>.meta.json sidecar recording
+every knob's value and the sha256 of each input, and nothing in any
+output depends on wall-clock time, so reruns are byte-identical.
 
-Exit codes: 0 success, 1 validation or data error, 2 completed with
-recorded per-record failures, 64 usage error.
+Exit codes: 0 success, 1 validation or data error or a failed gate
+(no sidecar is written), 2 completed with recorded per-record failures,
+64 usage error.
 """
 
 from __future__ import annotations
@@ -27,19 +28,22 @@ from . import __version__
 from .corpus import (
     BASELINE_KINDS,
     COMPLETION,
+    SCORE,
     TRACE,
     SchedulePlan,
     TeacherProfile,
     file_sha256,
+    is_text,
     read_corpus,
     read_json,
+    read_jsonl,
     read_scores,
     write_atomic,
     write_manifest,
     write_scores,
     write_traces,
 )
-from .errors import ParameterError, StepladderError
+from .errors import CorpusError, ParameterError, StepladderError
 
 _EXIT_OK = 0
 _EXIT_ERROR = 1
@@ -126,6 +130,12 @@ def _given(args, opt: Option) -> list:
     return [] if value is None else value if opt.type is list else [value]
 
 
+def _files(args, kind: str) -> list:
+    """The paths given to the command's options of one kind, INPUT or OUTPUT."""
+    return [path for opt in COMMANDS[args.subcommand][2] if opt.kind == kind
+            for path in _given(args, opt)]
+
+
 def _config_value(opt: Option, text: str):
     """text parsed as the option's flag parses it; a switch takes yes or no."""
     if opt.type is bool:
@@ -191,8 +201,7 @@ def _write_sidecar(out: Path, args) -> None:
         "tool": f"stepladder {__version__}",
         "command": args.subcommand,
         "parameters": _knobs(args),
-        "inputs": {str(p): file_sha256(p) for opt in COMMANDS[args.subcommand][2]
-                   if opt.kind == INPUT for p in _given(args, opt)},
+        "inputs": {str(p): file_sha256(p) for p in _files(args, INPUT)},
     })
 
 
@@ -213,15 +222,38 @@ def _check_threshold(value, flag: str) -> None:
         raise ParameterError(f"{flag} must be a finite number, got {value}")
 
 
-def _teacher_scores(args) -> list:
-    """The --scores file, narrowed to --teacher's scores when one is given."""
-    scores = read_scores(args.scores)
-    if args.teacher is None:
-        return scores
-    scores = [s for s in scores if s.teacher_id == args.teacher]
-    if not scores:
-        raise ParameterError(f"no scores for teacher {args.teacher!r}")
-    return scores
+def _one_score_per_example(args) -> Optional[list]:
+    """The --scores file (None when not given), narrowed to --teacher's
+    scores when the command takes --teacher and one is given.  A second
+    score for one example is an error naming its line."""
+    if args.scores is None:
+        return None
+    teacher = getattr(args, "teacher", None)
+    scores: dict = {}
+    for where, score in read_jsonl(args.scores, SCORE):
+        if teacher is not None and score.teacher_id != teacher:
+            continue
+        if score.example_id in scores:
+            raise CorpusError(f"{where}: 'example_id': duplicate score for example "
+                              f"{score.example_id!r}")
+        scores[score.example_id] = score
+    if teacher is not None and not scores:
+        raise ParameterError(f"no scores for teacher {teacher!r}")
+    return list(scores.values())
+
+
+def _gate(args, report, failures: list) -> int:
+    """Print the report, and each failure of its gate on stderr.  A report
+    that passes is also written to --out as JSON; one that fails exits 1
+    and writes nothing."""
+    print(report.render())
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    if failures:
+        return _EXIT_ERROR
+    if args.out is not None:
+        _write_json(args.out, report.to_json())
+    return _EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +291,6 @@ def _run_harvest(args) -> int:
     # Traces stream to the output as they resolve; only failures are kept.
     result = HarvestResult()
     write_atomic(args.out, map(TRACE.dump, harvest_stream(examples, job, result)))
-    _write_sidecar(args.out, args)
     # Each (example, sample) unit became a trace or a failure.
     traces = len(examples) * args.samples - len(result.failures)
     print(f"harvested {traces} trace(s), "
@@ -303,13 +334,10 @@ def _run_segment(args) -> int:
             yield TRACE.dump(trace)
 
     write_atomic(args.out, lines())
-    _write_sidecar(args.out, args)
-
     print(f"segmented {written} trace(s), {low} low-confidence")
     if audit is not None:
         picked = audit_sample(audit, args.audit_fraction, args.audit_seed)
         write_traces(picked, args.audit_out)
-        _write_sidecar(args.audit_out, args)
         print(f"audit sample: {len(picked)} trace(s)")
     return _exit_code(failures, "segmentation")
 
@@ -319,7 +347,6 @@ def _run_score(args) -> int:
 
     scores, errors = score_corpus(TRACE.iter(args.traces))
     write_scores(scores, args.out)
-    _write_sidecar(args.out, args)
     print(f"scored {len(scores)} (example, teacher) pair(s)")
     return _exit_code(errors, "scoring")
 
@@ -327,17 +354,15 @@ def _run_score(args) -> int:
 def _run_bucket(args) -> int:
     from .bucketer import BucketSpec, bucketize, describe, write_buckets
 
-    scores = _teacher_scores(args)
+    scores = _one_score_per_example(args)
     tasks = {ex.id: ex.task for ex in read_corpus(args.corpus)}
     spec = BucketSpec(edges=args.edges, max_task_share=args.max_task_share)
     result = bucketize(scores, spec, tasks)
     write_buckets(result, args.out)
-    _write_sidecar(args.out, args)
     text = describe(result).render()
     print(text)
     if args.report is not None:
         write_atomic(args.report, [text, "\n"])
-        _write_sidecar(args.report, args)
     return _EXIT_OK
 
 
@@ -353,7 +378,6 @@ def _run_schedule(args) -> int:
     }
     manifest = build_curriculum(result, plan, provenance=provenance)
     write_manifest(manifest, args.out)
-    _write_sidecar(args.out, args)
     sizes = ", ".join(str(len(p.example_ids)) for p in manifest.phases)
     print(f"wrote {len(manifest.phases)} phase(s) with sizes [{sizes}]")
     return _EXIT_OK
@@ -363,16 +387,11 @@ def _run_baseline(args) -> int:
     from .scheduler import baseline_order
 
     examples = read_corpus(args.corpus)
-    scores = None if args.scores is None else read_scores(args.scores)
-    plan = SchedulePlan(
-        mode="staged",
-        phases=args.phases,
-        budget_per_phase=args.budget_per_phase,
-        seed=args.seed,
-    )
-    manifest = baseline_order(examples, scores, args.kind, plan)
+    plan = _knobs(args)
+    del plan["kind"]  # the other knobs are the plan's fields
+    manifest = baseline_order(examples, _one_score_per_example(args), args.kind,
+                              SchedulePlan(mode="staged", **plan))
     write_manifest(manifest, args.out)
-    _write_sidecar(args.out, args)
     print(f"wrote {args.kind} baseline with {len(manifest.phases)} phase(s)")
     return _EXIT_OK
 
@@ -386,46 +405,33 @@ def _run_agreement(args) -> int:
         for sc in read_scores(path):
             by_teacher.setdefault(sc.teacher_id, []).append(sc)
     report = cross_teacher_agreement(by_teacher)
-    print(report.render())
-    if args.out is not None:
-        _write_json(args.out, report.to_json())
-        _write_sidecar(args.out, args)
     weak = [] if args.min_tau is None else \
         [p for p in report.pairs if p.tau_depth < args.min_tau]
-    for p in weak:
-        print(f"tau(k) {p.tau_depth:.4f} below threshold {args.min_tau} "
-              f"for ({p.teacher_a}, {p.teacher_b})", file=sys.stderr)
-    return _EXIT_ERROR if weak else _EXIT_OK
+    return _gate(args, report, [f"tau(k) {p.tau_depth:.4f} below threshold {args.min_tau} "
+                                f"for ({p.teacher_a}, {p.teacher_b})" for p in weak])
 
 
 def _run_confound(args) -> int:
     from .analyzer import length_confound
 
     _check_threshold(args.min_spearman, "--min-spearman")
-    scores = _teacher_scores(args)
+    scores = _one_score_per_example(args)
     labels = {}
     for ex in read_corpus(args.labels_from):
         value = getattr(ex, args.label_field)
         if value is not None:
             labels[ex.id] = float(value)
     report = length_confound(scores, labels)
-    print(report.render())
-    if args.out is not None:
-        _write_json(args.out, report.to_json())
-        _write_sidecar(args.out, args)
-    if args.min_spearman is not None and report.rho_depth < args.min_spearman:
-        print(f"spearman {report.rho_depth:.4f} below threshold {args.min_spearman}",
-              file=sys.stderr)
-        return _EXIT_ERROR
-    return _EXIT_OK
+    below = args.min_spearman is not None and report.rho_depth < args.min_spearman
+    return _gate(args, report, [f"spearman {report.rho_depth:.4f} below threshold "
+                                f"{args.min_spearman}"] if below else [])
 
 
 def _run_filter(args) -> int:
     from .scheduler import filter_by_depth
 
-    ids = filter_by_depth(read_scores(args.scores), min_k=args.min_k, max_k=args.max_k)
+    ids = filter_by_depth(_one_score_per_example(args), min_k=args.min_k, max_k=args.max_k)
     write_atomic(args.out, (ex_id + "\n" for ex_id in ids))
-    _write_sidecar(args.out, args)
     print(f"kept {len(ids)} example(s)")
     return _EXIT_OK
 
@@ -559,16 +565,14 @@ def _check_utf8(argv: list) -> None:
     """Reject an argument holding a byte that is not UTF-8.  Python decodes
     such a byte to a lone surrogate, which no output or sidecar can hold."""
     for i, arg in enumerate(argv):
-        try:
-            arg.encode("utf-8")
-        except UnicodeEncodeError:
+        if not is_text(arg):
             if arg.startswith("-"):
                 name = arg.partition("=")[0]
             elif i and argv[i - 1].startswith("-"):
                 name = argv[i - 1]
             else:
                 name = ascii(arg)
-            raise _UsageError(f"argument {name}: not valid UTF-8") from None
+            raise _UsageError(f"argument {name}: not valid UTF-8")
 
 
 def main(argv=None) -> int:
@@ -584,7 +588,11 @@ def main(argv=None) -> int:
                 leaf.set_defaults(**config)
         args = parser.parse_args(argv)
         _check_and_rebase(args)
-        return args.func(args)
+        code = args.func(args)
+        if code != _EXIT_ERROR:  # a failed gate writes nothing
+            for out in _files(args, OUTPUT):
+                _write_sidecar(out, args)
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

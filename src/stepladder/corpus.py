@@ -52,6 +52,16 @@ MAX_SAMPLES_PER_EXAMPLE = 10_000
 BASELINE_KINDS = ("token_length", "judge_score", "random")
 
 
+def is_text(s: str) -> bool:
+    """Whether UTF-8 can encode s: a lone surrogate, such as json.loads
+    keeps from an escape like "\\ud800", cannot be written out."""
+    try:
+        s.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def count_tokens(text: str) -> int:
     """Count whitespace-delimited tokens.
 
@@ -395,13 +405,12 @@ class Record:
 # one character but keeps a lone one, which UTF-8 cannot encode, so such a
 # record could be read and never written back.
 _SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
-_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _check_text(value) -> None:
     """Raise _Invalid at the first string in value holding a lone surrogate."""
     if type(value) is str:
-        if _SURROGATE.search(value):
+        if not is_text(value):
             raise _Invalid("lone surrogate escape, not text")
     elif type(value) in (list, dict):
         items = value.items() if type(value) is dict else \

@@ -5,6 +5,12 @@ callers (and the CLI) can distinguish toolkit failures from bugs.
 """
 
 
+def some_ids(ids: list) -> str:
+    """The ids an error message names: the first ten, then how many more."""
+    more = f" and {len(ids) - 10} more" if len(ids) > 10 else ""
+    return ", ".join(ids[:10]) + more
+
+
 class StepladderError(Exception):
     """Base class for all toolkit errors."""
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
-from .corpus import Example, Record, TeacherProfile, Trace
+from .corpus import Example, Record, TeacherProfile, Trace, is_text
 from .errors import HarvestError, StepladderError
 from .segmenter import trace_from_text
 
@@ -199,15 +199,7 @@ class _ResponseLog:
         if type(obj) is not dict or obj.get("key") != key:
             return None
         text = obj.get("text")
-        if not isinstance(text, str):
-            return None
-        try:
-            # A lone surrogate escape ("\ud800") parses but can be
-            # written out no more than it can be received.
-            text.encode("utf-8")
-        except UnicodeEncodeError:
-            return None
-        return text
+        return text if isinstance(text, str) and is_text(text) else None
 
     def put(self, key: str, text: str) -> None:
         entry = (json.dumps({"key": key, "text": text}, ensure_ascii=False)

@@ -20,7 +20,7 @@ import random
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .corpus import BASELINE_KINDS, CurriculumManifest, DoTScore, Example, Phase, SchedulePlan
-from .errors import ParameterError, ScheduleError
+from .errors import ParameterError, ScheduleError, some_ids
 
 if TYPE_CHECKING:
     from .bucketer import BucketizeResult
@@ -117,34 +117,29 @@ def build_curriculum(result: BucketizeResult, plan: SchedulePlan, *,
             f"with replacement, phases * budget_per_phase is {draws}; "
             f"the most a manifest may draw is {MAX_REPLACEMENT_DRAWS}"
         )
+    # Without replacement, a bucket's pool loses the ids each phase draws.
     pools: dict[int, list[str]] = {b.index: list(b.member_ids) for b in buckets}
-    remaining: dict[int, list[str]] = {i: list(p) for i, p in pools.items()}
 
     phases: list[Phase] = []
     for t in range(1, plan.phases + 1):
         counts = _phase_bucket_counts(t, plan, phase_weights_fn)
         ids: list[str] = []
         for bucket_index in sorted(counts):
-            want = counts[bucket_index]
+            want, pool = counts[bucket_index], pools[bucket_index]
+            rng = _stream(plan.seed, t, bucket_index)
             if plan.with_replacement:
-                pool = pools[bucket_index]
                 if not pool:
-                    raise ScheduleError(
-                        f"phase {t}: bucket {bucket_index} is empty"
-                    )
-                rng = _stream(plan.seed, t, bucket_index)
+                    raise ScheduleError(f"phase {t}: bucket {bucket_index} is empty")
                 ids.extend(rng.choice(pool) for _ in range(want))
             else:
-                pool = remaining[bucket_index]
                 if len(pool) < want:
                     raise ScheduleError(
                         f"phase {t}: bucket {bucket_index} has {len(pool)} "
                         f"examples left but {want} are needed"
                     )
-                rng = _stream(plan.seed, t, bucket_index)
                 chosen = rng.sample(pool, want)
                 taken = set(chosen)
-                remaining[bucket_index] = [x for x in pool if x not in taken]
+                pools[bucket_index] = [x for x in pool if x not in taken]
                 ids.extend(chosen)
         phases.append(Phase(index=t, example_ids=tuple(ids), bucket_counts=counts))
 
@@ -175,16 +170,13 @@ def baseline_order(examples: Iterable[Example], scores: Optional[Iterable[DoTSco
         by_id = {s.example_id: s for s in scores or []}
         missing = [ex.id for ex in examples if ex.id not in by_id]
         if missing:
-            raise ScheduleError(
-                f"token_length baseline lacks scores for: {', '.join(missing)}"
-            )
+            raise ScheduleError(f"token_length baseline lacks scores for: {some_ids(missing)}")
         ordered = sorted((by_id[ex.id].tok, ex.id) for ex in examples)
     elif kind == "judge_score":
         missing = [ex.id for ex in examples if ex.judge_score is None]
         if missing:
             raise ScheduleError(
-                f"judge_score baseline lacks judge_score for: {', '.join(missing)}"
-            )
+                f"judge_score baseline lacks judge_score for: {some_ids(missing)}")
         ordered = sorted((ex.judge_score, ex.id) for ex in examples)
     else:
         ids = sorted(ex.id for ex in examples)

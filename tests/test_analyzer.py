@@ -267,6 +267,14 @@ def test_confound_errors():
         length_confound(scores[:3], labels)
 
 
+def test_confound_error_names_at_most_ten_ids():
+    scores = [ds(f"e{i:05d}", k=1) for i in range(10_000)]
+    with pytest.raises(AnalysisError) as exc:
+        length_confound(scores, {"e00003": 1.0})
+    first = ", ".join(f"e{i:05d}" for i in range(11) if i != 3)
+    assert str(exc.value) == f"unlabeled examples: {first} and 9989 more"
+
+
 def test_confound_report_shapes():
     scores = [ds(f"e{i}", k=i + 1, tok=100 + 3 * i) for i in range(8)]
     labels = {s.example_id: float(i) for i, s in enumerate(scores)}

@@ -741,11 +741,14 @@ def test_version_flag(capsys):
     assert "stepladder" in capsys.readouterr().out
 
 
+# setuptools calls its [tool.setuptools] table beta, with a warning.
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
 def test_pyproject_version_is_the_package_version():
-    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    # pyproject.toml states no version of its own: it reads the package's.
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
-    with open(pyproject, "rb") as fh:
-        assert tomllib.load(fh)["project"]["version"] == stepladder.__version__
+    config = pyprojecttoml.read_configuration(pyproject)
+    assert config["project"]["version"] == stepladder.__version__
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +763,10 @@ def write_scores_file(path, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _output_and_sidecar(path):
+    return path.read_bytes(), Path(f"{path}.meta.json").read_bytes()
+
+
 def test_analyze_agreement(tmp_path, capsys):
     rows = [(f"e{i}", "a", i + 1, 20 + i) for i in range(5)]
     rows += [(f"e{i}", "b", i + 1, 90 - i) for i in range(5)]
@@ -772,12 +779,16 @@ def test_analyze_agreement(tmp_path, capsys):
     assert "tau" in printed.lower()
     data = json.loads((tmp_path / "agreement.json").read_text())
     assert data["pairs"][0]["tau_depth"] == 1.0
-    # threshold satisfied and violated
+    # threshold satisfied and violated; a violated one prints its report
+    # and writes neither the output nor its sidecar
     assert main(["analyze", "agreement", "--scores", str(scores),
                  "--min-tau", "0.9"]) == 0
-    assert main(["analyze", "agreement", "--scores", str(scores),
-                 "--min-tau", "1.1"]) == 1
+    written = _output_and_sidecar(tmp_path / "agreement.json")
     capsys.readouterr()
+    assert main(["analyze", "agreement", "--scores", str(scores),
+                 "--min-tau", "1.1", "--out", str(tmp_path / "agreement.json")]) == 1
+    assert "tau" in capsys.readouterr().out
+    assert _output_and_sidecar(tmp_path / "agreement.json") == written
 
 
 def test_analyze_agreement_pools_multiple_files(tmp_path, capsys):
@@ -804,11 +815,71 @@ def test_analyze_confound(demo, tmp_path, capsys):
     assert "rho" in printed.lower() or "spearman" in printed.lower()
     data = json.loads((tmp_path / "confound.json").read_text())
     assert data["rho_depth"] > 0.5
-    # a threshold the data cannot meet flips the exit code
+    # a threshold the data cannot meet flips the exit code, and writes
+    # nothing
+    written = _output_and_sidecar(tmp_path / "confound.json")
     assert main(["analyze", "confound", "--scores", str(out / "scores.jsonl"),
                  "--labels-from", str(demo / "examples.jsonl"),
-                 "--min-spearman", "0.999"]) == 1
+                 "--min-spearman", "0.999", "--out", str(tmp_path / "confound.json")]) == 1
+    assert "spearman" in capsys.readouterr().out
+    assert _output_and_sidecar(tmp_path / "confound.json") == written
+
+
+# ---------------------------------------------------------------------------
+# One score per example
+
+
+@pytest.fixture(scope="module")
+def two_teachers(tmp_path_factory):
+    """The bundled examples' scores, and the same scores with a second
+    teacher's line after each, whose tok runs the other way."""
+    root = tmp_path_factory.mktemp("teachers")
+    assert main(["segment", "--completions", str(BUNDLED / "completions.jsonl"),
+                 "--out", str(root / "traces.jsonl")]) == 0
+    assert main(["score", "--traces", str(root / "traces.jsonl"),
+                 "--out", str(root / "one.jsonl")]) == 0
+    rows = []
+    for sc in read_scores(root / "one.jsonl"):
+        rows += [(sc.example_id, sc.teacher_id, sc.k, sc.tok),
+                 (sc.example_id, "zz-teacher", sc.k, 10000 - sc.tok)]
+    write_scores_file(root / "two.jsonl", rows)
+    return root / "one.jsonl", root / "two.jsonl"
+
+
+_SCORE_READERS = {
+    "bucket": ["bucket", "--corpus", str(BUNDLED / "examples.jsonl")],
+    "baseline": ["baseline", "--corpus", str(BUNDLED / "examples.jsonl"),
+                 "--kind", "token_length", "--phases", "1", "--budget", "5"],
+    "confound": ["analyze", "confound", "--labels-from", str(BUNDLED / "examples.jsonl")],
+    "filter": ["filter", "--min-k", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SCORE_READERS))
+def test_a_second_score_for_an_example_names_its_line(tmp_path, capsys, two_teachers,
+                                                      command):
+    # baseline used to order by the last line's tok, and filter listed
+    # every id twice; bucket and confound named neither file nor line.
+    out = tmp_path / "out"
+    code = main([*_SCORE_READERS[command], "--scores", str(two_teachers[1]),
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: {two_teachers[1]}:2: 'example_id': "
+                                       f"duplicate score for example 'ex0000'\n")
+    assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+
+@pytest.mark.parametrize("command", ["bucket", "confound"])
+def test_a_second_teacher_leaves_teacher_narrowed_outputs_unchanged(
+        tmp_path, capsys, two_teachers, command):
+    outputs = []
+    for scores in two_teachers:
+        out = tmp_path / scores.name
+        assert main([*_SCORE_READERS[command], "--scores", str(scores),
+                     "--teacher", "demo-teacher", "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
     capsys.readouterr()
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -886,11 +957,11 @@ def test_no_numeric_setting_crashes_a_subcommand(tmp_path, capsys, monkeypatch):
                     except Exception as exc:
                         findings.append(f"{name} {opt.flag}={value}: {exc!r}")
                         continue
-                    # Exit 2 completes the run, and writes its output; so
-                    # does an analysis whose gate then fails.
-                    gate = "below threshold" in capsys.readouterr().err
+                    # Exit 2 completes the run, and writes its output;
+                    # exit 1 or 64 writes neither output nor sidecar.
+                    capsys.readouterr()
                     if code not in (0, 1, 2, 64) or list(case.glob(".*.tmp")) \
-                            or code in (1, 64) and not gate \
-                            and out.read_bytes() != b"previous bytes\n":
+                            or code in (1, 64) and (out.read_bytes() != b"previous bytes\n"
+                                                    or Path(f"{out}.meta.json").exists()):
                         findings.append(f"{name} {opt.flag}={value}: exit {code}")
     assert not findings

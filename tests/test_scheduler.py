@@ -316,6 +316,16 @@ def test_baseline_errors():
                        plan_of(phases=3, budget_per_phase=4))
 
 
+@pytest.mark.parametrize("kind, what", [("token_length", "scores"),
+                                        ("judge_score", "judge_score")])
+def test_baseline_error_names_at_most_ten_ids(kind, what):
+    examples = [Example(id=f"x{i:05d}", task="math", prompt="p") for i in range(10_000)]
+    with pytest.raises(ScheduleError) as exc:
+        baseline_order(examples, [], kind, plan_of(phases=1, budget_per_phase=1))
+    first = ", ".join(f"x{i:05d}" for i in range(10))
+    assert str(exc.value) == f"{kind} baseline lacks {what} for: {first} and 9990 more"
+
+
 # ---------------------------------------------------------------------------
 # depth filtering
 
