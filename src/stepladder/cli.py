@@ -32,6 +32,7 @@ from .corpus import (
     TRACE,
     SchedulePlan,
     TeacherProfile,
+    all_or_nothing,
     file_sha256,
     is_text,
     read_corpus,
@@ -588,10 +589,11 @@ def main(argv=None) -> int:
                 leaf.set_defaults(**config)
         args = parser.parse_args(argv)
         _check_and_rebase(args)
-        code = args.func(args)
-        if code != _EXIT_ERROR:  # a failed gate writes nothing
-            for out in _files(args, OUTPUT):
-                _write_sidecar(out, args)
+        with all_or_nothing():  # an error replaces no output
+            code = args.func(args)
+            if code != _EXIT_ERROR:  # a failed gate writes nothing
+                for out in _files(args, OUTPUT):
+                    _write_sidecar(out, args)
         return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,12 +21,14 @@ manifest:     one {"record": "plan", ...} header line, then one
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
 import os
 import re
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter, itemgetter
@@ -478,21 +480,50 @@ def read_json(path, record: Record):
     return _build(str(path), record, _parse(str(path), raw), raw)
 
 
+# The (temp file, target) pairs written inside all_or_nothing(), per thread.
+_PENDING = threading.local()
+
+
 def write_atomic(path, chunks: Iterable[str]) -> None:
     """Write text chunks to path; readers see the old file or the whole new one.
 
-    A chunk that fails to arrive leaves path's old bytes and no temp file.
+    A chunk that fails to arrive leaves path's old bytes and no temp file;
+    a path that is a directory is refused before anything is written.
+    Inside all_or_nothing(), path is replaced only when the block ends.
     """
     path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    pending = getattr(_PENDING, "files", None)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}."
+                         f"{len(pending or ())}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
-        os.replace(tmp, path)
+        if pending is None:
+            os.replace(tmp, path)
+        else:
+            pending.append((tmp, path))
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def all_or_nothing():
+    """A block whose write_atomic() files replace their targets together:
+    each waits in its temp file until the block ends, and an error in the
+    block removes them all and replaces none."""
+    pending = _PENDING.files = []
+    try:
+        yield
+        for tmp, path in pending:
+            os.replace(tmp, path)
+    finally:
+        _PENDING.files = None
+        for tmp, _path in pending:
+            tmp.unlink(missing_ok=True)
 
 
 def file_sha256(path: Path) -> str:

@@ -19,10 +19,11 @@ import json
 import math
 import os
 import re
-import selectors
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from json.decoder import scanstring
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
@@ -36,9 +37,9 @@ _PLACEHOLDER = "{prompt}"
 # a unit waiting out its backoff holds a bounded number of finished ones.
 _WINDOW = 1024
 
-# The longest wait, in seconds, that a timeout or the gap between two
-# requests (1 / rate_limit) may ask for.  The selector refuses a wait
-# past 2**31 ms, about 24.8 days; this is about 11.6 days.
+# The longest wait, in seconds, that a timeout, a retry's backoff or the
+# gap between two requests (1 / rate_limit) may ask for.  The selector
+# refuses a wait past 2**31 ms, about 24.8 days; this is about 11.6 days.
 MAX_WAIT = 1e6
 
 
@@ -110,8 +111,9 @@ class HarvestJob:
         if not 0 < self.timeout <= MAX_WAIT:
             raise HarvestError(f"timeout must be > 0 and at most {MAX_WAIT:g} s, "
                                f"got {self.timeout}")
-        if not self.backoff_base >= 0:
-            raise HarvestError("backoff_base must be >= 0")
+        if not 0 <= self.backoff_base <= MAX_WAIT:
+            raise HarvestError(f"backoff_base must be >= 0 and at most {MAX_WAIT:g} s, "
+                               f"got {self.backoff_base}")
 
 
 @dataclass(frozen=True)
@@ -139,15 +141,26 @@ class HarvestResult:
 def _cache_keys(job: HarvestJob, system_text: str, user_text: str) -> list[str]:
     """The cache key of each sample of one request: the sha256 of the JSON
     array [model, template_id, system_text, user_text, sample index,
-    temperature, endpoint without a trailing "/"], ASCII-escaped.  The
-    array's text is built once, around the sample index."""
+    temperature, endpoint without a trailing "/"], ASCII-escaped."""
+    return _key_maker(job, system_text)(user_text)
+
+
+def _key_maker(job: HarvestJob, system_text: str):
+    """_cache_keys for one job and system text, as a function of the user
+    text: the array's text is built once around the user text, which is
+    escaped as json.dumps(ensure_ascii=True) escapes it."""
     teacher = job.teacher
-    head = json.dumps([teacher.model_name, job.template.template_id, system_text, user_text],
-                      ensure_ascii=True)[:-1]
+    head = json.dumps([teacher.model_name, job.template.template_id, system_text],
+                      ensure_ascii=True)[:-1] + ", "
     tail = json.dumps([float(teacher.temperature), teacher.endpoint_url.rstrip("/")],
                       ensure_ascii=True)[1:]
-    return [hashlib.sha256(f"{head}, {sample}, {tail}".encode("ascii")).hexdigest()
-            for sample in range(teacher.samples_per_example)]
+    tails = [f", {sample}, {tail}" for sample in range(teacher.samples_per_example)]
+
+    def keys(user_text: str) -> list[str]:
+        array = head + encode_basestring_ascii(user_text)
+        return [hashlib.sha256((array + end).encode("ascii")).hexdigest() for end in tails]
+
+    return keys
 
 
 class _ResponseLog:
@@ -187,18 +200,26 @@ class _ResponseLog:
         self._torn = not line.endswith(b"\n")
 
     def get(self, key: str) -> Optional[str]:
-        """The cached text for key, or None on a miss."""
+        """The cached text for key, or None on a miss.
+
+        A line as put writes it, {"key": "<key>", "text": "<text>"}, has
+        its one string decoded by scanstring; any other line goes through
+        json.loads.
+        """
         where = self._index.get(bytes.fromhex(key))
         if where is None:
             return None
         offset, length = divmod(where, self._SPAN)
         try:
-            obj = json.loads(os.pread(self._fd, length, offset))
+            # Decoded as json.loads decodes bytes.
+            line = os.pread(self._fd, length, offset).decode("utf-8", "surrogatepass")
+            head = f'{{"key": "{key}", "text": "'
+            text, end = scanstring(line, len(head)) if line.startswith(head) else (None, -1)
+            if end != len(line) - 2 or not line.endswith("}\n"):
+                obj = json.loads(line)
+                text = obj.get("text") if type(obj) is dict and obj.get("key") == key else None
         except ValueError:
             return None
-        if type(obj) is not dict or obj.get("key") != key:
-            return None
-        text = obj.get("text")
         return text if isinstance(text, str) and is_text(text) else None
 
     def put(self, key: str, text: str) -> None:
@@ -230,10 +251,11 @@ class _Unit:
 
 
 def _units(job: HarvestJob, examples: Iterable[Example]) -> Iterator[_Unit]:
+    keys = _key_maker(job, job.template.system_text)
     position = 0
     for example in examples:
         texts = job.template.render(example.prompt)
-        for s, key in enumerate(_cache_keys(job, *texts)):
+        for s, key in enumerate(keys(texts[1])):
             yield _Unit(position, example, s, texts, key)
             position += 1
 
@@ -273,7 +295,8 @@ class _Harvest:
                     heapq.heappush(self.ready, (unit.position, unit))
                 else:
                     self._segment(unit, text, True)
-                yield from self._resolved(window)
+                if window[0].outcome is not None:
+                    yield from self._resolved(window)
                 # Read ahead only as far as the connections can use.
                 while len(self.ready) >= self.job.max_in_flight or len(window) >= _WINDOW:
                     self._step()
@@ -302,9 +325,11 @@ class _Harvest:
         """Wait for a response, a deadline or the next grant; send what may
         be sent; then segment what arrived, while those requests are out."""
         if self.client is None:
-            # Imported here, not at the top: the client and the socket
-            # module, which all-hit harvests and other subcommands never
-            # use.
+            # Imported here, not at the top: the client, the socket and
+            # the selectors modules, which all-hit harvests and other
+            # subcommands never use.
+            import selectors
+
             from .chatclient import ChatClient
 
             self.client = ChatClient(self.job.teacher, self.api_key, self.job.timeout)
@@ -391,8 +416,11 @@ class _Harvest:
             reason = f"{reason} after {unit.attempts} attempts"
             unit.outcome = HarvestFailure(unit.example.id, unit.sample, reason)
         else:
-            due = time.monotonic() + self.job.backoff_base * 2 ** (unit.attempts - 1)
-            heapq.heappush(self.backoff, (due, unit.position, unit))
+            try:
+                wait = min(MAX_WAIT, math.ldexp(self.job.backoff_base, unit.attempts - 1))
+            except OverflowError:
+                wait = MAX_WAIT
+            heapq.heappush(self.backoff, (time.monotonic() + wait, unit.position, unit))
 
     def _segment(self, unit: _Unit, text: str, hit: bool) -> None:
         self.tally.cache_hits += hit

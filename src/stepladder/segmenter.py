@@ -22,6 +22,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .corpus import Trace, count_tokens
 from .errors import ParameterError, SegmentationError
@@ -37,17 +38,18 @@ _MASK_PATTERNS = (
 )
 _NOT_NEWLINE = re.compile(r"[^\n]")
 
-# Marker families in priority order.  Every pattern has an indent and a
-# value group; labeled markers match an empty indent, bullets an empty
-# value.  The patterns scan the masked text behind one extra "\n", and the
-# line-start families match that newline instead of (?m)^: the regex
-# engine jumps to a literal first character, where it would try ^ at
-# every position.
+# Marker families in priority order.  Each pattern has three groups: the
+# whole marker, its indent and its value; labeled markers match an empty
+# indent, bullets an empty value.  The patterns scan the masked text
+# behind one extra "\n", and the line-start families match that newline
+# instead of (?m)^: the regex engine jumps to a literal first character,
+# where it would try ^ at every position.  A numbered marker's "(" only
+# opens a value that a ")" closes.
 _MARKERS = {
     "numbered": re.compile(
-        r"(?m)\n(?P<indent>[ \t]*)(?P<paren>\()?(?P<value>\d+)(?(paren)\)|[.)])(?:[ \t]+|[ \t]*$)"),
-    "labeled": re.compile(r"(?i)(?P<indent>)\bstep[ \t]+(?P<value>\d+)[ \t]*:"),
-    "bulleted": re.compile(r"\n(?P<indent>[ \t]*)[-*][ \t]+(?P<value>)"),
+        r"(?m)(\n(?P<indent>[ \t]*)(?:\((?=\d+\)))?(?P<value>\d+)[.)](?:[ \t]+|[ \t]*$))"),
+    "labeled": re.compile(r"(?i)((?P<indent>)\bstep[ \t]+(?P<value>\d+)[ \t]*:)"),
+    "bulleted": re.compile(r"(\n(?P<indent>[ \t]*)[-*][ \t]+(?P<value>))"),
 }
 # Every labeled marker holds "tep" in some case: under (?i), t, e and p
 # match only their two ASCII cases (unlike s, which also matches U+017F).
@@ -92,36 +94,52 @@ def _mask(text: str) -> str:
     return text
 
 
-def _find_markers(masked: str, pattern: re.Pattern, rules: SegmentationRules):
-    """Top-level marker matches of one family in "\n" + the masked text:
-    [(indent, start, content_start, value)], at offsets into the text.
+def _marker_value(digits: str, limit: int, width: int) -> int:
+    """A marker's value, 0 for a bullet, or -1 when it is above limit: no
+    marker.  width is len(str(limit)).  Only the last width digits go
+    through int(), which refuses over 4300 digits: every digit before them
+    must be a zero, of any script, so the cost is linear in the number of
+    digits."""
+    if len(digits) > width and any(map(int, digits[:-width])):
+        return -1
+    value = int(digits[-width:] or 0)
+    return value if value <= limit else -1
 
-    A value above max_marker_value is no marker.  Only the last
-    len(str(max_marker_value)) digits go through int(), which refuses
-    over 4300 digits: every digit before them must be a zero, of any
-    script, so the cost is linear in the number of digits.
+
+def _find_markers(text: str, masked: str, pattern: re.Pattern, rules: SegmentationRules):
+    """One family's top-level markers: (texts, values), the text before
+    the first marker and after each, unstripped, and each marker's value;
+    None when there is no marker.  text and its masked copy each start
+    with one extra "\n"; markers are found in masked, texts read from text.
+
+    One split gives [text, marker, indent, value, text, marker, ...].  A
+    marker whose value is above max_marker_value, or that is nested below
+    the family's top indent, is no step marker: it joins, as text, the
+    step before it.
     """
+    pieces = pattern.split(masked)
+    indents, digits = pieces[2::4], pieces[3::4]
+    if not digits:
+        return None
+    pieces[2::4] = pieces[3::4] = [""] * len(digits)  # so "".join(pieces) == masked
     limit = rules.max_marker_value
     width = len(str(limit))
-    hits = []
-    for m in pattern.finditer(masked):
-        digits = m["value"]
-        if digits:
-            if len(digits) > width and any(map(int, digits[:-width])):
-                continue
-            value = int(digits[-width:])
-            if value > limit:
-                continue
-        else:
-            value = None
-        start = m.start("indent")
-        hits.append((m.end("indent") - start, start - 1, m.end() - 1, value))
-    if not hits:
-        return hits
+    values = [_marker_value(value, limit, width) for value in digits]
+    if masked is not text:  # the masked spans are read from the text
+        ends = list(accumulate(map(len, pieces)))
+        pieces = [text[start:end] for start, end in zip([0, *ends], ends)]
+    if -1 not in values and indents.count(indents[0]) == len(indents):
+        return pieces[::4], values  # every marker starts a step
+    top = min((len(indent) for indent, value in zip(indents, values) if value >= 0),
+              default=None)
+    if top is None:
+        return None
     # Nested lists: only markers at the family's minimal indent delimit
     # steps; deeper ones stay inside their parent step's text.
-    top = min(hits)[0]
-    return [hit for hit in hits if hit[0] == top]
+    bounds = [4 * i + 1 for i, (indent, value) in enumerate(zip(indents, values))
+              if value >= 0 and len(indent) == top]
+    return (["".join(pieces[i + 1:end]) for i, end in zip([-1, *bounds], [*bounds, None])],
+            [values[i // 4] for i in bounds])
 
 
 def _merge_micro_steps(texts: list[str], min_chars: int) -> tuple[list[str], bool]:
@@ -135,6 +153,8 @@ def _merge_micro_steps(texts: list[str], min_chars: int) -> tuple[list[str], boo
     kept as a list of pieces and joined once, so the cost is linear in
     the text length.
     """
+    if min(map(len, map(str.strip, texts)), default=min_chars) >= min_chars:
+        return texts, False
     steps: list = []  # each a text, or once merged into, its text's pieces
     core = 0  # len(steps[-1] joined and stripped)
     for text in texts:
@@ -167,20 +187,30 @@ def segment(raw_text: str, rules: SegmentationRules = DEFAULT_RULES):
     Raises SegmentationError on empty input, or on marker-free input when
     paragraph fallback is disabled.
     """
-    text = raw_text.replace("\r\n", "\n").replace("\r", "\n")
+    return _segment(_normalize(raw_text), rules)
+
+
+def _normalize(raw_text: str) -> str:
+    return raw_text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _segment(text: str, rules: SegmentationRules):
+    """segment() of a text whose newlines are normalized."""
     if not text.strip():
         raise SegmentationError("cannot segment empty trace")
 
-    masked = "\n" + _mask(text)
+    masked = _mask(text)
+    unmasked = "\n" + text
+    masked = unmasked if masked is text else "\n" + masked
     families = _MARKERS if "tep" in masked.lower() else _UNLABELED
     for family, pattern in families.items():
-        markers = _find_markers(masked, pattern, rules)
-        if markers:
-            steps, mode, confidence = _segment_by_markers(text, markers, family, rules)
+        found = _find_markers(unmasked, masked, pattern, rules)
+        if found:
+            steps, mode, confidence = _segment_by_markers(*found, family, rules)
             # Two ordinal marker families in one trace means the step
             # structure is ambiguous, whatever the winner looked like.
             if (mode == "numbered" and confidence == "high" and families is _MARKERS
-                    and _find_markers(masked, _MARKERS["labeled"], rules)):
+                    and _find_markers(unmasked, masked, _MARKERS["labeled"], rules)):
                 confidence = "low"
             return steps, mode, confidence
 
@@ -191,23 +221,18 @@ def segment(raw_text: str, rules: SegmentationRules = DEFAULT_RULES):
     return _segment_paragraphs(text, rules)
 
 
-def _segment_by_markers(text: str, markers, family: str, rules: SegmentationRules):
-    ends = [start for _indent, start, _content, _value in markers[1:]]
-    ends.append(len(text))
-    texts = [text[content:end].strip()
-             for (_indent, _start, content, _value), end in zip(markers, ends)]
+def _segment_by_markers(texts, values, family: str, rules: SegmentationRules):
     # Anything before the first marker belongs to the first step.
-    preamble = text[: markers[0][1]].strip()
+    preamble, *texts = map(str.strip, texts)
     if preamble:
         texts[0] = preamble + "\n" + texts[0] if texts[0] else preamble
 
     texts, merged = _merge_micro_steps(texts, rules.min_step_chars)
-    if not any(t.strip() for t in texts):
+    if not any(texts):  # each is stripped
         raise SegmentationError("trace contains step markers but no step content")
 
     confidence = "low"
     if family in ("numbered", "labeled") and not merged:
-        values = [value for _indent, _start, _content, value in markers]
         if values == list(range(1, len(values) + 1)):
             confidence = "high"
     return tuple(texts), family, confidence
@@ -227,8 +252,8 @@ def trace_from_text(example_id: str, teacher_id: str, raw_text: str,
     raw_text is stored newline-normalized, and tok counts the whole trace
     (markers included), so a stored trace re-segments to itself.
     """
-    text = raw_text.replace("\r\n", "\n").replace("\r", "\n")
-    steps, mode, confidence = segment(text, rules)
+    text = _normalize(raw_text)
+    steps, mode, confidence = _segment(text, rules)
     return Trace(
         example_id=example_id,
         teacher_id=teacher_id,

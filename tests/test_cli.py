@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stepladder
 from stepladder.cli import COMMANDS, KNOB, main
@@ -225,6 +230,33 @@ def test_bad_audit_settings_are_caught_before_anything_is_written(demo, tmp_path
         assert target.read_bytes() == b"previous bytes\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.jsonl"]
     assert "audit fraction must lie in (0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bucket", "segment"])
+def test_second_output_that_cannot_be_written_leaves_the_first(demo, tmp_path, capsys,
+                                                              command):
+    # The second output is a directory.  Both outputs used to be written one
+    # after the other, so --out was already replaced, and the error named
+    # the second one's temp file.
+    traces, scores = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
+    assert main(["segment", "--completions", str(demo / "completions.jsonl"),
+                 "--out", str(traces)]) == 0
+    assert main(["score", "--traces", str(traces), "--out", str(scores)]) == 0
+    case = tmp_path / "case"
+    case.mkdir()
+    out, second = case / "out.jsonl", case / "second"
+    second.mkdir()
+    out.write_bytes(b"previous bytes\n")
+    argv = {"bucket": ["bucket", "--scores", str(scores), "--corpus",
+                       str(demo / "examples.jsonl"), "--report", str(second)],
+            "segment": ["segment", "--completions", str(demo / "completions.jsonl"),
+                        "--audit-fraction", "0.5", "--audit-out", str(second)]}[command]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{second}'\n"
+    assert out.read_bytes() == b"previous bytes\n"
+    assert sorted(p.name for p in case.iterdir()) == ["out.jsonl", "second"]
+    assert list(second.iterdir()) == []
 
 
 def test_config_file_equals_flags(demo, tmp_path, capsys):
@@ -652,6 +684,21 @@ def test_plain_http_harvest_loads_no_tls_or_proxy_modules(tmp_path, monkeypatch)
         assert code == "0" and "urllib.request" in loaded
 
 
+def test_warm_harvest_loads_no_transport_module(tmp_path, monkeypatch):
+    # An all-hit harvest sends nothing, so it needs neither sockets nor
+    # a selector nor the HTTP client.
+    modules = ("socket", "select", "selectors", "stepladder.chatclient")
+    write_corpus(build_demo_corpus(3, 0)[0], tmp_path / "examples.jsonl")
+    monkeypatch.setenv("OPENAI_API_KEY", "test-key-not-checked")
+    _without_proxies(monkeypatch)
+    with MockTeacher() as mock:
+        probe = _harvest_probe(mock.base_url, tmp_path, modules)
+        cold = _python("-c", probe, check=True).stdout.splitlines()[-1]
+        warm = _python("-c", probe, check=True).stdout.splitlines()
+    assert cold.split()[0] == "0"
+    assert warm == ["harvested 3 trace(s), 3 from cache, 0 request(s) sent", "0"]
+
+
 def test_cached_lone_surrogate_is_refetched(tmp_path, monkeypatch):
     write_corpus(build_demo_corpus(1, 0)[0], tmp_path / "examples.jsonl")
     monkeypatch.setenv("OPENAI_API_KEY", "test-key-not-checked")
@@ -965,3 +1012,138 @@ def test_no_numeric_setting_crashes_a_subcommand(tmp_path, capsys, monkeypatch):
                                                     or Path(f"{out}.meta.json").exists()):
                         findings.append(f"{name} {opt.flag}={value}: exit {code}")
     assert not findings
+
+
+
+# ---------------------------------------------------------------------------
+# One corrupted line of any input file
+
+# Each subcommand's argv, its input files named in braces; {cache} is the
+# harvest cache directory and {url} the MockTeacher's endpoint.
+_SWEEP = {
+    "harvest": ["harvest", "--corpus", "{examples.jsonl}", "--template-file",
+                "{template.json}", "--cache-dir", "{cache}", "--endpoint", "{url}",
+                "--model", "m", "--teacher-id", "t", "--rate-limit", "1000000",
+                "--max-retries", "0"],
+    "segment": ["segment", "--completions", "{completions.jsonl}"],
+    "score": ["score", "--traces", "{traces.jsonl}"],
+    "bucket": ["bucket", "--scores", "{scores.jsonl}", "--corpus", "{examples.jsonl}"],
+    "schedule": ["schedule", "--buckets", "{buckets.jsonl}", "--phases", "2", "--budget", "5"],
+    "baseline": ["baseline", "--corpus", "{examples.jsonl}", "--scores", "{scores.jsonl}",
+                 "--kind", "token_length", "--phases", "2", "--budget", "5"],
+    "analyze agreement": ["analyze", "agreement", "--scores", "{scores.jsonl}",
+                          "--scores", "{other.jsonl}"],
+    "analyze confound": ["analyze", "confound", "--scores", "{scores.jsonl}",
+                         "--labels-from", "{examples.jsonl}"],
+    "filter": ["filter", "--scores", "{scores.jsonl}", "--min-k", "1"],
+}
+# (command, file): each input file of each subcommand, and the warm cache log.
+_SWEEP_CASES = [(command, arg[1:-1]) for command, argv in _SWEEP.items() for arg in argv
+                if arg.startswith("{") and arg not in ("{cache}", "{url}")]
+_SWEEP_CASES.append(("harvest", "cache/responses.jsonl"))
+_CORRUPTIONS = ("truncate", "flip", "insert", "not-utf8", "drop-key", "wrong-type", "blank",
+                "duplicate")
+
+
+def _sweep_argv(command, root, case, url, out):
+    """command's argv: each input file from case if it is there, else from root."""
+    def value(arg):
+        if arg == "{url}":
+            return url
+        if arg == "{cache}":
+            return str(case / "cache")
+        if arg.startswith("{"):
+            name = arg[1:-1]
+            return str(case / name if (case / name).exists() else root / name)
+        return arg
+    return [*map(value, _SWEEP[command]), "--out", str(out)]
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    """Every subcommand's input files, from the first 40 bundled examples,
+    and a MockTeacher whose answers fill a warm harvest cache."""
+    root = tmp_path_factory.mktemp("sweep")
+    for name in ("examples.jsonl", "completions.jsonl"):
+        lines = (BUNDLED / name).read_bytes().splitlines(keepends=True)[:40]
+        (root / name).write_bytes(b"".join(lines))
+    (root / "template.json").write_text(json.dumps(
+        {"template_id": "t1", "system_text": "Be careful.", "user_text": "Solve: {prompt}"})
+        + "\n")
+    with MockTeacher() as mock:
+        with _harvest_env(), contextlib.redirect_stdout(io.StringIO()):
+            for command in ("segment", "score", "bucket", "harvest"):
+                out = root / {"segment": "traces.jsonl", "score": "scores.jsonl",
+                              "bucket": "buckets.jsonl", "harvest": "harvest.jsonl"}[command]
+                assert main(_sweep_argv(command, root, root, mock.base_url, out)) == 0, command
+        write_scores_file(root / "other.jsonl", [(s.example_id, "other", s.k, s.tok)
+                                                 for s in read_scores(root / "scores.jsonl")])
+        yield root, mock.base_url
+
+
+@contextlib.contextmanager
+def _harvest_env():
+    """An API key, and no proxy, while the block runs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("OPENAI_API_KEY", "test-key-not-checked")
+        _without_proxies(mp)
+        yield
+
+
+def _corrupt(data: bytes, kind: str, n: int) -> bytes:
+    """data with one line corrupted as kind says; n picks the line, the
+    place, the byte and the field."""
+    lines = data.split(b"\n")  # the last is the empty rest after the final newline
+    i = n % (len(lines) - 1)
+    line = lines[i]
+    at = n // 7 % (len(line) + 1)
+    if kind == "truncate":
+        lines[i] = line[:at]
+    elif kind == "flip":
+        at %= len(line)
+        lines[i] = line[:at] + bytes([line[at] ^ (1 + n % 255)]) + line[at + 1:]
+    elif kind == "insert":
+        lines[i] = line[:at] + bytes([n % 256]) + line[at:]
+    elif kind == "not-utf8":
+        lines[i] = line[:at] + b"\xff" + line[at:]
+    elif kind in ("drop-key", "wrong-type"):
+        obj = json.loads(line)
+        key = sorted(obj)[n % len(obj)]
+        if kind == "drop-key":
+            del obj[key]
+        else:
+            obj[key] = [None, True, 7, 2.5, "x", [], {}][n % 7]
+        lines[i] = json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    else:
+        lines.insert(i, b"" if kind == "blank" else line)
+    return b"\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_SWEEP_CASES), st.sampled_from(_CORRUPTIONS),
+       st.integers(min_value=0, max_value=2 ** 20))
+def test_no_corrupted_input_line_crashes_a_subcommand(sweep_inputs, case, kind, n):
+    """Exit 0, 1, 2 or 64, never an exception; exit 1 or 64 leaves the
+    previous output, and no temp file or sidecar.  A corrupted cache line
+    is fetched again."""
+    root, url = sweep_inputs
+    command, name = case
+    work = Path(tempfile.mkdtemp(dir=root))
+    try:
+        (work / "cache").mkdir()
+        shutil.copy(root / "cache" / "responses.jsonl", work / "cache")
+        (work / name).write_bytes(_corrupt((root / name).read_bytes(), kind, n))
+        out = work / "out"
+        out.write_bytes(b"previous bytes\n")
+        with _harvest_env(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(_sweep_argv(command, root, work, url, out))
+        assert code in (0, 1, 2, 64), err.getvalue()
+        assert not list(work.glob(".*.tmp"))
+        if code in (1, 64):
+            assert out.read_bytes() == b"previous bytes\n"
+            assert not Path(f"{out}.meta.json").exists()
+        if name.startswith("cache/"):
+            assert code == 0, err.getvalue()
+    finally:
+        shutil.rmtree(work)

@@ -243,7 +243,7 @@ _CACHE_TEXT = st.text(st.one_of(st.sampled_from('\n"\\{}\u2028\xe9\u4e2d\U0001f6
                                 st.characters(exclude_categories=("Cs",))), max_size=12)
 _CACHE_OPS = st.lists(st.tuples(
     st.sampled_from(["put", "put", "torn", "not-hex", "no-prefix", "other-key", "not-str",
-                     "surrogate"]),
+                     "surrogate", "escaped", "trailing", "text-twice"]),
     st.sampled_from(_POOL), _CACHE_TEXT, st.integers(min_value=0, max_value=10 ** 6)),
     max_size=14)
 
@@ -264,6 +264,18 @@ def _cache_line(model, kind, key, text, n):
     if kind == "no-prefix":
         model.line(None, None)
         return json.dumps({"text": text, "key": key}).encode("ascii") + b"\n"
+    if kind in ("escaped", "trailing", "text-twice"):
+        # Lines that parse to the key and the text, in other forms than
+        # put writes: every non-ASCII character escaped, a field or
+        # spaces after the text, or a "text" before the last one.
+        model.line(key, text)
+        if kind == "escaped":
+            return json.dumps({"key": key, "text": text}).encode("ascii") + b"\n"
+        if kind == "trailing":
+            tail = (b', "n": 1}', b"} ", b', "key": "%s"}' % key.encode("ascii"))[n % 3]
+            return entry[:-1] + tail + b"\n"
+        return b'{"key": "%s", "text": "x", "text": %s}\n' % (
+            key.encode("ascii"), json.dumps(text).encode("ascii"))
     model.line(key, None)
     if kind == "other-key":  # JSON keeps the last "key"
         other = _POOL[(_POOL.index(key) + 1) % len(_POOL)]
@@ -566,6 +578,23 @@ def test_job_validation(tmp_path):
             job_for(teacher, tmp_path, timeout=timeout)
     with pytest.raises(HarvestError, match="backoff_base"):
         job_for(teacher, tmp_path, backoff_base=float("nan"))
+
+
+def test_a_thousand_retries_do_not_overflow_the_backoff(tmp_path):
+    # 0.0 * 2 ** 1024 raised OverflowError: an int too large for a float.
+    teacher = profile("http://127.0.0.1:1/v1")
+    result = harvest(depth_examples(1), job_for(teacher, tmp_path, backoff_base=0.0,
+                                                max_retries=1100, rate_limit=1e6))
+    assert result.traces == []
+    assert [f.reason.rpartition(" after ")[2] for f in result.failures] == ["1101 attempts"]
+
+
+@pytest.mark.parametrize("base", [float("inf"), 1e300])
+def test_backoff_base_past_the_longest_wait_is_refused(tmp_path, base):
+    # Either used to raise OverflowError out of harvest() on the first retry.
+    teacher = profile("http://127.0.0.1:1/v1")
+    with pytest.raises(HarvestError, match="backoff_base must be >= 0 and at most"):
+        job_for(teacher, tmp_path, backoff_base=base, max_retries=1)
 
 
 # ---------------------------------------------------------------------------

@@ -110,12 +110,14 @@ def test_merge_micro_steps_matches_oracle(texts, min_chars):
 
 
 # Traces built line by line from every marker family, at several indents,
-# with values past max_marker_value (some past int()'s 4300 digits), digits
-# of other scripts, labels in every case, code and math spans that hide
+# with values past max_marker_value (some past int()'s 4300 digits), so
+# that dropped markers rejoin the step before them mid-list, digits of
+# other scripts, labels in every case, code and math spans that hide
 # markers, and every line ending the segmenter normalizes.
 _VALUES = st.one_of(
     st.integers(min_value=0, max_value=4),
-    st.sampled_from([999, 1000, "007", "\u0661", "\u0662", "\uff11", "\uff12", "\u00b2",
+    st.sampled_from([2, 3, 4, 999, 1000, 10 ** 6 + 1, "007", "\u0661", "\u0662", "\uff11",
+                     "\uff12", "\u00b2",
                      "1" * 4301, "9" * 5000, "0" * 4400 + "2", "\u0660" * 4400 + "\u0661"]),
 )
 _MARKER = st.one_of(
@@ -132,7 +134,8 @@ _BODY = st.one_of(
     st.text(alphabet="ab `$", max_size=8),
     st.text(alphabet="ab", max_size=8),
     st.sampled_from(["`1. x`", "$2) y$", "```\n1. code\n```", "$$\n- m\n$$", "so step 2: on",
-                     "`step 1:`", "a TEP b"]),
+                     "`step 1:`", "a TEP b", "```\n2) a\n  3. b\n```", "$$\n(3) m\n$$ c",
+                     "$x$\n4. after", "`- b` `*`"]),
 )
 _LINE = st.tuples(st.sampled_from(["", " ", "  ", "\t"]), _MARKER, _BODY,
                   st.sampled_from(["\n", "\r\n", "\r", "\n\n"]))
