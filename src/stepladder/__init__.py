@@ -27,7 +27,7 @@ _EXPORTS = {
         "BASELINE_KINDS",
         "CurriculumManifest", "DoTScore", "Example", "Phase", "SchedulePlan",
         "TeacherProfile", "Trace", "count_tokens",
-        "read_completions", "read_corpus", "read_manifest", "read_scores",
+        "iter_corpus", "read_completions", "read_corpus", "read_manifest", "read_scores",
         "read_traces", "write_completions", "write_corpus", "write_manifest",
         "write_scores", "write_traces",
     ), "corpus"),
@@ -43,7 +43,7 @@ _EXPORTS = {
         "baseline_order", "build_curriculum", "filter_by_depth", "phase_weights",
     ), "scheduler"),
     **dict.fromkeys((
-        "aggregate_self_consistency", "score", "score_corpus",
+        "aggregate_self_consistency", "score", "score_corpus", "score_stream",
     ), "scorer"),
     **dict.fromkeys((
         "DEFAULT_RULES", "SegmentationRules", "audit_sample", "segment",

@@ -10,6 +10,7 @@ difficulty relation.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -249,22 +250,26 @@ def length_confound(scores: Iterable[DoTScore],
     labels maps example_id to an external difficulty value.  Every scored
     example must be labeled and at least 4 are required.
     """
-    scores = list(scores)
+    rows = [(s.example_id, s.k, s.tok) for s in scores]  # all a score is needed for
     seen: set[str] = set()
-    for sc in scores:
-        if sc.example_id in seen:
-            raise AnalysisError(f"duplicate score for example {sc.example_id!r}")
-        seen.add(sc.example_id)
-    missing = sorted(s.example_id for s in scores if s.example_id not in labels)
+    for example_id, _k, _tok in rows:
+        if example_id in seen:
+            raise AnalysisError(f"duplicate score for example {example_id!r}")
+        seen.add(example_id)
+    del seen
+    missing = sorted(example_id for example_id, _k, _tok in rows if example_id not in labels)
     if missing:
         raise AnalysisError(f"unlabeled examples: {some_ids(missing)}")
-    if len(scores) < 4:
-        raise AnalysisError(f"need at least 4 labeled examples, got {len(scores)}")
+    n = len(rows)
+    if n < 4:
+        raise AnalysisError(f"need at least 4 labeled examples, got {n}")
 
-    scores.sort(key=lambda s: s.example_id)
-    ks = [float(s.k) for s in scores]
-    toks = [float(s.tok) for s in scores]
-    lab = [float(labels[s.example_id]) for s in scores]
+    rows.sort()  # by example_id, which is unique
+    # Arrays of doubles: 8 bytes a value, the same floats as a list's.
+    ks = array("d", [k for _id, k, _tok in rows])
+    toks = array("d", [tok for _id, _k, tok in rows])
+    lab = array("d", (float(labels[example_id]) for example_id, _k, _tok in rows))
+    del rows
 
     rank_k, rank_tok, rank_lab = _ranks(ks), _ranks(toks), _ranks(lab)
     rho_depth = _pearson(rank_k, rank_lab)
@@ -283,7 +288,7 @@ def length_confound(scores: Iterable[DoTScore],
             note = ("depth or label ranks are fully explained by token ranks; "
                     "partial correlation is undefined")
     return ConfoundReport(
-        n=len(scores),
+        n=n,
         rho_depth=rho_depth,
         rho_tokens=rho_tokens,
         partial_depth=partial,

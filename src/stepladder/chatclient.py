@@ -92,8 +92,12 @@ class ChatClient:
         self.timeout = timeout
         self.host = host
         proxy = _proxy_for(parts.scheme, host, port)
-        self.address = (host, port) if proxy is None else proxy[:2]
-        self.addresses = None  # getaddrinfo() of address, once looked up
+        name, self.port = (host, port) if proxy is None else proxy[:2]
+        # getaddrinfo encodes a str host with the idna codec, whose import
+        # (with stringprep and unicodedata) an ASCII name does not need.
+        # (A URL like "http://:80" has no host: None looks up the loopback.)
+        self.name = name.encode("ascii") if name is not None and name.isascii() else name
+        self.addresses = None  # getaddrinfo() of (name, port), once looked up
         self.tunnel = None  # the CONNECT request for the proxy, if any
         self.context = None
         # What a non-blocking read raises when nothing has arrived; TLS
@@ -259,7 +263,11 @@ class Connection:
     def _open(self):
         client = self.client
         if client.addresses is None:
-            client.addresses = socket.getaddrinfo(*client.address, type=socket.SOCK_STREAM)
+            try:
+                client.addresses = socket.getaddrinfo(client.name, client.port,
+                                                      type=socket.SOCK_STREAM)
+            except UnicodeError as exc:  # a name the idna codec cannot encode
+                raise OSError(f"bad host name {client.name!r}: {exc}") from None
         for family, kind, proto, _name, address in client.addresses:
             self.sock = socket.socket(family, kind, proto)
             self.sock.setblocking(False)

@@ -18,11 +18,14 @@ Exit codes: 0 success, 1 validation or data error or a failed gate
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from contextlib import contextmanager
+from itertools import compress
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import __version__
 from .corpus import (
@@ -35,14 +38,12 @@ from .corpus import (
     all_or_nothing,
     file_sha256,
     is_text,
-    read_corpus,
+    iter_corpus,
     read_json,
     read_jsonl,
     read_scores,
     write_atomic,
     write_manifest,
-    write_scores,
-    write_traces,
 )
 from .errors import CorpusError, ParameterError, StepladderError
 
@@ -202,7 +203,7 @@ def _write_sidecar(out: Path, args) -> None:
         "tool": f"stepladder {__version__}",
         "command": args.subcommand,
         "parameters": _knobs(args),
-        "inputs": {str(p): file_sha256(p) for p in _files(args, INPUT)},
+        "inputs": {str(p): args.sha256(p) for p in _files(args, INPUT)},
     })
 
 
@@ -223,24 +224,62 @@ def _check_threshold(value, flag: str) -> None:
         raise ParameterError(f"{flag} must be a finite number, got {value}")
 
 
-def _one_score_per_example(args) -> Optional[list]:
-    """The --scores file (None when not given), narrowed to --teacher's
-    scores when the command takes --teacher and one is given.  A second
-    score for one example is an error naming its line."""
+def _one_score_per_example(args) -> Optional[Iterator]:
+    """The --scores file's scores as a stream (None when not given),
+    narrowed to --teacher's scores when the command takes --teacher and
+    one is given.  A second score for one example is an error naming its
+    line, and a --teacher with no scores one raised at the file's end."""
     if args.scores is None:
         return None
     teacher = getattr(args, "teacher", None)
-    scores: dict = {}
-    for where, score in read_jsonl(args.scores, SCORE):
-        if teacher is not None and score.teacher_id != teacher:
-            continue
-        if score.example_id in scores:
-            raise CorpusError(f"{where}: 'example_id': duplicate score for example "
-                              f"{score.example_id!r}")
-        scores[score.example_id] = score
-    if teacher is not None and not scores:
-        raise ParameterError(f"no scores for teacher {teacher!r}")
-    return list(scores.values())
+
+    def scores():
+        seen = set()
+        for where, score in read_jsonl(args.scores, SCORE):
+            if teacher is not None and score.teacher_id != teacher:
+                continue
+            if score.example_id in seen:
+                raise CorpusError(f"{where}: 'example_id': duplicate score for example "
+                                  f"{score.example_id!r}")
+            seen.add(score.example_id)
+            yield score
+        if teacher is not None and not seen:
+            raise ParameterError(f"no scores for teacher {teacher!r}")
+
+    return scores()
+
+
+@contextmanager
+def _inputs_first(*streams):
+    """Give the block each input stream (None stays None), listed in the
+    order in which the command reports their errors.  After the block,
+    also when it failed, read each stream to its end in that order,
+    stopping at one whose own error the block raised.  A bad input line
+    is thus the error reported, ahead of any check the block made before
+    the stream reached that line."""
+    failed = []
+
+    def watched(stream):
+        try:
+            yield from stream
+        except Exception:
+            failed.append(stream)
+            raise
+
+    def read_out():
+        for stream, rest in zip(streams, wrapped):
+            if stream in failed:
+                return
+            for _item in rest or ():
+                pass
+
+    wrapped = [None if stream is None else watched(stream) for stream in streams]
+    try:
+        yield wrapped
+    except Exception:
+        read_out()
+        raise
+    read_out()
 
 
 def _gate(args, report, failures: list) -> int:
@@ -268,7 +307,10 @@ def _run_harvest(args) -> int:
     from .harvester import (DEFAULT_TEMPLATE, TEMPLATE, HarvestJob, HarvestResult,
                             harvest_stream)
 
-    examples = read_corpus(args.corpus)
+    # The corpus streams into the harvest.  Opening it here makes a missing
+    # or unreadable file fail before the cache directory is made.
+    open(args.corpus, "rb").close()
+    ids: dict = {}  # every example id read, for the duplicate check
     template = DEFAULT_TEMPLATE if args.template_file is None \
         else read_json(args.template_file, TEMPLATE)
     teacher = TeacherProfile(
@@ -291,9 +333,10 @@ def _run_harvest(args) -> int:
     )
     # Traces stream to the output as they resolve; only failures are kept.
     result = HarvestResult()
-    write_atomic(args.out, map(TRACE.dump, harvest_stream(examples, job, result)))
+    write_atomic(args.out, map(TRACE.dump,
+                               harvest_stream(iter_corpus(args.corpus, ids), job, result)))
     # Each (example, sample) unit became a trace or a failure.
-    traces = len(examples) * args.samples - len(result.failures)
+    traces = len(ids) * args.samples - len(result.failures)
     print(f"harvested {traces} trace(s), "
           f"{result.cache_hits} from cache, {result.requests_sent} request(s) sent")
     return _exit_code([(f.example_id, f.sample_index, f.reason) for f in result.failures],
@@ -301,26 +344,24 @@ def _run_harvest(args) -> int:
 
 
 def _run_segment(args) -> int:
-    from .segmenter import SegmentationRules, audit_sample, trace_from_text
+    from .segmenter import SegmentationRules, audit_draw, trace_from_text
 
     rules = SegmentationRules(
         min_step_chars=args.min_step_chars,
         max_marker_value=args.max_marker_value,
         allow_paragraph_fallback=not args.no_paragraph_fallback,
     )
-    # Completions stream through to the output one at a time; the traces
-    # themselves are kept only when an audit sample is drawn from them.
+    # Completions stream through to the output one at a time.  An audit
+    # keeps one byte per written trace, 1 when its confidence is low, and
+    # copies its lines from the written output.
     if (args.audit_fraction is None) != (args.audit_out is None):
         raise ParameterError("--audit-fraction and --audit-out must be given together")
-    audit = None
     if args.audit_fraction is not None:
-        audit_sample([], args.audit_fraction, args.audit_seed)  # checks the fraction
-        audit = []
+        audit_draw(b"", args.audit_fraction, args.audit_seed)  # checks the fraction
     failures = []
-    written = low = 0
+    low = bytearray()
 
     def lines():
-        nonlocal written, low
         for rec in COMPLETION.iter(args.completions):
             try:
                 trace = trace_from_text(
@@ -328,37 +369,53 @@ def _run_segment(args) -> int:
             except StepladderError as exc:
                 failures.append((rec["example_id"], rec["teacher_id"], str(exc)))
                 continue
-            written += 1
-            low += trace.confidence == "low"
-            if audit is not None:
-                audit.append(trace)
+            low.append(trace.confidence == "low")
             yield TRACE.dump(trace)
 
-    write_atomic(args.out, lines())
-    print(f"segmented {written} trace(s), {low} low-confidence")
-    if audit is not None:
-        picked = audit_sample(audit, args.audit_fraction, args.audit_seed)
-        write_traces(picked, args.audit_out)
-        print(f"audit sample: {len(picked)} trace(s)")
+    written = write_atomic(args.out, lines())
+    n_low = low.count(1)
+    print(f"segmented {len(low)} trace(s), {n_low} low-confidence")
+    if args.audit_fraction is not None:
+        drawn = audit_draw(low, args.audit_fraction, args.audit_seed)
+
+        def audit_lines():
+            for picked in (low, drawn):  # every low trace, then the drawn ones
+                with open(written, encoding="utf-8", newline="") as fh:
+                    yield from compress(fh, picked)
+
+        write_atomic(args.audit_out, audit_lines())
+        print(f"audit sample: {n_low + drawn.count(1)} trace(s)")
     return _exit_code(failures, "segmentation")
 
 
 def _run_score(args) -> int:
-    from .scorer import score_corpus
+    from .scorer import score_stream
 
-    scores, errors = score_corpus(TRACE.iter(args.traces))
-    write_scores(scores, args.out)
-    print(f"scored {len(scores)} (example, teacher) pair(s)")
+    # Every trace is read before the output is opened; each score line is
+    # built as it is written.
+    scores, errors = score_stream(TRACE.iter(args.traces))
+    pairs = 0
+
+    def lines():
+        nonlocal pairs
+        for score in scores:
+            pairs += 1
+            yield SCORE.dump(score)
+
+    write_atomic(args.out, lines())
+    print(f"scored {pairs} (example, teacher) pair(s)")
     return _exit_code(errors, "scoring")
 
 
 def _run_bucket(args) -> int:
     from .bucketer import BucketSpec, bucketize, describe, write_buckets
 
-    scores = _one_score_per_example(args)
-    tasks = {ex.id: ex.task for ex in read_corpus(args.corpus)}
-    spec = BucketSpec(edges=args.edges, max_task_share=args.max_task_share)
-    result = bucketize(scores, spec, tasks)
+    with _inputs_first(_one_score_per_example(args)) as (scores,):
+        tasks: dict = {}
+        for ex in iter_corpus(args.corpus, tasks):
+            tasks[ex.id] = sys.intern(ex.task)  # a few task names, one copy each
+        spec = BucketSpec(edges=args.edges, max_task_share=args.max_task_share)
+        result = bucketize(scores, spec, tasks)
     write_buckets(result, args.out)
     text = describe(result).render()
     print(text)
@@ -374,7 +431,7 @@ def _run_schedule(args) -> int:
     result = read_buckets(args.buckets)
     plan = SchedulePlan(**_knobs(args))  # schedule's knobs are the plan's fields
     provenance = {
-        "buckets_sha256": file_sha256(args.buckets),
+        "buckets_sha256": args.sha256(args.buckets),
         "tool_version": __version__,
     }
     manifest = build_curriculum(result, plan, provenance=provenance)
@@ -387,11 +444,12 @@ def _run_schedule(args) -> int:
 def _run_baseline(args) -> int:
     from .scheduler import baseline_order
 
-    examples = read_corpus(args.corpus)
     plan = _knobs(args)
     del plan["kind"]  # the other knobs are the plan's fields
-    manifest = baseline_order(examples, _one_score_per_example(args), args.kind,
-                              SchedulePlan(mode="staged", **plan))
+    with _inputs_first(iter_corpus(args.corpus),
+                       _one_score_per_example(args)) as (examples, scores):
+        manifest = baseline_order(examples, scores, args.kind,
+                                  SchedulePlan(mode="staged", **plan))
     write_manifest(manifest, args.out)
     print(f"wrote {args.kind} baseline with {len(manifest.phases)} phase(s)")
     return _EXIT_OK
@@ -416,13 +474,14 @@ def _run_confound(args) -> int:
     from .analyzer import length_confound
 
     _check_threshold(args.min_spearman, "--min-spearman")
-    scores = _one_score_per_example(args)
-    labels = {}
-    for ex in read_corpus(args.labels_from):
-        value = getattr(ex, args.label_field)
-        if value is not None:
-            labels[ex.id] = float(value)
-    report = length_confound(scores, labels)
+    with _inputs_first(_one_score_per_example(args)) as (scores,):
+        labels: dict = {}
+        for ex in iter_corpus(args.labels_from, labels):
+            value = getattr(ex, args.label_field)
+            labels[ex.id] = None if value is None else float(value)
+        for ex_id in [ex_id for ex_id, value in labels.items() if value is None]:
+            del labels[ex_id]  # unlabeled
+        report = length_confound(scores, labels)
     below = args.min_spearman is not None and report.rho_depth < args.min_spearman
     return _gate(args, report, [f"spearman {report.rho_depth:.4f} below threshold "
                                 f"{args.min_spearman}"] if below else [])
@@ -431,7 +490,8 @@ def _run_confound(args) -> int:
 def _run_filter(args) -> int:
     from .scheduler import filter_by_depth
 
-    ids = filter_by_depth(_one_score_per_example(args), min_k=args.min_k, max_k=args.max_k)
+    with _inputs_first(_one_score_per_example(args)) as (scores,):
+        ids = filter_by_depth(scores, min_k=args.min_k, max_k=args.max_k)
     write_atomic(args.out, (ex_id + "\n" for ex_id in ids))
     print(f"kept {len(ids)} example(s)")
     return _EXIT_OK
@@ -589,6 +649,7 @@ def main(argv=None) -> int:
                 leaf.set_defaults(**config)
         args = parser.parse_args(argv)
         _check_and_rebase(args)
+        args.sha256 = functools.cache(file_sha256)  # each input is hashed once
         with all_or_nothing():  # an error replaces no output
             code = args.func(args)
             if code != _EXIT_ERROR:  # a failed gate writes nothing

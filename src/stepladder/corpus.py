@@ -484,12 +484,14 @@ def read_json(path, record: Record):
 _PENDING = threading.local()
 
 
-def write_atomic(path, chunks: Iterable[str]) -> None:
+def write_atomic(path, chunks: Iterable[str]) -> Path:
     """Write text chunks to path; readers see the old file or the whole new one.
 
     A chunk that fails to arrive leaves path's old bytes and no temp file;
     a path that is a directory is refused before anything is written.
     Inside all_or_nothing(), path is replaced only when the block ends.
+    Returns the file that holds the new bytes: path, or inside
+    all_or_nothing() its temp file until the block ends.
     """
     path = Path(path)
     if path.is_dir():
@@ -503,8 +505,9 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
             fh.writelines(chunks)
         if pending is None:
             os.replace(tmp, path)
-        else:
-            pending.append((tmp, path))
+            return path
+        pending.append((tmp, path))
+        return tmp
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -656,20 +659,28 @@ PHASE = Record((("index", int, False), ("example_ids", [str], False),
 # Readers and writers
 
 
-def read_corpus(path) -> list[Example]:
-    """Read an examples JSONL file, in file order.
+def iter_corpus(path, ids: Optional[dict] = None) -> Iterator[Example]:
+    """Every example of an examples JSONL file, in file order, one at a time.
 
-    Raises CorpusError with the offending line number on malformed JSON,
-    a missing or mistyped field, an invariant violation, or a duplicate id.
+    A bad line raises CorpusError naming it when the stream reaches it:
+    malformed JSON, a missing or mistyped field, an invariant violation,
+    or an id read before.  The ids read so far are the keys of ids (a
+    fresh dict when not given), each set to None as its example is
+    yielded; a caller that keeps one value per example stores it there,
+    so that the one mapping it keeps is also the duplicate check.
     """
-    examples: list[Example] = []
-    seen: set[str] = set()
+    seen = {} if ids is None else ids
     for where, example in read_jsonl(path, EXAMPLE):
         if example.id in seen:
             raise CorpusError(f"{where}: duplicate example id {example.id!r}")
-        seen.add(example.id)
-        examples.append(example)
-    return examples
+        seen[example.id] = None
+        yield example
+
+
+def read_corpus(path) -> list[Example]:
+    """Every example of an examples JSONL file, in file order; a bad line
+    raises as in iter_corpus."""
+    return list(iter_corpus(path))
 
 
 write_corpus = EXAMPLE.write

@@ -158,28 +158,30 @@ def baseline_order(examples: Iterable[Example], scores: Optional[Iterable[DoTSco
     required), judge_score ascending by the corpus judge annotation, and
     random applies a seeded shuffle.  The ordered ids are then chunked
     into plan.phases phases of plan.budget_per_phase each; phases carry
-    no bucket accounting.
+    no bucket accounting.  Each input is read once, and only each
+    example's id and judge score and each scored example's tok are kept,
+    so both may stream in from a file.
     """
-    examples = list(examples)
+    pairs = [(ex.id, ex.judge_score) for ex in examples]
     if kind not in BASELINE_KINDS:
         raise ParameterError(
             f"unknown baseline kind {kind!r}; expected one of {BASELINE_KINDS}"
         )
 
     if kind == "token_length":
-        by_id = {s.example_id: s for s in scores or []}
-        missing = [ex.id for ex in examples if ex.id not in by_id]
+        tok = {s.example_id: s.tok for s in scores or []}
+        missing = [ex_id for ex_id, _judge in pairs if ex_id not in tok]
         if missing:
             raise ScheduleError(f"token_length baseline lacks scores for: {some_ids(missing)}")
-        ordered = sorted((by_id[ex.id].tok, ex.id) for ex in examples)
+        ordered = sorted((tok[ex_id], ex_id) for ex_id, _judge in pairs)
     elif kind == "judge_score":
-        missing = [ex.id for ex in examples if ex.judge_score is None]
+        missing = [ex_id for ex_id, judge in pairs if judge is None]
         if missing:
             raise ScheduleError(
                 f"judge_score baseline lacks judge_score for: {some_ids(missing)}")
-        ordered = sorted((ex.judge_score, ex.id) for ex in examples)
+        ordered = sorted((judge, ex_id) for ex_id, judge in pairs)
     else:
-        ids = sorted(ex.id for ex in examples)
+        ids = sorted(ex_id for ex_id, _judge in pairs)
         rng = random.Random(f"{plan.seed}/baseline/random")
         rng.shuffle(ids)
         ordered = [(None, i) for i in ids]

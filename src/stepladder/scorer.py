@@ -8,7 +8,7 @@ dot_norm is recomputed, so one rambling outlier cannot drag the score up.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .corpus import DoTScore, Trace
 from .errors import ScoringError
@@ -33,12 +33,11 @@ def _lower_median(values: list[int]) -> int:
     return sorted(values)[(len(values) - 1) // 2]
 
 
-def _aggregate(example_id: str, teacher_id: str, samples: list[tuple[int, int]]) -> DoTScore:
-    """One score from a pair's (k, tok) samples, each by lower median."""
-    return DoTScore.compute(example_id, teacher_id,
-                            _lower_median([k for k, _tok in samples]),
-                            _lower_median([tok for _k, tok in samples]),
-                            n_samples=len(samples))
+def _aggregate(example_id: str, teacher_id: str, samples: list[int]) -> DoTScore:
+    """One score from a pair's samples, listed flat as k, tok, k, tok, ...;
+    k and tok each by lower median."""
+    return DoTScore.compute(example_id, teacher_id, _lower_median(samples[::2]),
+                            _lower_median(samples[1::2]), n_samples=len(samples) // 2)
 
 
 def aggregate_self_consistency(scores: Iterable[DoTScore]) -> DoTScore:
@@ -58,7 +57,31 @@ def aggregate_self_consistency(scores: Iterable[DoTScore]) -> DoTScore:
             f"aggregation group mixes (example, teacher) pairs: {sorted(keys)}"
         )
     return _aggregate(scores[0].example_id, scores[0].teacher_id,
-                      [(s.k, s.tok) for s in scores])
+                      [n for s in scores for n in (s.k, s.tok)])
+
+
+def score_stream(traces: Iterable[Trace]) -> tuple[Iterator[DoTScore], list[tuple[str, str, str]]]:
+    """score_corpus with the scores as an iterator.
+
+    Every trace is read, and the errors listed, before this returns; only
+    each trace's k and tok are kept, one copy of each teacher id, so
+    traces may stream in from a file.  The iterator builds each pair's
+    DoTScore as it reaches the pair, in (example_id, teacher_id) order,
+    and lets go of the pair's samples.  (A trace's tok is >= 1 by
+    construction, so k is all score() checks.)
+    """
+    groups: dict[tuple[str, str], list[int]] = {}
+    teachers: dict[str, str] = {}
+    errors: list[tuple[str, str, str]] = []
+    for trace in traces:
+        try:
+            k = _steps(trace)
+        except ScoringError as exc:
+            errors.append((trace.example_id, trace.teacher_id, str(exc)))
+            continue
+        teacher = teachers.setdefault(trace.teacher_id, trace.teacher_id)
+        groups.setdefault((trace.example_id, teacher), []).extend((k, trace.tok))
+    return (_aggregate(*key, groups.pop(key)) for key in sorted(groups)), errors
 
 
 def score_corpus(traces: Iterable[Trace]) -> tuple[list[DoTScore], list[tuple[str, str, str]]]:
@@ -67,18 +90,7 @@ def score_corpus(traces: Iterable[Trace]) -> tuple[list[DoTScore], list[tuple[st
     Returns (scores, errors).  Scores are sorted by (example_id,
     teacher_id); errors are (example_id, teacher_id, reason) triples for
     traces that could not be scored.  Unscorable traces never abort the
-    run, they are reported.  Only each trace's k and tok are kept, so
-    traces may stream in from a file; a DoTScore is built once per pair.
-    (A trace's tok is >= 1 by construction, so k is all score() checks.)
+    run, they are reported.
     """
-    groups: dict[tuple[str, str], list[tuple[int, int]]] = {}
-    errors: list[tuple[str, str, str]] = []
-    for trace in traces:
-        try:
-            k = _steps(trace)
-        except ScoringError as exc:
-            errors.append((trace.example_id, trace.teacher_id, str(exc)))
-            continue
-        groups.setdefault((trace.example_id, trace.teacher_id), []).append((k, trace.tok))
-
-    return [_aggregate(*key, samples) for key, samples in sorted(groups.items())], errors
+    scores, errors = score_stream(traces)
+    return list(scores), errors

@@ -22,7 +22,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from .corpus import Trace, count_tokens
 from .errors import ParameterError, SegmentationError
@@ -265,24 +265,43 @@ def trace_from_text(example_id: str, teacher_id: str, raw_text: str,
     )
 
 
+def audit_draw(low: bytes, fraction: float, seed: int) -> bytearray:
+    """The audit rule over positions: low holds one byte per trace, 1 for
+    a low-confidence trace and 0 for a high-confidence one.  Returns one
+    byte per trace, 1 for each high-confidence trace the seeded draw
+    picks; the audit sample is every low trace, then every drawn one,
+    each group in input order.
+
+    The draw fills the rest of the ceil(fraction * n) target: its
+    positions among the high traces are random.Random(seed).sample of
+    range(number of high traces), which picks what sampling the high
+    traces themselves would, because sample uses only the population's
+    length.
+    """
+    if not 0.0 < fraction <= 1.0:
+        raise ParameterError(f"audit fraction must lie in (0, 1], got {fraction}")
+    drawn = bytearray(len(low))
+    n_low = low.count(1)
+    n_high = len(low) - n_low
+    extra = max(0, math.ceil(fraction * len(low)) - n_low)
+    chosen = set(random.Random(seed).sample(range(n_high), min(extra, n_high)))
+    rank = 0  # the next high trace's position among the high traces
+    for i, is_low in enumerate(low):
+        if not is_low:
+            drawn[i] = rank in chosen
+            rank += 1
+    return drawn
+
+
 def audit_sample(traces, fraction: float, seed: int) -> list[Trace]:
     """Pick traces for manual audit.
 
     All low-confidence traces are included (in input order); the rest of
     the ceil(fraction * n) target is filled by a seeded uniform draw from
-    the high-confidence ones.  The same inputs, fraction and seed always
-    return the same selection.
+    the high-confidence ones (see audit_draw).  The same inputs, fraction
+    and seed always return the same selection.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ParameterError(f"audit fraction must lie in (0, 1], got {fraction}")
     traces = list(traces)
-    if not traces:
-        return []
-    target = math.ceil(fraction * len(traces))
-    low = [t for t in traces if t.confidence == "low"]
-    high = [t for t in traces if t.confidence == "high"]
-    extra = max(0, target - len(low))
-    rng = random.Random(seed)
-    picked = rng.sample(high, min(extra, len(high)))
-    picked_set = {id(t) for t in picked}
-    return low + [t for t in high if id(t) in picked_set]
+    low = bytes(t.confidence == "low" for t in traces)
+    drawn = audit_draw(low, fraction, seed)
+    return list(compress(traces, low)) + list(compress(traces, drawn))

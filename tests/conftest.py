@@ -8,6 +8,7 @@ module and oracle actually means something.
 from __future__ import annotations
 
 import math
+import random
 import re
 import statistics
 import unicodedata
@@ -195,6 +196,22 @@ def naive_apply_task_cap(members, share):
                 break
     evicted.reverse()
     return retained, evicted
+
+
+def list_audit_sample(traces, fraction, seed):
+    """The audit rule over the traces themselves: every low-confidence
+    trace, then a seeded sample of the high-confidence ones, drawn from
+    their list, in input order."""
+    traces = list(traces)
+    if not traces:
+        return []
+    target = math.ceil(fraction * len(traces))
+    low = [t for t in traces if t.confidence == "low"]
+    high = [t for t in traces if t.confidence == "high"]
+    extra = max(0, target - len(low))
+    picked = random.Random(seed).sample(high, min(extra, len(high)))
+    picked_ids = {id(t) for t in picked}
+    return low + [t for t in high if id(t) in picked_ids]
 
 
 class CacheLogModel:

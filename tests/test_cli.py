@@ -25,8 +25,10 @@ from stepladder.corpus import (
     read_traces,
     write_completions,
     write_corpus,
+    write_traces,
 )
 from stepladder.mockteacher import MockTeacher
+from stepladder.segmenter import audit_sample
 from stepladder.synthetic import build_demo_corpus
 
 BUNDLED = Path(__file__).parent.parent / "data" / "synthetic"
@@ -208,6 +210,38 @@ def test_segment_audit_listing(demo, tmp_path, capsys):
             if t.confidence == "low"]
     assert {(t.example_id, t.teacher_id) for t in lows} <= \
         {(t.example_id, t.teacher_id) for t in audited}
+
+
+@pytest.fixture(scope="module")
+def audit_inputs(tmp_path_factory):
+    """The bundled completions, and the same example ids with texts that
+    segment all low or all high."""
+    root = tmp_path_factory.mktemp("audit")
+    completions = [json.loads(line) for line in
+                   (BUNDLED / "completions.jsonl").read_text(encoding="utf-8").splitlines()]
+    texts = {"low": "- first thing to do\n- second thing to do",
+             "high": "1. first step to take\n2. second step to take"}
+    for name, text in texts.items():
+        write_completions([{**c, "text": text} for c in completions], root / f"{name}.jsonl")
+    return {"bundled": BUNDLED / "completions.jsonl", "low": root / "low.jsonl",
+            "high": root / "high.jsonl"}
+
+
+@pytest.mark.parametrize("fraction", ["0.01", "0.1", "0.5", "1.0"])
+@pytest.mark.parametrize("source", ["bundled", "low", "high"])
+def test_audit_out_is_the_library_audit_of_the_written_traces(tmp_path, capsys, audit_inputs,
+                                                              source, fraction):
+    out, audit = tmp_path / "t.jsonl", tmp_path / "audit.jsonl"
+    for seed in (0, 5, 123):
+        assert main(["segment", "--completions", str(audit_inputs[source]), "--out", str(out),
+                     "--audit-fraction", fraction, "--audit-seed", str(seed),
+                     "--audit-out", str(audit)]) == 0
+        picked = audit_sample(read_traces(out), float(fraction), seed)
+        write_traces(picked, tmp_path / "expected.jsonl")
+        assert audit.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+        assert capsys.readouterr().out.endswith(f"audit sample: {len(picked)} trace(s)\n")
+    confidences = {t.confidence for t in read_traces(out)}
+    assert confidences == {"bundled": {"low", "high"}, "low": {"low"}, "high": {"high"}}[source]
 
 
 def test_audit_fraction_without_out_is_an_error(demo, tmp_path, capsys):
@@ -655,12 +689,16 @@ def _without_proxies(monkeypatch):
             monkeypatch.delenv(name)
 
 
+def _harvest_argv(corpus, tmp_path, url):
+    return ["harvest", "--corpus", str(corpus), "--endpoint", url, "--model", "m",
+            "--teacher-id", "t", "--rate-limit", "1000", "--cache-dir", str(tmp_path / "cache"),
+            "--out", str(tmp_path / "t.jsonl")]
+
+
 def _harvest_probe(url, tmp_path, modules):
     """Python code that runs a cold harvest through cli.main, then prints
     its exit code and which of modules were loaded."""
-    argv = ["harvest", "--corpus", str(tmp_path / "examples.jsonl"), "--endpoint", url,
-            "--model", "m", "--teacher-id", "t", "--rate-limit", "1000",
-            "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "t.jsonl")]
+    argv = _harvest_argv(tmp_path / "examples.jsonl", tmp_path, url)
     return ("import sys; from stepladder.cli import main; "
             f"code = main({argv!r}); "
             f"print(code, *sorted(m for m in {modules!r} if m in sys.modules))")
@@ -682,6 +720,85 @@ def test_plain_http_harvest_loads_no_tls_or_proxy_modules(tmp_path, monkeypatch)
         out = _python("-c", _harvest_probe(mock.base_url, tmp_path, modules), check=True)
         code, *loaded = out.stdout.splitlines()[-1].split()
         assert code == "0" and "urllib.request" in loaded
+
+
+def test_ascii_host_harvest_loads_no_idna_codec(tmp_path, monkeypatch):
+    # getaddrinfo encodes a str host with the idna codec, which brings
+    # stringprep and unicodedata; an ASCII host is looked up as bytes.
+    modules = ("encodings.idna", "stringprep", "unicodedata")
+    write_corpus(build_demo_corpus(3, 0)[0], tmp_path / "examples.jsonl")
+    monkeypatch.setenv("OPENAI_API_KEY", "test-key-not-checked")
+    _without_proxies(monkeypatch)
+    with MockTeacher() as mock:
+        out = _python("-c", _harvest_probe(mock.base_url, tmp_path, modules), check=True)
+    assert out.stdout.splitlines()[-2:] == [
+        "harvested 3 trace(s), 0 from cache, 3 request(s) sent", "0"]
+
+
+def test_harvest_missing_corpus_fails_before_the_cache_directory_is_made(tmp_path, capsys,
+                                                                         monkeypatch):
+    monkeypatch.setenv("OPENAI_API_KEY", "test-key-not-checked")
+    for corpus in (tmp_path / "absent.jsonl", tmp_path):
+        code = main(_harvest_argv(corpus, tmp_path, "http://127.0.0.1:9/v1"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: [Errno ")
+        assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("bad", ["duplicate", "malformed"])
+def test_harvest_reports_a_bad_corpus_line_when_it_reaches_it(tmp_path, monkeypatch, bad):
+    # The corpus streams into the harvest: the units before the bad line
+    # ran, and their responses stay cached for the next run.  With one
+    # request in flight, the first two responses have arrived by then.
+    # The CLI runs in a subprocess: the mock's server threads may report
+    # the request the failed run dropped on this process's stderr.
+    monkeypatch.setenv("OPENAI_API_KEY", "test-key-not-checked")
+    _without_proxies(monkeypatch)
+    examples = build_demo_corpus(6, 0)[0]
+    write_corpus(examples, tmp_path / "good.jsonl")
+    lines = (tmp_path / "good.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[3] = lines[0] if bad == "duplicate" else "{not json\n"
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "t.jsonl"
+    out.write_bytes(b"previous bytes\n")
+    with MockTeacher() as mock:
+        failed = _run_cli(*_harvest_argv(corpus, tmp_path, mock.base_url), "--max-in-flight", "1")
+        assert (failed.returncode, failed.stdout) == (1, "")
+        assert failed.stderr == {
+            "duplicate": f"error: {corpus}:4: duplicate example id {examples[0].id!r}\n",
+            "malformed": f"error: {corpus}:4: malformed JSON (Expecting property name "
+                         f"enclosed in double quotes)\n"}[bad]
+        assert out.read_bytes() == b"previous bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bad.jsonl", "cache", "good.jsonl", "t.jsonl"]
+        cached = len((tmp_path / "cache" / "responses.jsonl").read_bytes().splitlines())
+        assert cached >= 2
+        rerun = _run_cli(*_harvest_argv(tmp_path / "good.jsonl", tmp_path, mock.base_url))
+    assert (rerun.returncode, rerun.stdout) == (
+        0, f"harvested 6 trace(s), {cached} from cache, {6 - cached} request(s) sent\n")
+
+
+@pytest.mark.parametrize("command", ["bucket", "segment", "schedule"])
+def test_each_input_is_hashed_once_per_command(demo, tmp_path, capsys, monkeypatch, command):
+    # Two outputs each get a sidecar, and schedule records --buckets'
+    # digest in its manifest too; the digests are computed once.
+    out = run_pipeline(demo, tmp_path / "pipeline")
+    argv = {"bucket": ["bucket", "--scores", out / "scores.jsonl",
+                       "--corpus", demo / "examples.jsonl", "--out", tmp_path / "b.jsonl",
+                       "--report", tmp_path / "b.txt"],
+            "segment": ["segment", "--completions", demo / "completions.jsonl",
+                        "--out", tmp_path / "t.jsonl", "--audit-fraction", "0.1",
+                        "--audit-out", tmp_path / "a.jsonl"],
+            "schedule": ["schedule", "--buckets", out / "buckets.jsonl", "--phases", "3",
+                         "--budget", "12", "--out", tmp_path / "m.jsonl"]}[command]
+    hashed = []
+    monkeypatch.setattr("stepladder.cli.file_sha256",
+                        lambda path: hashed.append(str(path)) or file_sha256(path))
+    assert main(list(map(str, argv))) == 0
+    capsys.readouterr()
+    inputs = [str(arg) for arg in argv if isinstance(arg, Path) and arg.parent != tmp_path]
+    assert sorted(hashed) == sorted(inputs)
 
 
 def test_warm_harvest_loads_no_transport_module(tmp_path, monkeypatch):

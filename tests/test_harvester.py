@@ -861,6 +861,35 @@ def test_response_bodies_that_arrive_in_pieces(tmp_path, framing):
     assert len(connects) <= 2 if chunked else len(connects) == 6
 
 
+def test_host_name_lookups_end_as_network_errors(tmp_path, monkeypatch):
+    # An ASCII host is looked up as bytes, so no idna codec is loaded; a
+    # non-ASCII one keeps its str, which getaddrinfo encodes.  Whether the
+    # name fails to resolve or fails to encode, each unit records a
+    # network error.  The resolver is stubbed: no lookup leaves the test.
+    looked_up = []
+
+    def getaddrinfo(host, port, *args, **kwargs):
+        looked_up.append(host)
+        if isinstance(host, str):
+            host.encode("idna")  # as the real getaddrinfo does first
+        raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+    monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+    long_label = "\u00e9" * 64 + ".invalid"
+    reasons = []
+    for i, host in enumerate(["teacher.invalid", "b\u00fccher.invalid", long_label]):
+        result = harvest(depth_examples(2), job_for(profile(f"http://{host}/v1"),
+                                                    tmp_path / str(i), max_retries=0))
+        assert result.traces == [] and len(result.failures) == 2
+        reasons.append({f.reason for f in result.failures})
+    # A failed lookup is tried again for the next unit.
+    assert looked_up == [b"teacher.invalid"] * 2 + ["b\u00fccher.invalid"] * 2 + [long_label] * 2
+    assert reasons[0] == reasons[1] == {
+        f"network error: [Errno {socket.EAI_NONAME}] Name or service not known after 1 attempts"}
+    [reason] = reasons[2]
+    assert reason.startswith(f"network error: bad host name {long_label!r}: ")
+
+
 def test_http_proxy_receives_absolute_form_target(tmp_path, monkeypatch):
     with keep_alive_teacher() as (mock, log, proxy):
         monkeypatch.setenv("http_proxy", proxy)

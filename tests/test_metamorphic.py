@@ -34,15 +34,22 @@ def _shuffled(src: Path, dest: Path, seed: int) -> Path:
 
 
 @pytest.fixture(scope="module")
-def other_scores(tmp_path_factory) -> Path:
-    """A second teacher's scores for the bundled example ids."""
+def other_traces(tmp_path_factory) -> Path:
+    """A second teacher's traces for the bundled example ids."""
     root = tmp_path_factory.mktemp("other")
     _, completions = build_demo_corpus(n=500, seed=8)
     write_completions([{**c, "teacher_id": "teacher-b"} for c in completions],
                       root / "completions.jsonl")
     run("segment", "--completions", root / "completions.jsonl", "--out", root / "traces.jsonl")
-    run("score", "--traces", root / "traces.jsonl", "--out", root / "scores.jsonl")
-    return root / "scores.jsonl"
+    return root / "traces.jsonl"
+
+
+@pytest.fixture(scope="module")
+def other_scores(other_traces) -> Path:
+    """A second teacher's scores for the bundled example ids."""
+    scores = other_traces.with_name("scores.jsonl")
+    run("score", "--traces", other_traces, "--out", scores)
+    return scores
 
 
 def _products(completions: Path, other: Path, out: Path) -> dict[str, bytes]:
@@ -117,3 +124,24 @@ def test_written_traces_resegment_to_themselves(tmp_path, capsys):
             checked += 1
     capsys.readouterr()
     assert checked > 18 * 500
+
+
+@pytest.mark.parametrize("order", ["after", "before", "shuffled"])
+def test_a_second_teachers_traces_leave_the_first_teachers_scores(tmp_path, capsys,
+                                                                 other_traces, order):
+    # Both teachers score the same example ids, so their pairs interleave
+    # in the (example_id, teacher_id) order of the score lines.
+    first = tmp_path / "first.jsonl"
+    run("segment", "--completions", COMPLETIONS, "--out", first)
+    run("score", "--traces", first, "--out", tmp_path / "alone.jsonl")
+    own, other = first.read_bytes(), other_traces.read_bytes()
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_bytes(other + own if order == "before" else own + other)
+    if order == "shuffled":
+        _shuffled(mixed, mixed, seed=4)
+    run("score", "--traces", mixed, "--out", tmp_path / "mixed-scores.jsonl")
+    capsys.readouterr()
+    alone = (tmp_path / "alone.jsonl").read_bytes().splitlines(keepends=True)
+    lines = (tmp_path / "mixed-scores.jsonl").read_bytes().splitlines(keepends=True)
+    assert len(lines) == 2 * len(alone) == 1000
+    assert [line for line in lines if b'"teacher_id": "demo-teacher"' in line] == alone

@@ -5,12 +5,13 @@ import math
 import random
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepladder.corpus import TRACE, count_tokens, read_traces, write_traces
+from stepladder.corpus import CONFIDENCE_LEVELS, TRACE, count_tokens, read_traces, write_traces
 from stepladder.errors import ParameterError, SegmentationError
 from stepladder.segmenter import (
     DEFAULT_RULES,
@@ -21,7 +22,7 @@ from stepladder.segmenter import (
     trace_from_text,
 )
 
-from conftest import naive_merge_micro_steps, naive_segment
+from conftest import list_audit_sample, naive_merge_micro_steps, naive_segment
 
 SUITE = Path(__file__).parent / "data" / "segmenter_suite.jsonl"
 
@@ -289,3 +290,15 @@ def test_audit_returns_subset_of_inputs():
     members = {id(t) for t in traces}
     assert all(id(t) in members for t in picked)
     assert len({id(t) for t in picked}) == len(picked)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(CONFIDENCE_LEVELS), max_size=120),
+       st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       st.integers(min_value=-(2 ** 64), max_value=2 ** 64))
+def test_audit_draw_by_position_picks_what_the_list_draw_picks(confidences, fraction, seed):
+    # random.sample uses only its population's length, so drawing
+    # positions among the high traces picks the traces themselves.
+    traces = [SimpleNamespace(confidence=c) for c in confidences]
+    picked = audit_sample(traces, fraction, seed)
+    assert [id(t) for t in picked] == [id(t) for t in list_audit_sample(traces, fraction, seed)]
