@@ -124,10 +124,13 @@ def _apply_task_cap(members: list[tuple[int, str, str]], share: float):
     (k, id) order) when it holds j members.  The whole eviction sequence
     is therefore every task's slots (j, task) in descending order, and it
     stops at the first slot with j <= ceil(share * (n - evicted so far)).
+    When the largest task fits under the cap, that is the first slot.
     """
     by_task: dict[str, list[tuple[int, str, str]]] = {}
     for member in members:
         by_task.setdefault(member[2], []).append(member)
+    if max(map(len, by_task.values()), default=0) <= math.ceil(share * len(members)):
+        return members, []
     slots = sorted(((j, task) for task, own in by_task.items()
                     for j in range(1, len(own) + 1)), reverse=True)
     evicted: list[tuple[int, str, str]] = []

@@ -22,7 +22,6 @@ import functools
 import json
 import math
 import sys
-from contextlib import contextmanager
 from itertools import compress
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
@@ -224,11 +223,16 @@ def _check_threshold(value, flag: str) -> None:
         raise ParameterError(f"{flag} must be a finite number, got {value}")
 
 
-def _one_score_per_example(args) -> Optional[Iterator]:
+def _one_score_per_example(args, corpus: Optional[dict] = None, path=None,
+                           field: str = "") -> Optional[Iterator]:
     """The --scores file's scores as a stream (None when not given),
     narrowed to --teacher's scores when the command takes --teacher and
     one is given.  A second score for one example is an error naming its
-    line, and a --teacher with no scores one raised at the file's end."""
+    line, and a --teacher with no scores one raised at the file's end.
+
+    corpus, when given, maps each example id read from the corpus file
+    path to its field's value: a score of an example it lacks, or whose
+    value is None, is an error naming the score's line."""
     if args.scores is None:
         return None
     teacher = getattr(args, "teacher", None)
@@ -238,48 +242,19 @@ def _one_score_per_example(args) -> Optional[Iterator]:
         for where, score in read_jsonl(args.scores, SCORE):
             if teacher is not None and score.teacher_id != teacher:
                 continue
-            if score.example_id in seen:
-                raise CorpusError(f"{where}: 'example_id': duplicate score for example "
-                                  f"{score.example_id!r}")
-            seen.add(score.example_id)
+            ex_id = score.example_id
+            if ex_id in seen:
+                raise CorpusError(f"{where}: 'example_id': duplicate score for example {ex_id!r}")
+            if corpus is not None and corpus.get(ex_id) is None:
+                raise CorpusError(f"{where}: 'example_id': " + (
+                    f"no example {ex_id!r} in {path}" if ex_id not in corpus else
+                    f"example {ex_id!r} has no {field} in {path}"))
+            seen.add(ex_id)
             yield score
         if teacher is not None and not seen:
             raise ParameterError(f"no scores for teacher {teacher!r}")
 
     return scores()
-
-
-@contextmanager
-def _inputs_first(*streams):
-    """Give the block each input stream (None stays None), listed in the
-    order in which the command reports their errors.  After the block,
-    also when it failed, read each stream to its end in that order,
-    stopping at one whose own error the block raised.  A bad input line
-    is thus the error reported, ahead of any check the block made before
-    the stream reached that line."""
-    failed = []
-
-    def watched(stream):
-        try:
-            yield from stream
-        except Exception:
-            failed.append(stream)
-            raise
-
-    def read_out():
-        for stream, rest in zip(streams, wrapped):
-            if stream in failed:
-                return
-            for _item in rest or ():
-                pass
-
-    wrapped = [None if stream is None else watched(stream) for stream in streams]
-    try:
-        yield wrapped
-    except Exception:
-        read_out()
-        raise
-    read_out()
 
 
 def _gate(args, report, failures: list) -> int:
@@ -410,12 +385,11 @@ def _run_score(args) -> int:
 def _run_bucket(args) -> int:
     from .bucketer import BucketSpec, bucketize, describe, write_buckets
 
-    with _inputs_first(_one_score_per_example(args)) as (scores,):
-        tasks: dict = {}
-        for ex in iter_corpus(args.corpus, tasks):
-            tasks[ex.id] = sys.intern(ex.task)  # a few task names, one copy each
-        spec = BucketSpec(edges=args.edges, max_task_share=args.max_task_share)
-        result = bucketize(scores, spec, tasks)
+    spec = BucketSpec(edges=args.edges, max_task_share=args.max_task_share)
+    tasks: dict = {}
+    for ex in iter_corpus(args.corpus, tasks):
+        tasks[ex.id] = sys.intern(ex.task)  # a few task names, one copy each
+    result = bucketize(_one_score_per_example(args, tasks, args.corpus), spec, tasks)
     write_buckets(result, args.out)
     text = describe(result).render()
     print(text)
@@ -428,8 +402,8 @@ def _run_schedule(args) -> int:
     from .bucketer import read_buckets
     from .scheduler import build_curriculum
 
-    result = read_buckets(args.buckets)
     plan = SchedulePlan(**_knobs(args))  # schedule's knobs are the plan's fields
+    result = read_buckets(args.buckets)
     provenance = {
         "buckets_sha256": args.sha256(args.buckets),
         "tool_version": __version__,
@@ -444,12 +418,13 @@ def _run_schedule(args) -> int:
 def _run_baseline(args) -> int:
     from .scheduler import baseline_order
 
-    plan = _knobs(args)
-    del plan["kind"]  # the other knobs are the plan's fields
-    with _inputs_first(iter_corpus(args.corpus),
-                       _one_score_per_example(args)) as (examples, scores):
-        manifest = baseline_order(examples, scores, args.kind,
-                                  SchedulePlan(mode="staged", **plan))
+    knobs = _knobs(args)
+    del knobs["kind"]  # the other knobs are the plan's fields
+    plan = SchedulePlan(mode="staged", **knobs)
+    scores = _one_score_per_example(args)
+    manifest = baseline_order(iter_corpus(args.corpus), scores, args.kind, plan)
+    for _score in scores or ():  # a --scores the ordering did not use is still checked
+        pass
     write_manifest(manifest, args.out)
     print(f"wrote {args.kind} baseline with {len(manifest.phases)} phase(s)")
     return _EXIT_OK
@@ -474,14 +449,12 @@ def _run_confound(args) -> int:
     from .analyzer import length_confound
 
     _check_threshold(args.min_spearman, "--min-spearman")
-    with _inputs_first(_one_score_per_example(args)) as (scores,):
-        labels: dict = {}
-        for ex in iter_corpus(args.labels_from, labels):
-            value = getattr(ex, args.label_field)
-            labels[ex.id] = None if value is None else float(value)
-        for ex_id in [ex_id for ex_id, value in labels.items() if value is None]:
-            del labels[ex_id]  # unlabeled
-        report = length_confound(scores, labels)
+    labels: dict = {}
+    for ex in iter_corpus(args.labels_from, labels):
+        value = getattr(ex, args.label_field)
+        labels[ex.id] = None if value is None else float(value)
+    report = length_confound(
+        _one_score_per_example(args, labels, args.labels_from, args.label_field), labels)
     below = args.min_spearman is not None and report.rho_depth < args.min_spearman
     return _gate(args, report, [f"spearman {report.rho_depth:.4f} below threshold "
                                 f"{args.min_spearman}"] if below else [])
@@ -490,8 +463,7 @@ def _run_confound(args) -> int:
 def _run_filter(args) -> int:
     from .scheduler import filter_by_depth
 
-    with _inputs_first(_one_score_per_example(args)) as (scores,):
-        ids = filter_by_depth(scores, min_k=args.min_k, max_k=args.max_k)
+    ids = filter_by_depth(_one_score_per_example(args), min_k=args.min_k, max_k=args.max_k)
     write_atomic(args.out, (ex_id + "\n" for ex_id in ids))
     print(f"kept {len(ids)} example(s)")
     return _EXIT_OK

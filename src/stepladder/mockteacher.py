@@ -15,12 +15,22 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 _DEPTH_DIRECTIVE = re.compile(r"\[\[depth=(\d+)\]\]")
 _MALFORMED_DIRECTIVE = "[[malformed]]"
+
+
+class _Server(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        # A client may drop its connection before the response is written,
+        # as a harvest that stops at a bad corpus line does; that is no
+        # fault of the mock's, so only other errors are printed.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
 
 def _completion_text(key_int: int, depth: int, verbosity: int) -> str:
@@ -51,7 +61,7 @@ class MockTeacher:
         self.request_count = 0
         self._failed_once: set[str] = set()
         self._lock = threading.Lock()
-        self._server: ThreadingHTTPServer | None = None
+        self._server: _Server | None = None
         self._thread: threading.Thread | None = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -66,7 +76,7 @@ class MockTeacher:
             def do_POST(self):
                 owner._handle(self)
 
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._server = _Server(("127.0.0.1", 0), Handler)
         # A short poll interval lets stop() return within 0.05 s, not 0.5 s.
         self._thread = threading.Thread(target=self._server.serve_forever, args=(0.05,),
                                         daemon=True)

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -490,11 +491,13 @@ def _run_cli(*argv):
     return _python("-m", "stepladder.cli", *argv)
 
 
-def _with_first_record(src, dest, change):
+def _with_record(src, dest, change, lineno=1):
+    """src written to dest with the record on line lineno passed through change."""
     lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
-    first = json.loads(lines[0])
-    change(first)
-    dest.write_text(json.dumps(first) + "\n" + "".join(lines[1:]), encoding="utf-8")
+    record = json.loads(lines[lineno - 1])
+    change(record)
+    lines[lineno - 1] = json.dumps(record) + "\n"
+    dest.write_text("".join(lines), encoding="utf-8")
     return dest
 
 
@@ -504,19 +507,20 @@ def test_malformed_field_exits_1_with_line_and_field(demo, tmp_path, capsys, cas
     capsys.readouterr()
     bad = tmp_path / "bad.jsonl"
     if case == "score-k":  # the three known repros, then a spec the bucketer rejects
-        _with_first_record(out / "scores.jsonl", bad, lambda r: r.update(k="x"))
-        argv, field = ["filter", "--scores", bad, "--out", tmp_path / "f.txt"], "'k'"
+        _with_record(out / "scores.jsonl", bad, lambda r: r.update(k="x"))
+        argv, field = ["filter", "--scores", bad, "--min-k", "1",
+                       "--out", tmp_path / "f.txt"], "'k'"
     elif case == "step-index":
-        _with_first_record(out / "traces.jsonl", bad, lambda r: r["steps"][0].pop("index"))
+        _with_record(out / "traces.jsonl", bad, lambda r: r["steps"][0].pop("index"))
         argv, field = ["score", "--traces", bad, "--out", tmp_path / "s.jsonl"], \
             "'steps[0].index'"
     elif case == "difficulty":
-        _with_first_record(demo / "examples.jsonl", bad,
-                           lambda r: r.update(external_difficulty="hard"))
+        _with_record(demo / "examples.jsonl", bad,
+                     lambda r: r.update(external_difficulty="hard"))
         argv, field = ["bucket", "--scores", out / "scores.jsonl", "--corpus", bad,
                        "--out", tmp_path / "b.jsonl"], "'external_difficulty'"
     else:
-        _with_first_record(out / "buckets.jsonl", bad, lambda r: r.update(edges=[[2, None]]))
+        _with_record(out / "buckets.jsonl", bad, lambda r: r.update(edges=[[2, None]]))
         argv, field = ["schedule", "--buckets", bad, "--phases", "1", "--budget", "1",
                        "--out", tmp_path / "m.jsonl"], "start at k = 1"
     result = _run_cli(*argv)
@@ -611,7 +615,7 @@ def test_integer_literal_past_the_digit_limit_exits_1(tmp_path, command):
     if command == "filter":
         bad.write_text('{"example_id": "e", "teacher_id": "t", "k": %s, "tok": 1, '
                        '"dot_norm": 1.0}\n' % ("1" * 5000), encoding="utf-8")
-        argv = ["filter", "--scores", bad, "--out", tmp_path / "ids.txt"]
+        argv = ["filter", "--scores", bad, "--min-k", "1", "--out", tmp_path / "ids.txt"]
     else:
         bad.write_text('{"example_id": "e", "teacher_id": "t", "raw_text": "1. aaa", '
                        '"steps": [{"index": 1, "text": "aaa"}], "tok": %s, '
@@ -1046,6 +1050,59 @@ def test_a_second_teacher_leaves_teacher_narrowed_outputs_unchanged(
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("case", ["bucket", "confound", "confound-unlabeled"])
+def test_a_score_that_fails_the_join_names_its_line(tmp_path, capsys, two_teachers, case):
+    # Scores line 3 is ex0002's, and examples line 5 is ex0004.  These
+    # used to name neither file nor line: "example 'zz0002' has no task
+    # mapping", and "unlabeled examples: ex0004, zz0002".
+    scores, corpus = two_teachers[0], BUNDLED / "examples.jsonl"
+    if case != "confound-unlabeled":
+        scores = _with_record(scores, tmp_path / "scores.jsonl",
+                              lambda r: r.update(example_id="zz0002"), 3)
+    if case != "bucket":
+        corpus = _with_record(corpus, tmp_path / "labels.jsonl",
+                              lambda r: [r.pop("external_difficulty"), r.pop("judge_score")], 5)
+    argv = ["bucket", "--corpus", corpus] if case == "bucket" else \
+        ["analyze", "confound", "--labels-from", corpus]
+    out = tmp_path / "out"
+    assert main(list(map(str, [*argv, "--scores", scores, "--out", out]))) == 1
+    where, problem = (f"{scores}:5", "example 'ex0004' has no external_difficulty") \
+        if case == "confound-unlabeled" else (f"{scores}:3", "no example 'zz0002'")
+    assert capsys.readouterr().err == f"error: {where}: 'example_id': {problem} in {corpus}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["bucket-corpus", "bucket-share", "schedule-phases",
+                                  "filter-no-bound", "baseline-unused-scores"])
+def test_settings_then_corpus_then_scores_is_the_order_of_errors(tmp_path, capsys,
+                                                                 two_teachers, case):
+    # A bad setting is reported ahead of a bad input, and a bad corpus
+    # line ahead of a bad scores line.  A --scores that baseline's
+    # ordering does not use is still read to its end.
+    corpus = _with_record(BUNDLED / "examples.jsonl", tmp_path / "corpus.jsonl",
+                          lambda r: r.update(task=7), 2)
+    scores = _with_record(two_teachers[0], tmp_path / "scores.jsonl",
+                          lambda r: r.update(k="x"), 3)
+    buckets = tmp_path / "buckets.jsonl"
+    buckets.write_text("{not json\n", encoding="utf-8")
+    good = BUNDLED / "examples.jsonl"
+    argv, error = {
+        "bucket-corpus": (["bucket", "--corpus", corpus, "--scores", scores],
+                          f"{corpus}:2: 'task'"),
+        "bucket-share": (["bucket", "--corpus", good, "--scores", scores,
+                          "--max-task-share", "0"], "max_task_share must lie in (0, 1]"),
+        "schedule-phases": (["schedule", "--buckets", buckets, "--phases", "0", "--budget", "5"],
+                            "phases must be >= 1"),
+        "filter-no-bound": (["filter", "--scores", scores],
+                            "filter_by_depth needs min_k, max_k or both"),
+        "baseline-unused-scores": (["baseline", "--corpus", good, "--scores", scores, "--kind",
+                                    "random", "--phases", "1", "--budget", "5"],
+                                   f"{scores}:3: 'k'"),
+    }[case]
+    assert main(list(map(str, [*argv, "--out", tmp_path / "out"]))) == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("argv", [
     ["analyze", "agreement", "--scores", "missing.jsonl", "--min-tau"],
@@ -1158,6 +1215,9 @@ _SWEEP = {
 _SWEEP_CASES = [(command, arg[1:-1]) for command, argv in _SWEEP.items() for arg in argv
                 if arg.startswith("{") and arg not in ("{cache}", "{url}")]
 _SWEEP_CASES.append(("harvest", "cache/responses.jsonl"))
+# The commands whose every data error names a line; baseline and analyze
+# agreement still have errors that name none.
+_LINE_NAMED = ("segment", "score", "bucket", "analyze confound", "filter")
 _CORRUPTIONS = ("truncate", "flip", "insert", "not-utf8", "drop-key", "wrong-type", "blank",
                 "duplicate")
 
@@ -1242,7 +1302,7 @@ def _corrupt(data: bytes, kind: str, n: int) -> bytes:
 def test_no_corrupted_input_line_crashes_a_subcommand(sweep_inputs, case, kind, n):
     """Exit 0, 1, 2 or 64, never an exception; exit 1 or 64 leaves the
     previous output, and no temp file or sidecar.  A corrupted cache line
-    is fetched again."""
+    is fetched again.  Where every error names its line, an exit 1 does."""
     root, url = sweep_inputs
     command, name = case
     work = Path(tempfile.mkdtemp(dir=root))
@@ -1260,6 +1320,8 @@ def test_no_corrupted_input_line_crashes_a_subcommand(sweep_inputs, case, kind, 
         if code in (1, 64):
             assert out.read_bytes() == b"previous bytes\n"
             assert not Path(f"{out}.meta.json").exists()
+        if code == 1 and command in _LINE_NAMED:
+            assert re.match(r"error: .*\.jsonl:\d+: ", err.getvalue()), err.getvalue()
         if name.startswith("cache/"):
             assert code == 0, err.getvalue()
     finally:

@@ -356,7 +356,8 @@ VALID = {
     "score": (read_scores, {
         "example_id": "e1", "teacher_id": "t", "k": 2, "tok": 10,
         "dot_norm": 2 / math.log1p(10), "n_samples": 3,
-    }, {"n_samples"}, _cli_reading("filter", "--scores", "{path}", "--out", "{tmp}/o.txt")),
+    }, {"n_samples"}, _cli_reading("filter", "--scores", "{path}", "--min-k", "1",
+                                   "--out", "{tmp}/o.txt")),
     "plan": (read_manifest, {
         "record": "plan", "mode": "mixed", "phases": 1, "budget_per_phase": 2, "seed": 4,
         "alpha": 1.5, "with_replacement": False, "mixing": "union",

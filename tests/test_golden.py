@@ -31,11 +31,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-import pytest
-
 import stepladder
 from stepladder.cli import COMMANDS, OUTPUT, main
 from stepladder.mockteacher import MockTeacher
+
+from test_cli import _harvest_env
 
 BUNDLED = Path(__file__).parent.parent / "data" / "synthetic"
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
@@ -148,20 +148,11 @@ def run_set(url: str) -> dict:
     return entries
 
 
-@pytest.fixture
-def harvest_env(monkeypatch):
-    """An API key for the harvests, and no proxy."""
-    monkeypatch.setenv("OPENAI_API_KEY", "test-key-not-checked")
-    for name in list(os.environ):
-        if name.lower().endswith("_proxy"):
-            monkeypatch.delenv(name)
-
-
-def test_golden_run_set(tmp_path, monkeypatch, harvest_env):
+def test_golden_run_set(tmp_path, monkeypatch):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     stage(tmp_path)
     monkeypatch.chdir(tmp_path)
-    with MockTeacher() as mock:
+    with _harvest_env(), MockTeacher() as mock:
         entries = run_set(mock.base_url)
     assert list(entries) == list(golden)
     for name, entry in entries.items():
@@ -196,13 +187,9 @@ def test_run_set_covers_every_output_of_every_command():
 def main_regenerate() -> None:
     """Rewrite golden.json from the code as it is; print what changed."""
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
-    os.environ["OPENAI_API_KEY"] = "test-key-not-checked"
-    for name in list(os.environ):
-        if name.lower().endswith("_proxy"):
-            del os.environ[name]
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         stage(Path(tmp))
-        with MockTeacher() as mock:
+        with _harvest_env(), MockTeacher() as mock:
             entries = run_set(mock.base_url)
     GOLDEN.write_text(json.dumps(entries, indent=2) + "\n", encoding="utf-8")
     for name in sorted(set(old) | set(entries)):

@@ -161,6 +161,23 @@ def test_harvest_round_trip(tmp_path):
         [(f"e{i:03d}",) for i in range(5) for _ in range(2)]
 
 
+def test_mock_is_quiet_about_a_dropped_connection_only(capsys):
+    # socketserver calls handle_error inside the except block that caught
+    # the request's error.
+    with MockTeacher() as mock:
+        server = mock._server
+        try:
+            raise BrokenPipeError(32, "Broken pipe")
+        except BrokenPipeError:
+            server.handle_error(None, ("127.0.0.1", 1))
+        assert capsys.readouterr().err == ""
+        try:
+            raise RuntimeError("handler bug")
+        except RuntimeError:
+            server.handle_error(None, ("127.0.0.1", 1))
+        assert "RuntimeError: handler bug" in capsys.readouterr().err
+
+
 def test_warm_cache_sends_nothing(tmp_path):
     examples = depth_examples(6)
     with MockTeacher() as mock:
