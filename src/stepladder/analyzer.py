@@ -13,10 +13,11 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .corpus import DoTScore
-from .errors import AnalysisError, some_ids
+from .corpus import DoTScore, one_score_per_example
+from .errors import AnalysisError
 
 
 def _ranks(values: Sequence[float]) -> list[float]:
@@ -103,10 +104,10 @@ def kendall_tau(xs: Sequence[float], ys: Sequence[float]) -> float:
     n0 = n * (n - 1) // 2
     n1 = _tie_pairs(xs)
     n2 = _tie_pairs(ys)
-    n3 = _tie_pairs(list(zip(xs, ys)))
     if n0 == n1 or n0 == n2:
         return 0.0
     paired = sorted(zip(xs, ys))
+    n3 = _tie_pairs(paired)
     discordant = _count_inversions([y for _x, y in paired])
     num = n0 - n1 - n2 + n3 - 2 * discordant  # concordant minus discordant
     return num / math.sqrt((n0 - n1) * (n0 - n2))
@@ -151,46 +152,27 @@ def cross_teacher_agreement(
     """Kendall tau-b between every teacher pair, over k and over tok.
 
     Agreement is computed on the global intersection of example ids
-    scored by all teachers; fewer than 3 shared examples is an error.
+    scored by all teachers; fewer than 3 shared examples is an error, and
+    so is a teacher's second score for one example (a CorpusError).
     """
     if len(scores_by_teacher) < 2:
         raise AnalysisError("agreement needs at least 2 teachers")
-    per_teacher: dict[str, dict[str, DoTScore]] = {}
-    for teacher_id, scores in scores_by_teacher.items():
-        by_id: dict[str, DoTScore] = {}
-        for sc in scores:
-            if sc.example_id in by_id:
-                raise AnalysisError(
-                    f"teacher {teacher_id!r} has duplicate scores for "
-                    f"example {sc.example_id!r}"
-                )
-            by_id[sc.example_id] = sc
-        per_teacher[teacher_id] = by_id
+    per_teacher = {teacher_id: {s.example_id: s for s in one_score_per_example(
+        scores, where=lambda: f"teacher {teacher_id!r}")}
+        for teacher_id, scores in scores_by_teacher.items()}
 
     teachers = tuple(sorted(per_teacher))
-    common = set(per_teacher[teachers[0]])
-    for teacher_id in teachers[1:]:
-        common &= set(per_teacher[teacher_id])
+    common = set(per_teacher[teachers[0]]).intersection(*map(per_teacher.get, teachers[1:]))
     if len(common) < 3:
-        raise AnalysisError(
-            f"only {len(common)} examples are scored by every teacher; need >= 3"
-        )
+        raise AnalysisError(f"only {len(common)} examples are scored by every teacher; need >= 3")
     ordered = sorted(common)
-
-    pairs = []
-    for i, a in enumerate(teachers):
-        for b in teachers[i + 1:]:
-            ka = [per_teacher[a][e].k for e in ordered]
-            kb = [per_teacher[b][e].k for e in ordered]
-            ta = [per_teacher[a][e].tok for e in ordered]
-            tb = [per_teacher[b][e].tok for e in ordered]
-            pairs.append(TeacherPairAgreement(
-                teacher_a=a,
-                teacher_b=b,
-                tau_depth=kendall_tau(ka, kb),
-                tau_tokens=kendall_tau(ta, tb),
-            ))
-    return AgreementReport(teachers=teachers, n_common=len(ordered), pairs=tuple(pairs))
+    # Each teacher's k and tok columns over the shared ids, in id order.
+    ks = {teacher_id: [kept[e].k for e in ordered] for teacher_id, kept in per_teacher.items()}
+    toks = {teacher_id: [kept[e].tok for e in ordered] for teacher_id, kept in per_teacher.items()}
+    pairs = tuple(TeacherPairAgreement(a, b, kendall_tau(ks[a], ks[b]),
+                                       kendall_tau(toks[a], toks[b]))
+                  for a, b in combinations(teachers, 2))
+    return AgreementReport(teachers=teachers, n_common=len(ordered), pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +229,13 @@ def length_confound(scores: Iterable[DoTScore],
                     labels: Mapping[str, float]) -> ConfoundReport:
     """Check whether depth predicts difficulty beyond sheer trace length.
 
-    labels maps example_id to an external difficulty value.  Every scored
-    example must be labeled and at least 4 are required.
+    labels maps example_id to an external difficulty value; an example
+    mapped to None is unlabeled.  A score of an unlabeled example, or of
+    one that labels lacks, and a second score for one example are
+    CorpusErrors.  At least 4 scores are required.
     """
-    rows = [(s.example_id, s.k, s.tok) for s in scores]  # all a score is needed for
-    seen: set[str] = set()
-    for example_id, _k, _tok in rows:
-        if example_id in seen:
-            raise AnalysisError(f"duplicate score for example {example_id!r}")
-        seen.add(example_id)
-    del seen
-    missing = sorted(example_id for example_id, _k, _tok in rows if example_id not in labels)
-    if missing:
-        raise AnalysisError(f"unlabeled examples: {some_ids(missing)}")
+    rows = [(s.example_id, s.k, s.tok)  # all a score is needed for
+            for s in one_score_per_example(scores, labels, "labels", "label")]
     n = len(rows)
     if n < 4:
         raise AnalysisError(f"need at least 4 labeled examples, got {n}")

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
-from .corpus import NUMBER, DoTScore, Record, read_jsonl, write_atomic
+from .corpus import NUMBER, DoTScore, Record, one_score_per_example, read_jsonl, write_atomic
 from .errors import CorpusError, ParameterError
 
 DEFAULT_EDGES = ((1, 3), (4, 6), (7, None))
@@ -148,21 +148,12 @@ def bucketize(scores: Iterable[DoTScore], spec: BucketSpec,
     """Assign one score per example to its depth bucket.
 
     tasks maps example_id to a task family name, used for the balance
-    cap and the per-bucket histograms.  Duplicate example ids (e.g.
-    scores from several teachers) and ids missing from tasks are errors:
-    collapse to one score per example first.
+    cap and the per-bucket histograms.  A second score for one example
+    (e.g. another teacher's) and an id that tasks lacks or maps to None
+    are CorpusErrors: collapse to one score per example first.
     """
-    seen: set[str] = set()
     per_bucket: dict[int, list[tuple[int, str, str]]] = {}
-    for sc in scores:
-        if sc.example_id in seen:
-            raise ParameterError(
-                f"duplicate score for example {sc.example_id!r}; "
-                "bucketing needs exactly one score per example"
-            )
-        seen.add(sc.example_id)
-        if sc.example_id not in tasks:
-            raise ParameterError(f"example {sc.example_id!r} has no task mapping")
+    for sc in one_score_per_example(scores, tasks, "tasks", "task"):
         member = (sc.k, sc.example_id, tasks[sc.example_id])
         per_bucket.setdefault(spec.bucket_for_k(sc.k), []).append(member)
 

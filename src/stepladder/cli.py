@@ -38,13 +38,14 @@ from .corpus import (
     file_sha256,
     is_text,
     iter_corpus,
+    one_score_per_example,
     read_json,
     read_jsonl,
     read_scores,
     write_atomic,
     write_manifest,
 )
-from .errors import CorpusError, ParameterError, StepladderError
+from .errors import ParameterError, StepladderError
 
 _EXIT_OK = 0
 _EXIT_ERROR = 1
@@ -227,34 +228,26 @@ def _one_score_per_example(args, corpus: Optional[dict] = None, path=None,
                            field: str = "") -> Optional[Iterator]:
     """The --scores file's scores as a stream (None when not given),
     narrowed to --teacher's scores when the command takes --teacher and
-    one is given.  A second score for one example is an error naming its
-    line, and a --teacher with no scores one raised at the file's end.
-
-    corpus, when given, maps each example id read from the corpus file
-    path to its field's value: a score of an example it lacks, or whose
-    value is None, is an error naming the score's line."""
+    one is given, and checked by corpus.one_score_per_example against
+    corpus, the example ids read from the corpus file path, each mapped
+    to its field's value.  Its errors name the score's line; a --teacher
+    with no scores is one raised at the file's end."""
     if args.scores is None:
         return None
     teacher = getattr(args, "teacher", None)
 
+    where = None  # the line of the score last yielded, which the check names
+
     def scores():
-        seen = set()
-        for where, score in read_jsonl(args.scores, SCORE):
-            if teacher is not None and score.teacher_id != teacher:
-                continue
-            ex_id = score.example_id
-            if ex_id in seen:
-                raise CorpusError(f"{where}: 'example_id': duplicate score for example {ex_id!r}")
-            if corpus is not None and corpus.get(ex_id) is None:
-                raise CorpusError(f"{where}: 'example_id': " + (
-                    f"no example {ex_id!r} in {path}" if ex_id not in corpus else
-                    f"example {ex_id!r} has no {field} in {path}"))
-            seen.add(ex_id)
-            yield score
-        if teacher is not None and not seen:
+        nonlocal where
+        for line, score in read_jsonl(args.scores, SCORE):
+            if teacher is None or score.teacher_id == teacher:
+                where = line
+                yield score
+        if teacher is not None and where is None:
             raise ParameterError(f"no scores for teacher {teacher!r}")
 
-    return scores()
+    return one_score_per_example(scores(), corpus, path, field, lambda: where)
 
 
 def _gate(args, report, failures: list) -> int:
@@ -279,20 +272,15 @@ def _gate(args, report, failures: list) -> int:
 
 
 def _run_harvest(args) -> int:
-    from .harvester import (DEFAULT_TEMPLATE, TEMPLATE, HarvestJob, HarvestResult,
-                            harvest_stream)
+    from dataclasses import replace
 
-    # The corpus streams into the harvest.  Opening it here makes a missing
-    # or unreadable file fail before the cache directory is made.
-    open(args.corpus, "rb").close()
-    ids: dict = {}  # every example id read, for the duplicate check
-    template = DEFAULT_TEMPLATE if args.template_file is None \
-        else read_json(args.template_file, TEMPLATE)
+    from .harvester import DEFAULT_TEMPLATE, TEMPLATE, HarvestJob, HarvestResult, harvest_stream
+
     teacher = TeacherProfile(
         teacher_id=args.teacher_id,
         endpoint_url=args.endpoint,
         model_name=args.model,
-        template_id=template.template_id,
+        template_id=DEFAULT_TEMPLATE.template_id,
         samples_per_example=args.samples,
         temperature=args.temperature,
     )
@@ -300,12 +288,19 @@ def _run_harvest(args) -> int:
         teacher=teacher,
         cache_dir=str(Path(args.workdir, args.cache_dir)),
         rate_limit=args.rate_limit,
-        template=template,
         max_retries=args.max_retries,
         timeout=args.timeout,
         max_in_flight=args.max_in_flight,
         api_key_env=args.api_key_env,
     )
+    if args.template_file is not None:
+        template = read_json(args.template_file, TEMPLATE)
+        job = replace(job, template=template,
+                      teacher=replace(teacher, template_id=template.template_id))
+    # The corpus streams into the harvest.  Opening it here makes a missing
+    # or unreadable file fail before the cache directory is made.
+    open(args.corpus, "rb").close()
+    ids: dict = {}  # every example id read, for the duplicate check
     # Traces stream to the output as they resolve; only failures are kept.
     result = HarvestResult()
     write_atomic(args.out, map(TRACE.dump,

@@ -34,7 +34,7 @@ from itertools import repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import UnionType
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 from urllib.parse import urlparse
 
 from .errors import CorpusError, StepladderError
@@ -675,6 +675,42 @@ def iter_corpus(path, ids: Optional[dict] = None) -> Iterator[Example]:
             raise CorpusError(f"{where}: duplicate example id {example.id!r}")
         seen[example.id] = None
         yield example
+
+
+def one_score_per_example(scores: Iterable[DoTScore], known: Optional[Mapping] = None,
+                          source: str = "", field: str = "",
+                          where: Optional[Callable[[], str]] = None) -> Iterator[DoTScore]:
+    """The scores, in order, one per example.
+
+    A second score for one example id raises CorpusError.  So does, when
+    known is given, a score whose example known lacks ("no example ... in
+    source") or maps to None ("example ... has no field in source").
+    where, when given, names the place the score last read came from, and
+    the message starts "<where()>: 'example_id': ".
+
+    While the ids arrive in increasing order, as in a file written in id
+    order, none can repeat, so they are kept in a list; the set of them is
+    made at the first id that is not larger than the one before.
+    """
+    def refused(problem: str) -> CorpusError:
+        return CorpusError(problem if where is None else f"{where()}: 'example_id': {problem}")
+
+    # last is the id before while the ids increase, and None from the first that does not.
+    ids, last = [], ""
+    for score in scores:
+        ex_id = score.example_id
+        if last is not None and ex_id > last:
+            ids.append(last := ex_id)
+        else:
+            if last is not None:
+                ids, last = set(ids), None
+            if ex_id in ids:
+                raise refused(f"duplicate score for example {ex_id!r}")
+            ids.add(ex_id)
+        if known is not None and known.get(ex_id) is None:
+            raise refused(f"no example {ex_id!r} in {source}" if ex_id not in known else
+                          f"example {ex_id!r} has no {field} in {source}")
+        yield score
 
 
 def read_corpus(path) -> list[Example]:

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import math
 import random
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .corpus import BASELINE_KINDS, CurriculumManifest, DoTScore, Example, Phase, SchedulePlan
+from .corpus import (BASELINE_KINDS, CurriculumManifest, DoTScore, Example, Phase, SchedulePlan,
+                     one_score_per_example)
 from .errors import ParameterError, ScheduleError, some_ids
 
 if TYPE_CHECKING:
@@ -150,6 +152,17 @@ def build_curriculum(result: BucketizeResult, plan: SchedulePlan, *,
     )
 
 
+def _in_key_order(pairs: list) -> list:
+    """(key, id) pairs, sorted in place into (key, id) order.
+
+    Two stable sorts, by id and then by key, each compare one kind of
+    value; when keys tie often, that is faster than one sort of the pairs.
+    """
+    pairs.sort(key=itemgetter(1))
+    pairs.sort(key=itemgetter(0))
+    return pairs
+
+
 def baseline_order(examples: Iterable[Example], scores: Optional[Iterable[DoTScore]],
                    kind: str, plan: SchedulePlan) -> CurriculumManifest:
     """Build a matched-budget manifest from a non-depth ordering.
@@ -160,7 +173,8 @@ def baseline_order(examples: Iterable[Example], scores: Optional[Iterable[DoTSco
     into plan.phases phases of plan.budget_per_phase each; phases carry
     no bucket accounting.  Each input is read once, and only each
     example's id and judge score and each scored example's tok are kept,
-    so both may stream in from a file.
+    so both may stream in from a file.  A second score for one example
+    is a CorpusError.
     """
     pairs = [(ex.id, ex.judge_score) for ex in examples]
     if kind not in BASELINE_KINDS:
@@ -169,11 +183,11 @@ def baseline_order(examples: Iterable[Example], scores: Optional[Iterable[DoTSco
         )
 
     if kind == "token_length":
-        tok = {s.example_id: s.tok for s in scores or []}
+        tok = {s.example_id: s.tok for s in one_score_per_example(scores or [])}
         missing = [ex_id for ex_id, _judge in pairs if ex_id not in tok]
         if missing:
             raise ScheduleError(f"token_length baseline lacks scores for: {some_ids(missing)}")
-        ordered = sorted((tok[ex_id], ex_id) for ex_id, _judge in pairs)
+        ordered = _in_key_order([(tok[ex_id], ex_id) for ex_id, _judge in pairs])
     elif kind == "judge_score":
         missing = [ex_id for ex_id, judge in pairs if judge is None]
         if missing:
@@ -208,7 +222,8 @@ def filter_by_depth(scores: Iterable[DoTScore], min_k: Optional[int] = None,
     """Example ids whose k lies in [min_k, max_k] (inclusive), sorted by (k, id).
 
     At least one bound is required; use min_k for deep-only slices and
-    max_k for shallow-only ones.
+    max_k for shallow-only ones.  A second score for one example is a
+    CorpusError.
     """
     if min_k is None and max_k is None:
         raise ParameterError("filter_by_depth needs min_k, max_k or both")
@@ -218,6 +233,6 @@ def filter_by_depth(scores: Iterable[DoTScore], min_k: Optional[int] = None,
         raise ParameterError("max_k must be >= 1")
     if min_k is not None and max_k is not None and min_k > max_k:
         raise ParameterError(f"min_k {min_k} exceeds max_k {max_k}")
-    picked = [(s.k, s.example_id) for s in scores
-              if (min_k is None or s.k >= min_k) and (max_k is None or s.k <= max_k)]
-    return [ex_id for _k, ex_id in sorted(picked)]
+    lo, hi = min_k or 1, max_k or math.inf
+    picked = [(k, s.example_id) for s in one_score_per_example(scores) if lo <= (k := s.k) <= hi]
+    return [ex_id for _k, ex_id in _in_key_order(picked)]

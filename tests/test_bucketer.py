@@ -72,9 +72,9 @@ def test_bucketize_places_members_in_sorted_order():
 
 
 def test_bucketize_rejects_duplicates_and_unknown_tasks():
-    with pytest.raises(ParameterError, match="exactly one score per example"):
+    with pytest.raises(CorpusError, match="^duplicate score for example 'a'$"):
         bucketize([ds("a", 1), ds("a", 2)], BucketSpec(), {"a": "math"})
-    with pytest.raises(ParameterError, match="no task mapping"):
+    with pytest.raises(CorpusError, match="^no example 'a' in tasks$"):
         bucketize([ds("a", 1)], BucketSpec(), {})
 
 

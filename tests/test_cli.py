@@ -971,6 +971,19 @@ def test_analyze_agreement_pools_multiple_files(tmp_path, capsys):
     assert data["pairs"][0]["tau_depth"] == -1.0
 
 
+def test_analyze_agreement_names_the_teacher_of_a_second_score(tmp_path, capsys):
+    # Each teacher's scores, pooled from every file, hold one score per
+    # example; the error names the teacher, not yet the file and line.
+    fa, fb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    write_scores_file(fa, [(f"e{i}", "a", i + 1, 20 + i) for i in range(4)])
+    write_scores_file(fb, [(f"e{i}", "b", 4 - i, 30 + i) for i in range(4)] + [("e2", "a", 1, 9)])
+    assert main(["analyze", "agreement", "--scores", str(fa), "--scores", str(fb),
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == (
+        "error: teacher 'a': 'example_id': duplicate score for example 'e2'\n")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_analyze_confound(demo, tmp_path, capsys):
     out = run_pipeline(demo, tmp_path)
     capsys.readouterr()
@@ -1073,12 +1086,14 @@ def test_a_score_that_fails_the_join_names_its_line(tmp_path, capsys, two_teache
 
 
 @pytest.mark.parametrize("case", ["bucket-corpus", "bucket-share", "schedule-phases",
-                                  "filter-no-bound", "baseline-unused-scores"])
+                                  "filter-no-bound", "baseline-unused-scores",
+                                  "harvest-samples", "harvest-rate-limit"])
 def test_settings_then_corpus_then_scores_is_the_order_of_errors(tmp_path, capsys,
                                                                  two_teachers, case):
     # A bad setting is reported ahead of a bad input, and a bad corpus
     # line ahead of a bad scores line.  A --scores that baseline's
-    # ordering does not use is still read to its end.
+    # ordering does not use is still read to its end.  harvest checks its
+    # settings before it reads --template-file or opens --corpus.
     corpus = _with_record(BUNDLED / "examples.jsonl", tmp_path / "corpus.jsonl",
                           lambda r: r.update(task=7), 2)
     scores = _with_record(two_teachers[0], tmp_path / "scores.jsonl",
@@ -1086,6 +1101,8 @@ def test_settings_then_corpus_then_scores_is_the_order_of_errors(tmp_path, capsy
     buckets = tmp_path / "buckets.jsonl"
     buckets.write_text("{not json\n", encoding="utf-8")
     good = BUNDLED / "examples.jsonl"
+    harvest = ["harvest", "--endpoint", "http://127.0.0.1:9/v1", "--model", "m",
+               "--teacher-id", "t"]
     argv, error = {
         "bucket-corpus": (["bucket", "--corpus", corpus, "--scores", scores],
                           f"{corpus}:2: 'task'"),
@@ -1098,6 +1115,10 @@ def test_settings_then_corpus_then_scores_is_the_order_of_errors(tmp_path, capsy
         "baseline-unused-scores": (["baseline", "--corpus", good, "--scores", scores, "--kind",
                                     "random", "--phases", "1", "--budget", "5"],
                                    f"{scores}:3: 'k'"),
+        "harvest-samples": ([*harvest, "--corpus", good, "--template-file", buckets,  # bad JSON
+                             "--samples", "0"], "samples_per_example must lie in 1..10000, got 0"),
+        "harvest-rate-limit": ([*harvest, "--corpus", tmp_path / "missing.jsonl",
+                                "--rate-limit", "0"], "rate_limit must be finite"),
     }[case]
     assert main(list(map(str, [*argv, "--out", tmp_path / "out"]))) == 1
     assert capsys.readouterr().err.startswith(f"error: {error}")

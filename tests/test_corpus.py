@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepladder.bucketer import read_buckets
+from stepladder.analyzer import cross_teacher_agreement, length_confound
+from stepladder.bucketer import BucketSpec, bucketize, read_buckets
 from stepladder.cli import main
 from stepladder.corpus import (
     CONFIDENCE_LEVELS,
@@ -27,6 +28,7 @@ from stepladder.corpus import (
     TeacherProfile,
     Trace,
     count_tokens,
+    one_score_per_example,
     read_completions,
     read_corpus,
     read_json,
@@ -40,8 +42,9 @@ from stepladder.corpus import (
     write_scores,
     write_traces,
 )
-from stepladder.errors import CorpusError
+from stepladder.errors import CorpusError, StepladderError
 from stepladder.harvester import TEMPLATE
+from stepladder.scheduler import baseline_order, filter_by_depth
 
 
 def make_trace(example_id="e1", teacher_id="t1", k=2, tok=10) -> Trace:
@@ -582,3 +585,108 @@ _BAD_TRACES = [_corrupt(VALID["trace"][1], *m) for m in _mutations("trace")] + [
 def test_odd_trace_rows_are_read_as_the_table_reads_them(obj):
     fast, table = _read_both(obj)
     assert fast == table
+
+
+# ---------------------------------------------------------------------------
+# One score per example: the rule every consumer of scores reads through
+
+
+def _score(example_id, k=1, tok=50):
+    return DoTScore.compute(example_id, "t", k=k, tok=tok)
+
+
+@pytest.mark.parametrize("where, known, error", [
+    (None, None, "duplicate score for example 'a'"),
+    ("s.jsonl:2", None, "s.jsonl:2: 'example_id': duplicate score for example 'a'"),
+    (None, {"a": 1.0}, "no example 'b' in c.jsonl"),
+    ("s.jsonl:2", {"a": 1.0, "b": None},
+     "s.jsonl:2: 'example_id': example 'b' has no label in c.jsonl"),
+])
+def test_one_score_per_example_names_the_score(where, known, error):
+    second = "a" if known is None else "b"
+    stream = one_score_per_example([_score("a"), _score(second)], known, "c.jsonl", "label",
+                                   None if where is None else lambda: where)
+    assert next(stream) == _score("a")  # a stream: the first score comes before the error
+    with pytest.raises(CorpusError) as exc:
+        next(stream)
+    assert str(exc.value) == error
+
+
+@given(st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=8))
+def test_one_score_per_example_stops_at_the_first_repeated_id(ids):
+    # Ids in increasing order are kept in a list and the rest in a set:
+    # either way the stream stops at the first id seen before.
+    firsts = []
+    for ex_id in ids:
+        if ex_id in firsts:
+            break
+        firsts.append(ex_id)
+    got = []
+    try:
+        for score in one_score_per_example(map(_score, ids)):
+            got.append(score.example_id)
+    except CorpusError as exc:
+        assert str(exc) == f"duplicate score for example {ids[len(got)]!r}"
+    assert got == firsts
+
+
+def _consumers(scores, other, known):
+    """Each library consumer of scores, called on one list of scores, as
+    (name, thunk); known maps ids to a task, a label or None."""
+    examples = [Example(id=ex_id, task="t", prompt="p") for ex_id in sorted(known)]
+    plan = SchedulePlan(mode="staged", phases=1, budget_per_phase=1, seed=0)
+    return [
+        ("bucketize", lambda: bucketize(scores, BucketSpec(max_task_share=0.5),
+                                        {i: None if v is None else f"t{v}"
+                                         for i, v in known.items()})),
+        ("length_confound", lambda: length_confound(scores, known)),
+        ("baseline_order", lambda: baseline_order(examples, scores, "token_length", plan)),
+        ("filter_by_depth", lambda: filter_by_depth(scores, min_k=1)),
+        ("cross_teacher_agreement", lambda: cross_teacher_agreement({"a": scores, "b": other})),
+    ]
+
+
+_IDS = st.sampled_from(["e0", "e1", "e2", "e3", "e4", "e5"])
+_SCORES = st.lists(st.builds(_score, _IDS, st.integers(1, 9), st.integers(1, 200)),
+                   max_size=10)
+
+
+@given(_SCORES, _SCORES, st.dictionaries(_IDS, st.none() | st.floats(0, 1)))
+@settings(max_examples=300, deadline=None)
+def test_every_scores_consumer_takes_one_score_per_example(scores, other, known):
+    # Repeated ids, ids the mapping lacks and None tasks or labels each end
+    # as a StepladderError, never a TypeError or KeyError, and no consumer
+    # returns on a second score for one example.
+    repeated = len({s.example_id for s in scores}) < len(scores)
+    unmapped = any(known.get(s.example_id) is None for s in scores)
+    for name, call in _consumers(scores, other, known):
+        try:
+            call()
+        except StepladderError:
+            continue
+        assert not repeated, name
+        assert not (unmapped and name in ("bucketize", "length_confound")), name
+
+
+# A None label or task, which a consumer cannot use, and a second score,
+# which it must not use silently: each is a CorpusError naming the example.
+_BAD_SCORES = [
+    ("length_confound", [_score(f"e{i}", k=i + 1) for i in range(5)],
+     {"e0": 0.1, "e1": 0.2, "e2": None, "e3": 0.4, "e4": 0.5},
+     "example 'e2' has no label in labels"),
+    ("bucketize", [_score("e0"), _score("e1")], {"e0": "math", "e1": None},
+     "example 'e1' has no task in tasks"),
+    ("baseline_order", [_score("e0"), _score("e1"), _score("e0", tok=9)],
+     {"e0": 0.1, "e1": 0.2}, "duplicate score for example 'e0'"),
+    ("filter_by_depth", [_score("e0"), _score("e0", k=2)], {},
+     "duplicate score for example 'e0'"),
+]
+
+
+@pytest.mark.parametrize("name, scores, known, error", _BAD_SCORES,
+                         ids=[case[0] for case in _BAD_SCORES])
+def test_a_bad_score_is_a_corpus_error_naming_its_example(name, scores, known, error):
+    call = dict(_consumers(scores, scores, known))[name]
+    with pytest.raises(CorpusError) as exc:
+        call()
+    assert str(exc.value) == error

@@ -159,12 +159,17 @@ def test_golden_run_set(tmp_path, monkeypatch):
         assert entry == golden[name], name
 
 
+def _env(**extra) -> dict:
+    """The environment for a subprocess that imports this stepladder."""
+    src = str(Path(stepladder.__file__).resolve().parent.parent)
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_golden_runs_repeat_under_another_hash_seed(tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     stage(tmp_path)
-    src = str(Path(stepladder.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONHASHSEED="4242", PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _env(PYTHONHASHSEED="4242")
     for name in REPLAYED:
         argv = RUNS[name]
         done = subprocess.run([sys.executable, "-m", "stepladder.cli", *argv], cwd=tmp_path,
@@ -172,6 +177,17 @@ def test_golden_runs_repeat_under_another_hash_seed(tmp_path):
         with contextlib.chdir(tmp_path):
             entry = _entry(argv, done.returncode, done.stdout, done.stderr, "{url}")
         assert entry == golden[name], name
+
+
+def test_bundled_data_regenerates_byte_for_byte(tmp_path):
+    # The run set rests on data/synthetic/, which README says is made by
+    # exactly this command.
+    done = subprocess.run([sys.executable, "-m", "stepladder.synthetic", "--out-dir",
+                           str(tmp_path), "--n", "500", "--seed", "7"],
+                          env=_env(), capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    for name in ("examples.jsonl", "completions.jsonl"):
+        assert (tmp_path / name).read_bytes() == (BUNDLED / name).read_bytes(), name
 
 
 def test_run_set_covers_every_output_of_every_command():

@@ -4,6 +4,7 @@ quote."""
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 TOOLS = Path(__file__).parent.parent / "tools"
@@ -49,3 +50,33 @@ def test_code_lines_prints_each_module_and_the_total(tmp_path, capsys):
     (tmp_path / "b.py").write_text("x = 1\n\n# c\n", encoding="utf-8")
     assert code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == "     1  b.py\n     9  pkg/a.py\n    10  total\n"
+
+
+def test_code_lines_counts_a_git_revision_and_leaves_the_tree_alone(tmp_path, monkeypatch,
+                                                                     capsys):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text(SOURCE, encoding="utf-8")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one")
+    (pkg / "b.py").write_text("x = 1\n", encoding="utf-8")
+    git("add", "-A")
+    git("commit", "-q", "-m", "two")
+    (pkg / "a.py").write_text("y = 2\n", encoding="utf-8")  # left uncommitted
+    monkeypatch.chdir(tmp_path)
+    status = subprocess.run(["git", "status", "--porcelain"], capture_output=True).stdout
+
+    assert code_lines.main(["--rev", "HEAD~1", "src/pkg"]) == 0
+    assert capsys.readouterr().out == "     9  a.py\n     9  total\n"
+    assert code_lines.main(["--rev", "HEAD", "src/pkg"]) == 0
+    assert capsys.readouterr().out == "     9  a.py\n     1  b.py\n    10  total\n"
+    assert code_lines.main(["src/pkg"]) == 0  # the files on disk
+    assert capsys.readouterr().out == "     1  a.py\n     1  b.py\n     2  total\n"
+    assert (pkg / "a.py").read_text(encoding="utf-8") == "y = 2\n"
+    assert subprocess.run(["git", "status", "--porcelain"], capture_output=True).stdout == status

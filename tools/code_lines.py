@@ -1,19 +1,24 @@
 """Count code lines per module: lines that hold code, not counting blank
 lines, comment lines or docstring lines.
 
-    python tools/code_lines.py [DIR]
+    python tools/code_lines.py [--rev REV] [DIR]
 
 prints one "<lines>  <module>" row per .py file under DIR (default
-src/stepladder), then the total.
+src/stepladder), then the total.  With --rev, it counts DIR as it is at
+the git revision REV of the repository in the current directory, read
+with git archive, so neither the working tree nor the index is touched.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
+import tarfile
 import tokenize
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -36,13 +41,35 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
+def _sources(root: str, rev: str | None):
+    """(path under root, source) for every .py file under root, on disk or
+    at git revision rev."""
+    if rev is None:
+        for path in Path(root).rglob("*.py"):
+            yield (PurePosixPath(path.relative_to(root).as_posix()),
+                   path.read_text(encoding="utf-8"))
+        return
+    done = subprocess.run(["git", "archive", "--format=tar", f"{rev}:{root}"],
+                          capture_output=True)
+    if done.returncode:
+        raise SystemExit(done.stderr.decode(errors="replace").strip())
+    with tarfile.open(fileobj=io.BytesIO(done.stdout)) as archive:
+        for member in archive:
+            if member.isfile() and member.name.endswith(".py"):
+                yield (PurePosixPath(member.name),
+                       archive.extractfile(member).read().decode("utf-8"))
+
+
 def main(argv: list) -> int:
-    root = Path(argv[0] if argv else "src/stepladder")
+    parser = argparse.ArgumentParser(description="count code lines per module")
+    parser.add_argument("dir", nargs="?", default="src/stepladder")
+    parser.add_argument("--rev", help="count DIR at this git revision")
+    args = parser.parse_args(argv)
     total = 0
-    for path in sorted(root.rglob("*.py")):
-        n = code_lines(path.read_text(encoding="utf-8"))
+    for path, source in sorted(_sources(args.dir, args.rev)):
+        n = code_lines(source)
         total += n
-        print(f"{n:6}  {path.relative_to(root)}")
+        print(f"{n:6}  {path}")
     print(f"{total:6}  total")
     return 0
 
