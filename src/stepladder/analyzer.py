@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .corpus import DoTScore, one_score_per_example
+from .corpus import DoTScore, Frozen, one_score_per_example, set_field
 from .errors import AnalysisError
 
 
@@ -117,21 +116,29 @@ def kendall_tau(xs: Sequence[float], ys: Sequence[float]) -> float:
 # Cross-teacher agreement
 
 
-@dataclass(frozen=True)
-class TeacherPairAgreement:
-    teacher_a: str
-    teacher_b: str
-    tau_depth: float
-    tau_tokens: float
+class TeacherPairAgreement(Frozen):
+    __slots__ = ("teacher_a", "teacher_b", "tau_depth", "tau_tokens")
+
+    def __init__(self, teacher_a: str, teacher_b: str, tau_depth: float, tau_tokens: float):
+        set_field(self, "teacher_a", teacher_a)
+        set_field(self, "teacher_b", teacher_b)
+        set_field(self, "tau_depth", tau_depth)
+        set_field(self, "tau_tokens", tau_tokens)
+
+    def to_json(self) -> dict:
+        return dict(zip(self.__slots__, self._values()))
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(Frozen):
     """Pairwise rank agreement between teachers on shared examples."""
 
-    teachers: tuple[str, ...]
-    n_common: int
-    pairs: tuple[TeacherPairAgreement, ...]
+    __slots__ = ("teachers", "n_common", "pairs")
+
+    def __init__(self, teachers: tuple[str, ...], n_common: int,
+                 pairs: tuple[TeacherPairAgreement, ...]):
+        set_field(self, "teachers", teachers)
+        set_field(self, "n_common", n_common)
+        set_field(self, "pairs", pairs)
 
     def render(self) -> str:
         header = f"{'teacher a':>12}  {'teacher b':>12}  {'tau(k)':>8}  {'tau(tok)':>9}"
@@ -143,7 +150,8 @@ class AgreementReport:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {"teachers": self.teachers, "n_common": self.n_common,
+                "pairs": tuple(p.to_json() for p in self.pairs)}
 
 
 def cross_teacher_agreement(
@@ -179,8 +187,11 @@ def cross_teacher_agreement(
 # Length confound
 
 
-@dataclass(frozen=True)
-class ConfoundReport:
+_METHOD = ("Spearman rank correlations; partial = Pearson on least-squares "
+           "residuals of rank(k) and rank(label) regressed on rank(tok)")
+
+
+class ConfoundReport(Frozen):
     """Depth vs difficulty correlations with token length controlled.
 
     partial_depth is the partial Spearman correlation between k and the
@@ -188,15 +199,16 @@ class ConfoundReport:
     ranks; None when the control is degenerate, with note saying why.
     """
 
-    n: int
-    rho_depth: float
-    rho_tokens: Optional[float]
-    partial_depth: Optional[float]
-    note: str = ""
-    method: str = (
-        "Spearman rank correlations; partial = Pearson on least-squares "
-        "residuals of rank(k) and rank(label) regressed on rank(tok)"
-    )
+    __slots__ = ("n", "rho_depth", "rho_tokens", "partial_depth", "note", "method")
+
+    def __init__(self, n: int, rho_depth: float, rho_tokens: Optional[float],
+                 partial_depth: Optional[float], note: str = "", method: str = _METHOD):
+        set_field(self, "n", n)
+        set_field(self, "rho_depth", rho_depth)
+        set_field(self, "rho_tokens", rho_tokens)
+        set_field(self, "partial_depth", partial_depth)
+        set_field(self, "note", note)
+        set_field(self, "method", method)
 
     def render(self) -> str:
         partial = "n/a" if self.partial_depth is None else f"{self.partial_depth:.4f}"
@@ -212,7 +224,7 @@ class ConfoundReport:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(zip(self.__slots__, self._values()))
 
 
 def _residuals(ys: Sequence[float], xs: Sequence[float]) -> list[float]:

@@ -12,17 +12,16 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
-from .corpus import NUMBER, DoTScore, Record, one_score_per_example, read_jsonl, write_atomic
+from .corpus import (NUMBER, DoTScore, Frozen, Record, one_score_per_example, read_jsonl,
+                     set_field, write_atomic)
 from .errors import CorpusError, ParameterError
 
 DEFAULT_EDGES = ((1, 3), (4, 6), (7, None))
 
 
-@dataclass(frozen=True)
-class BucketSpec:
+class BucketSpec(Frozen):
     """Depth bucket boundaries plus the task-balance cap.
 
     edges is a tuple of (lo, hi) ranges; hi None means unbounded.  Ranges
@@ -30,31 +29,33 @@ class BucketSpec:
     range must be unbounded so every k >= 1 lands somewhere.
     """
 
-    edges: tuple[tuple[int, Optional[int]], ...] = DEFAULT_EDGES
-    max_task_share: float = 1.0
+    __slots__ = ("edges", "max_task_share")
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        if not self.edges:
+    def __init__(self, edges: tuple[tuple[int, Optional[int]], ...] = DEFAULT_EDGES,
+                 max_task_share: float = 1.0):
+        edges = tuple(tuple(e) for e in edges)
+        if not edges:
             raise ParameterError("bucket edges must be nonempty")
-        if self.edges[0][0] != 1:
+        if edges[0][0] != 1:
             raise ParameterError("first bucket must start at k = 1")
-        for i, (lo, hi) in enumerate(self.edges):
-            last = i == len(self.edges) - 1
+        for i, (lo, hi) in enumerate(edges):
+            last = i == len(edges) - 1
             if hi is None and not last:
                 raise ParameterError("only the final bucket may be unbounded")
             if hi is not None and hi < lo:
                 raise ParameterError(f"bucket range ({lo}, {hi}) is empty")
             if i > 0:
-                prev_hi = self.edges[i - 1][1]
+                prev_hi = edges[i - 1][1]
                 if lo != prev_hi + 1:
                     raise ParameterError(
                         f"bucket ranges must be contiguous, got ...{prev_hi}], [{lo}..."
                     )
-        if self.edges[-1][1] is not None:
+        if edges[-1][1] is not None:
             raise ParameterError("final bucket must be unbounded (hi = None)")
-        if not 0.0 < self.max_task_share <= 1.0:
+        if not 0.0 < max_task_share <= 1.0:
             raise ParameterError("max_task_share must lie in (0, 1]")
+        set_field(self, "edges", edges)
+        set_field(self, "max_task_share", max_task_share)
 
     def bucket_for_k(self, k: int) -> int:
         """1-based bucket index for a step count."""
@@ -66,22 +67,23 @@ class BucketSpec:
         raise ParameterError(f"no bucket covers k = {k}")  # unreachable by invariant
 
 
-@dataclass(frozen=True)
-class Bucket:
+class Bucket(Frozen):
     """One depth bucket's retained members, sorted by (k, id)."""
 
-    index: int
-    lo: int
-    hi: Optional[int]
-    member_ids: tuple[str, ...] = ()
-    member_ks: tuple[int, ...] = ()
-    task_histogram: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("index", "lo", "hi", "member_ids", "member_ks", "task_histogram")
 
-    def __post_init__(self):
-        object.__setattr__(self, "member_ids", tuple(self.member_ids))
-        object.__setattr__(self, "member_ks", tuple(self.member_ks))
-        if len(self.member_ids) != len(self.member_ks):
-            raise CorpusError(f"bucket {self.index}: ids and ks differ in length")
+    def __init__(self, index: int, lo: int, hi: Optional[int], member_ids: tuple[str, ...] = (),
+                 member_ks: tuple[int, ...] = (),
+                 task_histogram: Optional[dict[str, int]] = None):
+        member_ids, member_ks = tuple(member_ids), tuple(member_ks)
+        if len(member_ids) != len(member_ks):
+            raise CorpusError(f"bucket {index}: ids and ks differ in length")
+        set_field(self, "index", index)
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "member_ids", member_ids)
+        set_field(self, "member_ks", member_ks)
+        set_field(self, "task_histogram", {} if task_histogram is None else task_histogram)
 
     @property
     def size(self) -> int:
@@ -92,21 +94,26 @@ class Bucket:
         return f"{self.lo}+" if self.hi is None else f"{self.lo}-{self.hi}"
 
 
-@dataclass(frozen=True)
-class OverflowRecord:
+class OverflowRecord(Frozen):
     """A member evicted from a bucket by the task-share cap."""
 
-    bucket_index: int
-    example_id: str
-    task: str
-    k: int
+    __slots__ = ("bucket_index", "example_id", "task", "k")
+
+    def __init__(self, bucket_index: int, example_id: str, task: str, k: int):
+        set_field(self, "bucket_index", bucket_index)
+        set_field(self, "example_id", example_id)
+        set_field(self, "task", task)
+        set_field(self, "k", k)
 
 
-@dataclass(frozen=True)
-class BucketizeResult:
-    spec: BucketSpec
-    buckets: tuple[Bucket, ...]
-    overflow: tuple[OverflowRecord, ...] = ()
+class BucketizeResult(Frozen):
+    __slots__ = ("spec", "buckets", "overflow")
+
+    def __init__(self, spec: BucketSpec, buckets: tuple[Bucket, ...],
+                 overflow: tuple[OverflowRecord, ...] = ()):
+        set_field(self, "spec", spec)
+        set_field(self, "buckets", buckets)
+        set_field(self, "overflow", overflow)
 
 
 def _apply_task_cap(members: list[tuple[int, str, str]], share: float):
@@ -182,13 +189,16 @@ def bucketize(scores: Iterable[DoTScore], spec: BucketSpec,
 # Reporting
 
 
-@dataclass(frozen=True)
-class BucketReport:
+class BucketReport(Frozen):
     """Table-friendly summary of a bucketize run."""
 
-    rows: tuple[dict, ...]
-    overflow_total: int
-    overflow_by_task: dict[str, int]
+    __slots__ = ("rows", "overflow_total", "overflow_by_task")
+
+    def __init__(self, rows: tuple[dict, ...], overflow_total: int,
+                 overflow_by_task: dict[str, int]):
+        set_field(self, "rows", rows)
+        set_field(self, "overflow_total", overflow_total)
+        set_field(self, "overflow_by_task", overflow_by_task)
 
     def render(self) -> str:
         header = f"{'bucket':>6}  {'range':>6}  {'size':>5}  {'k min':>5}  {'k mean':>7}  {'k max':>5}  tasks"

@@ -30,6 +30,7 @@ from . import __version__
 from .corpus import (
     BASELINE_KINDS,
     COMPLETION,
+    EXAMPLE,
     SCORE,
     TRACE,
     SchedulePlan,
@@ -45,7 +46,7 @@ from .corpus import (
     write_atomic,
     write_manifest,
 )
-from .errors import ParameterError, StepladderError
+from .errors import CorpusError, ParameterError, ScheduleError, StepladderError
 
 _EXIT_OK = 0
 _EXIT_ERROR = 1
@@ -272,31 +273,31 @@ def _gate(args, report, failures: list) -> int:
 
 
 def _run_harvest(args) -> int:
-    from dataclasses import replace
-
     from .harvester import DEFAULT_TEMPLATE, TEMPLATE, HarvestJob, HarvestResult, harvest_stream
 
-    teacher = TeacherProfile(
-        teacher_id=args.teacher_id,
-        endpoint_url=args.endpoint,
-        model_name=args.model,
-        template_id=DEFAULT_TEMPLATE.template_id,
-        samples_per_example=args.samples,
-        temperature=args.temperature,
-    )
-    job = HarvestJob(
-        teacher=teacher,
-        cache_dir=str(Path(args.workdir, args.cache_dir)),
-        rate_limit=args.rate_limit,
-        max_retries=args.max_retries,
-        timeout=args.timeout,
-        max_in_flight=args.max_in_flight,
-        api_key_env=args.api_key_env,
-    )
+    def job_with(template):
+        teacher = TeacherProfile(
+            teacher_id=args.teacher_id,
+            endpoint_url=args.endpoint,
+            model_name=args.model,
+            template_id=template.template_id,
+            samples_per_example=args.samples,
+            temperature=args.temperature,
+        )
+        return HarvestJob(
+            teacher=teacher,
+            cache_dir=str(Path(args.workdir, args.cache_dir)),
+            rate_limit=args.rate_limit,
+            template=template,
+            max_retries=args.max_retries,
+            timeout=args.timeout,
+            max_in_flight=args.max_in_flight,
+            api_key_env=args.api_key_env,
+        )
+
+    job = job_with(DEFAULT_TEMPLATE)  # the settings are checked before the template is read
     if args.template_file is not None:
-        template = read_json(args.template_file, TEMPLATE)
-        job = replace(job, template=template,
-                      teacher=replace(teacher, template_id=template.template_id))
+        job = job_with(read_json(args.template_file, TEMPLATE))
     # The corpus streams into the harvest.  Opening it here makes a missing
     # or unreadable file fail before the cache directory is made.
     open(args.corpus, "rb").close()
@@ -417,12 +418,34 @@ def _run_baseline(args) -> int:
     del knobs["kind"]  # the other knobs are the plan's fields
     plan = SchedulePlan(mode="staged", **knobs)
     scores = _one_score_per_example(args)
-    manifest = baseline_order(iter_corpus(args.corpus), scores, args.kind, plan)
+    try:
+        manifest = baseline_order(iter_corpus(args.corpus), scores, args.kind, plan)
+    except ScheduleError:
+        _name_unordered_example(args)
+        raise
     for _score in scores or ():  # a --scores the ordering did not use is still checked
         pass
     write_manifest(manifest, args.out)
     print(f"wrote {args.kind} baseline with {len(manifest.phases)} phase(s)")
     return _EXIT_OK
+
+
+def _name_unordered_example(args) -> None:
+    """Raise a CorpusError at the --corpus line of the first example that
+    the baseline ordering has no key for: a score in --scores for
+    token_length, a judge_score for judge_score.  Each file is read a
+    second time, and only once the ordering has failed."""
+    if args.kind == "judge_score":
+        for where, ex in read_jsonl(args.corpus, EXAMPLE):
+            if ex.judge_score is None:
+                raise CorpusError(f"{where}: 'judge_score': example {ex.id!r} has none, "
+                                  f"which the judge_score baseline needs")
+    elif args.kind == "token_length" and args.scores is not None:
+        scored = {score.example_id for score in SCORE.iter(args.scores)}
+        for where, ex in read_jsonl(args.corpus, EXAMPLE):
+            if ex.id not in scored:
+                raise CorpusError(f"{where}: 'id': example {ex.id!r} has no score "
+                                  f"in {args.scores}")
 
 
 def _run_agreement(args) -> int:

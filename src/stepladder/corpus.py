@@ -29,7 +29,6 @@ import os
 import re
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -74,88 +73,133 @@ def count_tokens(text: str) -> int:
     return len(text.split())
 
 
-@dataclass(frozen=True)
-class Example:
+set_field = object.__setattr__  # how a Frozen record's __init__ sets a field
+
+
+class Frozen:
+    """Base of the immutable record types.
+
+    A subclass names its fields in __slots__, in constructor order, and
+    its __init__ sets each one with set_field.  Two records are equal when
+    they are of one class with equal fields; a record hashes by its
+    fields, so one that holds a dict is unhashable.  repr reads like the
+    constructor call, assignment and deletion raise AttributeError, and
+    pickle and copy rebuild a record through its __init__.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Example(Frozen):
     """One training item: a prompt plus optional difficulty side-channels."""
 
-    id: str
-    task: str
-    prompt: str
-    reference_answer: Optional[str] = None
-    external_difficulty: Optional[float] = None
-    judge_score: Optional[float] = None
+    __slots__ = ("id", "task", "prompt", "reference_answer", "external_difficulty",
+                 "judge_score")
 
-    def __post_init__(self):
-        if not self.id:
+    def __init__(self, id: str, task: str, prompt: str, reference_answer: Optional[str] = None,
+                 external_difficulty: Optional[float] = None,
+                 judge_score: Optional[float] = None):
+        if not id:
             raise CorpusError("example id must be nonempty")
-        if not self.task:
-            raise CorpusError(f"example {self.id!r}: task must be nonempty")
-        if self.external_difficulty is not None and not math.isfinite(self.external_difficulty):
-            raise CorpusError(f"example {self.id!r}: external_difficulty must be finite")
-        if self.judge_score is not None and not (0.0 <= self.judge_score <= 1.0):
-            raise CorpusError(f"example {self.id!r}: judge_score must lie in [0, 1]")
+        if not task:
+            raise CorpusError(f"example {id!r}: task must be nonempty")
+        if external_difficulty is not None and not math.isfinite(external_difficulty):
+            raise CorpusError(f"example {id!r}: external_difficulty must be finite")
+        if judge_score is not None and not (0.0 <= judge_score <= 1.0):
+            raise CorpusError(f"example {id!r}: judge_score must lie in [0, 1]")
+        set_field(self, "id", id)
+        set_field(self, "task", task)
+        set_field(self, "prompt", prompt)
+        set_field(self, "reference_answer", reference_answer)
+        set_field(self, "external_difficulty", external_difficulty)
+        set_field(self, "judge_score", judge_score)
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Frozen):
     """A teacher's reasoning output for one example, segmented into steps:
     step i's text is steps[i - 1]."""
 
-    example_id: str
-    teacher_id: str
-    raw_text: str
-    steps: tuple[str, ...]
-    tok: int
-    segmentation_mode: str
-    confidence: str
+    __slots__ = ("example_id", "teacher_id", "raw_text", "steps", "tok", "segmentation_mode",
+                 "confidence")
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if "" in self.steps:
-            raise CorpusError(f"trace ({self.example_id}, {self.teacher_id}): step "
-                              f"{self.steps.index('') + 1}: text must be nonempty")
-        if self.tok < 1:
-            raise CorpusError(
-                f"trace ({self.example_id}, {self.teacher_id}): tok must be >= 1"
-            )
-        if self.segmentation_mode not in SEGMENTATION_MODES:
-            raise CorpusError(f"unknown segmentation_mode {self.segmentation_mode!r}")
-        if self.confidence not in CONFIDENCE_LEVELS:
-            raise CorpusError(f"unknown confidence {self.confidence!r}")
+    def __init__(self, example_id: str, teacher_id: str, raw_text: str,
+                 steps: tuple[str, ...], tok: int, segmentation_mode: str, confidence: str):
+        steps = tuple(steps)
+        if "" in steps:
+            raise CorpusError(f"trace ({example_id}, {teacher_id}): step "
+                              f"{steps.index('') + 1}: text must be nonempty")
+        if tok < 1:
+            raise CorpusError(f"trace ({example_id}, {teacher_id}): tok must be >= 1")
+        if segmentation_mode not in SEGMENTATION_MODES:
+            raise CorpusError(f"unknown segmentation_mode {segmentation_mode!r}")
+        if confidence not in CONFIDENCE_LEVELS:
+            raise CorpusError(f"unknown confidence {confidence!r}")
+        set_field(self, "example_id", example_id)
+        set_field(self, "teacher_id", teacher_id)
+        set_field(self, "raw_text", raw_text)
+        set_field(self, "steps", steps)
+        set_field(self, "tok", tok)
+        set_field(self, "segmentation_mode", segmentation_mode)
+        set_field(self, "confidence", confidence)
 
     @property
     def k(self) -> int:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class DoTScore:
+class DoTScore(Frozen):
     """Depth-of-thought score for one (example, teacher) pair.
 
     k is the step count, tok the trace token count, and dot_norm the
     verbosity-controlled variant k / ln(1 + tok).
     """
 
-    example_id: str
-    teacher_id: str
-    k: int
-    tok: int
-    dot_norm: float
-    n_samples: int = 1
+    __slots__ = ("example_id", "teacher_id", "k", "tok", "dot_norm", "n_samples")
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise CorpusError(f"score ({self.example_id}): k must be >= 1")
-        if self.tok < 1:
-            raise CorpusError(f"score ({self.example_id}): tok must be >= 1")
-        if self.n_samples < 1:
-            raise CorpusError(f"score ({self.example_id}): n_samples must be >= 1")
-        expected = self.k / math.log1p(self.tok)
-        if not abs(self.dot_norm - expected) <= DOT_NORM_RTOL * abs(expected):
+    def __init__(self, example_id: str, teacher_id: str, k: int, tok: int, dot_norm: float,
+                 n_samples: int = 1):
+        if k < 1:
+            raise CorpusError(f"score ({example_id}): k must be >= 1")
+        if tok < 1:
+            raise CorpusError(f"score ({example_id}): tok must be >= 1")
+        if n_samples < 1:
+            raise CorpusError(f"score ({example_id}): n_samples must be >= 1")
+        expected = k / math.log1p(tok)
+        if not abs(dot_norm - expected) <= DOT_NORM_RTOL * abs(expected):
             raise CorpusError(
-                f"score ({self.example_id}): dot_norm {self.dot_norm!r} does not "
+                f"score ({example_id}): dot_norm {dot_norm!r} does not "
                 f"equal k/ln(1+tok) = {expected!r}"
             )
+        set_field(self, "example_id", example_id)
+        set_field(self, "teacher_id", teacher_id)
+        set_field(self, "k", k)
+        set_field(self, "tok", tok)
+        set_field(self, "dot_norm", dot_norm)
+        set_field(self, "n_samples", n_samples)
 
     @classmethod
     def compute(cls, example_id: str, teacher_id: str, k: int, tok: int,
@@ -166,35 +210,36 @@ class DoTScore:
         return cls(example_id, teacher_id, k, tok, k / math.log1p(tok), n_samples)
 
 
-@dataclass(frozen=True)
-class TeacherProfile:
+class TeacherProfile(Frozen):
     """Connection and sampling settings for one teacher endpoint."""
 
-    teacher_id: str
-    endpoint_url: str
-    model_name: str
-    template_id: str
-    samples_per_example: int = 1
-    temperature: float = 0.7
+    __slots__ = ("teacher_id", "endpoint_url", "model_name", "template_id",
+                 "samples_per_example", "temperature")
 
-    def __post_init__(self):
-        if not self.teacher_id:
+    def __init__(self, teacher_id: str, endpoint_url: str, model_name: str, template_id: str,
+                 samples_per_example: int = 1, temperature: float = 0.7):
+        if not teacher_id:
             raise CorpusError("teacher_id must be nonempty")
-        if not 1 <= self.samples_per_example <= MAX_SAMPLES_PER_EXAMPLE:
+        if not 1 <= samples_per_example <= MAX_SAMPLES_PER_EXAMPLE:
             raise CorpusError(f"samples_per_example must lie in 1..{MAX_SAMPLES_PER_EXAMPLE}, "
-                              f"got {self.samples_per_example}")
-        if not 0 <= self.temperature < math.inf:
-            raise CorpusError(f"temperature must be finite and >= 0, got {self.temperature}")
+                              f"got {samples_per_example}")
+        if not 0 <= temperature < math.inf:
+            raise CorpusError(f"temperature must be finite and >= 0, got {temperature}")
         try:
-            parsed = urlparse(self.endpoint_url)
+            parsed = urlparse(endpoint_url)
         except ValueError:  # e.g. an unclosed IPv6 bracket
             parsed = None
         if parsed is None or parsed.scheme not in ("http", "https") or not parsed.netloc:
-            raise CorpusError(f"endpoint_url is not a valid URL: {self.endpoint_url!r}")
+            raise CorpusError(f"endpoint_url is not a valid URL: {endpoint_url!r}")
+        set_field(self, "teacher_id", teacher_id)
+        set_field(self, "endpoint_url", endpoint_url)
+        set_field(self, "model_name", model_name)
+        set_field(self, "template_id", template_id)
+        set_field(self, "samples_per_example", samples_per_example)
+        set_field(self, "temperature", temperature)
 
 
-@dataclass(frozen=True)
-class SchedulePlan:
+class SchedulePlan(Frozen):
     """Parameters of a curriculum build.
 
     mode "staged" trains phase t on bucket t only; mode "mixed" samples
@@ -202,60 +247,62 @@ class SchedulePlan:
     mixing "adjacent" restricts a mixed phase t to buckets t-1 and t.
     """
 
-    mode: str
-    phases: int
-    budget_per_phase: int
-    seed: int
-    alpha: float = 0.0
-    with_replacement: bool = False
-    mixing: str = "union"
+    __slots__ = ("mode", "phases", "budget_per_phase", "seed", "alpha", "with_replacement",
+                 "mixing")
 
-    def __post_init__(self):
-        if self.mode not in ("staged", "mixed"):
-            raise CorpusError(f"unknown schedule mode {self.mode!r}")
-        if self.mixing not in ("union", "adjacent"):
-            raise CorpusError(f"unknown mixing {self.mixing!r}")
-        if self.phases < 1:
+    def __init__(self, mode: str, phases: int, budget_per_phase: int, seed: int,
+                 alpha: float = 0.0, with_replacement: bool = False, mixing: str = "union"):
+        if mode not in ("staged", "mixed"):
+            raise CorpusError(f"unknown schedule mode {mode!r}")
+        if mixing not in ("union", "adjacent"):
+            raise CorpusError(f"unknown mixing {mixing!r}")
+        if phases < 1:
             raise CorpusError("phases must be >= 1")
-        if self.budget_per_phase < 1:
+        if budget_per_phase < 1:
             raise CorpusError("budget_per_phase must be >= 1")
-        if not (self.alpha >= 0 and math.isfinite(self.alpha)):
+        if not (alpha >= 0 and math.isfinite(alpha)):
             raise CorpusError("alpha must be finite and >= 0")
-        if not (-(2**63) <= self.seed < 2**63):
+        if not (-(2**63) <= seed < 2**63):
             raise CorpusError("seed must fit in 64 bits")
+        set_field(self, "mode", mode)
+        set_field(self, "phases", phases)
+        set_field(self, "budget_per_phase", budget_per_phase)
+        set_field(self, "seed", seed)
+        set_field(self, "alpha", alpha)
+        set_field(self, "with_replacement", with_replacement)
+        set_field(self, "mixing", mixing)
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(Frozen):
     """One training phase: an ordered id list plus per-bucket accounting."""
 
-    index: int
-    example_ids: tuple[str, ...]
-    bucket_counts: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("index", "example_ids", "bucket_counts")
 
-    def __post_init__(self):
-        object.__setattr__(self, "example_ids", tuple(self.example_ids))
-        if self.index < 1:
-            raise CorpusError(f"phase index must be >= 1, got {self.index}")
+    def __init__(self, index: int, example_ids: tuple[str, ...],
+                 bucket_counts: Optional[dict[int, int]] = None):
+        example_ids = tuple(example_ids)
+        if index < 1:
+            raise CorpusError(f"phase index must be >= 1, got {index}")
+        set_field(self, "index", index)
+        set_field(self, "example_ids", example_ids)
+        set_field(self, "bucket_counts", {} if bucket_counts is None else bucket_counts)
 
 
-@dataclass(frozen=True)
-class CurriculumManifest:
+class CurriculumManifest(Frozen):
     """A seeded, phase-ordered sampling plan consumable by any trainer."""
 
-    plan: SchedulePlan
-    phases: tuple[Phase, ...]
-    provenance: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("plan", "phases", "provenance")
 
-    def __post_init__(self):
-        object.__setattr__(self, "phases", tuple(self.phases))
-        if not self.phases:
+    def __init__(self, plan: SchedulePlan, phases: tuple[Phase, ...],
+                 provenance: Optional[dict[str, str]] = None):
+        phases = tuple(phases)
+        if not phases:
             raise CorpusError("manifest must contain at least one phase")
-        for phase in self.phases:
-            if len(phase.example_ids) > self.plan.budget_per_phase:
+        for phase in phases:
+            if len(phase.example_ids) > plan.budget_per_phase:
                 raise CorpusError(
                     f"phase {phase.index}: {len(phase.example_ids)} ids exceed "
-                    f"budget {self.plan.budget_per_phase}"
+                    f"budget {plan.budget_per_phase}"
                 )
             for b in phase.bucket_counts:
                 if not (1 <= b <= phase.index):
@@ -263,6 +310,9 @@ class CurriculumManifest:
                         f"phase {phase.index} draws from bucket {b}, "
                         f"outside buckets 1..{phase.index}"
                     )
+        set_field(self, "plan", plan)
+        set_field(self, "phases", phases)
+        set_field(self, "provenance", {} if provenance is None else provenance)
 
 
 # ---------------------------------------------------------------------------

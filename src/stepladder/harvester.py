@@ -21,13 +21,12 @@ import os
 import re
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
-from .corpus import Example, Record, TeacherProfile, Trace, is_text
+from .corpus import Example, Frozen, Record, TeacherProfile, Trace, is_text, set_field
 from .errors import HarvestError, StepladderError
 from .segmenter import trace_from_text
 
@@ -43,8 +42,7 @@ _WINDOW = 1024
 MAX_WAIT = 1e6
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
+class PromptTemplate(Frozen):
     """System and user messages sent for each example.
 
     user_text must contain the literal placeholder "{prompt}" exactly
@@ -52,20 +50,21 @@ class PromptTemplate:
     prompt itself are inert.
     """
 
-    template_id: str
-    system_text: str
-    user_text: str
+    __slots__ = ("template_id", "system_text", "user_text")
 
-    def __post_init__(self):
-        if not self.template_id:
+    def __init__(self, template_id: str, system_text: str, user_text: str):
+        if not template_id:
             raise HarvestError("template_id must be nonempty")
-        if not self.system_text.strip() or not self.user_text.strip():
+        if not system_text.strip() or not user_text.strip():
             raise HarvestError("template system and user texts must be nonempty")
-        count = self.user_text.count(_PLACEHOLDER)
+        count = user_text.count(_PLACEHOLDER)
         if count != 1:
             raise HarvestError(
                 f"user_text must contain {_PLACEHOLDER!r} exactly once, found {count}"
             )
+        set_field(self, "template_id", template_id)
+        set_field(self, "system_text", system_text)
+        set_field(self, "user_text", user_text)
 
     def render(self, prompt: str) -> tuple[str, str]:
         return self.system_text, self.user_text.replace(_PLACEHOLDER, prompt, 1)
@@ -86,51 +85,61 @@ DEFAULT_TEMPLATE = PromptTemplate(
 )
 
 
-@dataclass(frozen=True)
-class HarvestJob:
+class HarvestJob(Frozen):
     """Everything a harvest run needs besides the examples themselves."""
 
-    teacher: TeacherProfile
-    cache_dir: str
-    rate_limit: float
-    template: PromptTemplate = DEFAULT_TEMPLATE
-    max_retries: int = 3
-    timeout: float = 30.0
-    backoff_base: float = 0.5
-    max_in_flight: int = 4
-    api_key_env: str = "OPENAI_API_KEY"
+    __slots__ = ("teacher", "cache_dir", "rate_limit", "template", "max_retries", "timeout",
+                 "backoff_base", "max_in_flight", "api_key_env")
 
-    def __post_init__(self):
-        if not 1 / MAX_WAIT <= self.rate_limit < math.inf:
+    def __init__(self, teacher: TeacherProfile, cache_dir: str, rate_limit: float,
+                 template: PromptTemplate = DEFAULT_TEMPLATE, max_retries: int = 3,
+                 timeout: float = 30.0, backoff_base: float = 0.5, max_in_flight: int = 4,
+                 api_key_env: str = "OPENAI_API_KEY"):
+        if not 1 / MAX_WAIT <= rate_limit < math.inf:
             raise HarvestError(f"rate_limit must be finite and >= {1 / MAX_WAIT:g} requests "
-                               f"per second, got {self.rate_limit}")
-        if self.max_retries < 0:
+                               f"per second, got {rate_limit}")
+        if max_retries < 0:
             raise HarvestError("max_retries must be >= 0")
-        if self.max_in_flight < 1:
+        if max_in_flight < 1:
             raise HarvestError("max_in_flight must be >= 1")
-        if not 0 < self.timeout <= MAX_WAIT:
+        if not 0 < timeout <= MAX_WAIT:
             raise HarvestError(f"timeout must be > 0 and at most {MAX_WAIT:g} s, "
-                               f"got {self.timeout}")
-        if not 0 <= self.backoff_base <= MAX_WAIT:
+                               f"got {timeout}")
+        if not 0 <= backoff_base <= MAX_WAIT:
             raise HarvestError(f"backoff_base must be >= 0 and at most {MAX_WAIT:g} s, "
-                               f"got {self.backoff_base}")
+                               f"got {backoff_base}")
+        set_field(self, "teacher", teacher)
+        set_field(self, "cache_dir", cache_dir)
+        set_field(self, "rate_limit", rate_limit)
+        set_field(self, "template", template)
+        set_field(self, "max_retries", max_retries)
+        set_field(self, "timeout", timeout)
+        set_field(self, "backoff_base", backoff_base)
+        set_field(self, "max_in_flight", max_in_flight)
+        set_field(self, "api_key_env", api_key_env)
 
 
-@dataclass(frozen=True)
-class HarvestFailure:
-    example_id: str
-    sample_index: int
-    reason: str
+class HarvestFailure(Frozen):
+    __slots__ = ("example_id", "sample_index", "reason")
+
+    def __init__(self, example_id: str, sample_index: int, reason: str):
+        set_field(self, "example_id", example_id)
+        set_field(self, "sample_index", sample_index)
+        set_field(self, "reason", reason)
 
 
-@dataclass
 class HarvestResult:
     """Traces plus an account of everything that did not become one."""
 
-    traces: list[Trace] = field(default_factory=list)
-    failures: list[HarvestFailure] = field(default_factory=list)
-    cache_hits: int = 0
-    grant_times: list[float] = field(default_factory=list)
+    __slots__ = ("traces", "failures", "cache_hits", "grant_times")
+
+    def __init__(self, traces: Optional[list[Trace]] = None,
+                 failures: Optional[list[HarvestFailure]] = None, cache_hits: int = 0,
+                 grant_times: Optional[list[float]] = None):
+        self.traces = [] if traces is None else traces
+        self.failures = [] if failures is None else failures
+        self.cache_hits = cache_hits
+        self.grant_times = [] if grant_times is None else grant_times
 
     @property
     def requests_sent(self) -> int:
@@ -237,17 +246,21 @@ class _ResponseLog:
         os.close(self._fd)
 
 
-@dataclass(eq=False, slots=True)
 class _Unit:
     """One (example, sample) request; outcome is set once it resolves."""
 
-    position: int
-    example: Example
-    sample: int
-    texts: tuple[str, str]  # the rendered (system, user) messages
-    key: str
-    attempts: int = 0
-    outcome: Union[Trace, HarvestFailure, None] = None
+    __slots__ = ("position", "example", "sample", "texts", "key", "attempts", "outcome")
+
+    def __init__(self, position: int, example: Example, sample: int, texts: tuple[str, str],
+                 key: str, attempts: int = 0,
+                 outcome: Union[Trace, HarvestFailure, None] = None):
+        self.position = position
+        self.example = example
+        self.sample = sample
+        self.texts = texts  # the rendered (system, user) messages
+        self.key = key
+        self.attempts = attempts
+        self.outcome = outcome
 
 
 def _units(job: HarvestJob, examples: Iterable[Example]) -> Iterator[_Unit]:

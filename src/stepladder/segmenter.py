@@ -21,10 +21,9 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
 from itertools import accumulate, compress
 
-from .corpus import Trace, count_tokens
+from .corpus import Frozen, Trace, count_tokens, set_field
 from .errors import ParameterError, SegmentationError
 
 # Spans whose contents must never be read as step markers.  Ordered:
@@ -58,8 +57,7 @@ _UNLABELED = {family: p for family, p in _MARKERS.items() if family != "labeled"
 _PARAGRAPH_BREAK = re.compile(r"\n[ \t]*\n+")
 
 
-@dataclass(frozen=True)
-class SegmentationRules:
+class SegmentationRules(Frozen):
     """Knobs for marker detection.
 
     min_step_chars: steps shorter than this (after stripping) are merged
@@ -71,15 +69,17 @@ class SegmentationRules:
     markers raises instead of degrading to paragraph steps.
     """
 
-    min_step_chars: int = 3
-    max_marker_value: int = 999
-    allow_paragraph_fallback: bool = True
+    __slots__ = ("min_step_chars", "max_marker_value", "allow_paragraph_fallback")
 
-    def __post_init__(self):
-        if self.min_step_chars < 1:
+    def __init__(self, min_step_chars: int = 3, max_marker_value: int = 999,
+                 allow_paragraph_fallback: bool = True):
+        if min_step_chars < 1:
             raise ParameterError("min_step_chars must be >= 1")
-        if not 1 <= self.max_marker_value < 10 ** 4300:  # str() refuses more digits
+        if not 1 <= max_marker_value < 10 ** 4300:  # str() refuses more digits
             raise ParameterError("max_marker_value must be >= 1 and under 4300 digits")
+        set_field(self, "min_step_chars", min_step_chars)
+        set_field(self, "max_marker_value", max_marker_value)
+        set_field(self, "allow_paragraph_fallback", allow_paragraph_fallback)
 
 
 DEFAULT_RULES = SegmentationRules()

@@ -680,8 +680,10 @@ STAGES = tuple(f"stepladder.{name}" for name in
 def test_cli_import_loads_no_http_stack():
     # Each subcommand imports its own stages, and harvest() the HTTP
     # client; importing any of them, or requests, at start-up would slow
-    # every other subcommand.
-    unwanted = ("requests", "urllib3", "http.client", "concurrent.futures") + STAGES
+    # every other subcommand.  The records are plain classes: dataclasses
+    # would bring inspect, ast, dis and tokenize.
+    unwanted = ("requests", "urllib3", "http.client", "concurrent.futures", "dataclasses",
+                "inspect") + STAGES
     probe = (f"import sys, stepladder.cli; "
              f"print(sorted(m for m in {unwanted!r} if m in sys.modules))")
     assert _python("-c", probe, check=True).stdout.strip() == "[]"
@@ -853,6 +855,54 @@ def test_segment_loads_only_its_own_stage(demo, tmp_path):
              f"print(code, sorted(m for m in {STAGES!r} if m in sys.modules))")
     out = _python("-c", probe, check=True).stdout.splitlines()[-1]
     assert out == "0 ['stepladder.segmenter']"
+
+
+# Each subcommand's argv on data/synthetic/; {dir} holds the earlier
+# stages' outputs, and {url} is a MockTeacher's endpoint.
+_ON_SYNTHETIC = {
+    "harvest": ["harvest", "--corpus", "{dir}/prefix.jsonl", "--endpoint", "{url}",
+                "--model", "m", "--teacher-id", "t", "--rate-limit", "1000",
+                "--cache-dir", "{out}.cache"],
+    "segment": ["segment", "--completions", f"{BUNDLED}/completions.jsonl"],
+    "score": ["score", "--traces", "{dir}/traces.jsonl"],
+    "bucket": ["bucket", "--scores", "{dir}/one.jsonl", "--corpus", f"{BUNDLED}/examples.jsonl"],
+    "schedule": ["schedule", "--buckets", "{dir}/buckets.jsonl", "--phases", "2",
+                 "--budget", "5"],
+    "baseline": ["baseline", "--corpus", f"{BUNDLED}/examples.jsonl", "--scores",
+                 "{dir}/one.jsonl", "--kind", "token_length", "--phases", "2", "--budget", "5"],
+    "analyze agreement": ["analyze", "agreement", "--scores", "{dir}/two.jsonl"],
+    "analyze confound": ["analyze", "confound", "--scores", "{dir}/one.jsonl",
+                         "--labels-from", f"{BUNDLED}/examples.jsonl"],
+    "filter": ["filter", "--scores", "{dir}/one.jsonl", "--min-k", "3"],
+}
+
+
+@pytest.fixture(scope="module")
+def synthetic_stages(two_teachers):
+    """two_teachers' directory, plus the buckets of its one-teacher scores
+    and the bundled corpus's first 8 examples."""
+    root = two_teachers[0].parent
+    assert main(["bucket", "--scores", str(root / "one.jsonl"), "--corpus",
+                 str(BUNDLED / "examples.jsonl"), "--out", str(root / "buckets.jsonl")]) == 0
+    write_corpus(read_corpus(BUNDLED / "examples.jsonl")[:8], root / "prefix.jsonl")
+    return root
+
+
+@pytest.mark.parametrize("command", list(_ON_SYNTHETIC))
+def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path, monkeypatch, synthetic_stages,
+                                                    command):
+    # The harvest runs cold: its cache directory is new.
+    root = synthetic_stages
+    monkeypatch.setenv("OPENAI_API_KEY", "test-key-not-checked")
+    _without_proxies(monkeypatch)
+    with MockTeacher() if command == "harvest" else contextlib.nullcontext() as mock:
+        argv = [arg.format(dir=root, url=mock and mock.base_url, out=tmp_path / "out")
+                for arg in _ON_SYNTHETIC[command]] + ["--out", str(tmp_path / "out")]
+        probe = ("import sys; from stepladder.cli import main; "
+                 f"code = main({argv!r}); "
+                 "print(code, [m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+        out = _python("-c", probe, check=True).stdout.splitlines()[-1]
+    assert out == "0 []"
 
 
 def test_package_names_load_on_first_use():
@@ -1085,6 +1135,31 @@ def test_a_score_that_fails_the_join_names_its_line(tmp_path, capsys, two_teache
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["token_length", "judge_score"])
+def test_a_baseline_example_without_its_key_names_its_line(tmp_path, capsys, two_teachers,
+                                                           kind):
+    # Examples line 3 is ex0002, and line 5 is ex0004.  These used to name
+    # neither file nor line: "token_length baseline lacks scores for:
+    # ex0002", and "judge_score baseline lacks judge_score for: ex0004".
+    corpus, scores = BUNDLED / "examples.jsonl", two_teachers[0]
+    if kind == "token_length":
+        lines = scores.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert json.loads(lines[2])["example_id"] == "ex0002"
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("".join(lines[:2] + lines[3:]), encoding="utf-8")
+        expected = f"{corpus}:3: 'id': example 'ex0002' has no score in {scores}"
+    else:
+        corpus = _with_record(corpus, tmp_path / "examples.jsonl",
+                              lambda r: r.pop("judge_score"), 5)
+        expected = (f"{corpus}:5: 'judge_score': example 'ex0004' has none, "
+                    f"which the judge_score baseline needs")
+    out = tmp_path / "out"
+    assert main(list(map(str, ["baseline", "--corpus", corpus, "--scores", scores, "--kind",
+                               kind, "--phases", "2", "--budget", "5", "--out", out]))) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["bucket-corpus", "bucket-share", "schedule-phases",
                                   "filter-no-bound", "baseline-unused-scores",
                                   "harvest-samples", "harvest-rate-limit"])
@@ -1236,9 +1311,9 @@ _SWEEP = {
 _SWEEP_CASES = [(command, arg[1:-1]) for command, argv in _SWEEP.items() for arg in argv
                 if arg.startswith("{") and arg not in ("{cache}", "{url}")]
 _SWEEP_CASES.append(("harvest", "cache/responses.jsonl"))
-# The commands whose every data error names a line; baseline and analyze
-# agreement still have errors that name none.
-_LINE_NAMED = ("segment", "score", "bucket", "analyze confound", "filter")
+# The commands whose every data error names a line; analyze agreement
+# still has errors that name none.
+_LINE_NAMED = ("segment", "score", "bucket", "baseline", "analyze confound", "filter")
 _CORRUPTIONS = ("truncate", "flip", "insert", "not-utf8", "drop-key", "wrong-type", "blank",
                 "duplicate")
 

@@ -14,12 +14,22 @@ stages' former whole-record readers first:
 
 Each bound sits below the former peak, with at least 1.5x headroom over
 the streamed one.  No bound is on wall time.
+
+A record is a slotted object with no per-instance dict.  Held 1e4 at a
+time in a list, with a score's dot_norm float, measured on CPython
+3.11 in bytes per record, as a frozen dataclass and as a slotted class:
+
+    DoTScore                       160 -> 112
+    Trace                          145 -> 97
+
+Each bound sits between the two.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import math
 import tracemalloc
 
 import pytest
@@ -32,7 +42,7 @@ import stepladder.scheduler  # noqa: F401
 import stepladder.scorer  # noqa: F401
 import stepladder.segmenter  # noqa: F401
 from stepladder.cli import main
-from stepladder.corpus import write_completions, write_corpus
+from stepladder.corpus import DoTScore, Trace, write_completions, write_corpus
 from stepladder.synthetic import build_demo_corpus
 
 MB = 2 ** 20
@@ -82,3 +92,25 @@ def test_stage_peak_memory_is_bounded(staged, stage):
     finally:
         tracemalloc.stop()
     assert peak <= bound * MB, f"{stage}: peak {peak / MB:.2f} MB over {bound} MB"
+
+
+# record -> (how one is built from its example id, bound in bytes per record)
+RECORDS = {
+    "DoTScore": (lambda ex_id: DoTScore(ex_id, "t", 2, 9, 2 / math.log1p(9)), 136),
+    "Trace": (lambda ex_id: Trace(ex_id, "t", "raw", ("one", "two"), 4, "numbered", "high"),
+              120),
+}
+
+
+@pytest.mark.parametrize("record", sorted(RECORDS))
+def test_held_record_size_is_bounded(record):
+    build, bound = RECORDS[record]
+    ids = [f"ex{i:05d}" for i in range(10_000)]  # made before tracing starts
+    tracemalloc.start()
+    try:
+        held = [build(ex_id) for ex_id in ids]
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(held) == len(ids)
+    assert size <= bound * len(ids), f"{record}: {size / len(ids):.0f} B over {bound} B"
