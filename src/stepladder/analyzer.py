@@ -15,7 +15,7 @@ from collections import Counter
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .corpus import DoTScore, Frozen, one_score_per_example, set_field
+from .corpus import DoTScore, Frozen, one_score_per_example
 from .errors import AnalysisError
 
 
@@ -120,10 +120,7 @@ class TeacherPairAgreement(Frozen):
     __slots__ = ("teacher_a", "teacher_b", "tau_depth", "tau_tokens")
 
     def __init__(self, teacher_a: str, teacher_b: str, tau_depth: float, tau_tokens: float):
-        set_field(self, "teacher_a", teacher_a)
-        set_field(self, "teacher_b", teacher_b)
-        set_field(self, "tau_depth", tau_depth)
-        set_field(self, "tau_tokens", tau_tokens)
+        self._set_fields(teacher_a, teacher_b, tau_depth, tau_tokens)
 
     def to_json(self) -> dict:
         return dict(zip(self.__slots__, self._values()))
@@ -136,9 +133,7 @@ class AgreementReport(Frozen):
 
     def __init__(self, teachers: tuple[str, ...], n_common: int,
                  pairs: tuple[TeacherPairAgreement, ...]):
-        set_field(self, "teachers", teachers)
-        set_field(self, "n_common", n_common)
-        set_field(self, "pairs", pairs)
+        self._set_fields(teachers, n_common, pairs)
 
     def render(self) -> str:
         header = f"{'teacher a':>12}  {'teacher b':>12}  {'tau(k)':>8}  {'tau(tok)':>9}"
@@ -203,12 +198,7 @@ class ConfoundReport(Frozen):
 
     def __init__(self, n: int, rho_depth: float, rho_tokens: Optional[float],
                  partial_depth: Optional[float], note: str = "", method: str = _METHOD):
-        set_field(self, "n", n)
-        set_field(self, "rho_depth", rho_depth)
-        set_field(self, "rho_tokens", rho_tokens)
-        set_field(self, "partial_depth", partial_depth)
-        set_field(self, "note", note)
-        set_field(self, "method", method)
+        self._set_fields(n, rho_depth, rho_tokens, partial_depth, note, method)
 
     def render(self) -> str:
         partial = "n/a" if self.partial_depth is None else f"{self.partial_depth:.4f}"

@@ -15,7 +15,7 @@ from collections import Counter
 from typing import Iterable, Mapping, Optional
 
 from .corpus import (NUMBER, DoTScore, Frozen, Record, one_score_per_example, read_jsonl,
-                     set_field, write_atomic)
+                     write_atomic)
 from .errors import CorpusError, ParameterError
 
 DEFAULT_EDGES = ((1, 3), (4, 6), (7, None))
@@ -54,8 +54,7 @@ class BucketSpec(Frozen):
             raise ParameterError("final bucket must be unbounded (hi = None)")
         if not 0.0 < max_task_share <= 1.0:
             raise ParameterError("max_task_share must lie in (0, 1]")
-        set_field(self, "edges", edges)
-        set_field(self, "max_task_share", max_task_share)
+        self._set_fields(edges, max_task_share)
 
     def bucket_for_k(self, k: int) -> int:
         """1-based bucket index for a step count."""
@@ -78,12 +77,8 @@ class Bucket(Frozen):
         member_ids, member_ks = tuple(member_ids), tuple(member_ks)
         if len(member_ids) != len(member_ks):
             raise CorpusError(f"bucket {index}: ids and ks differ in length")
-        set_field(self, "index", index)
-        set_field(self, "lo", lo)
-        set_field(self, "hi", hi)
-        set_field(self, "member_ids", member_ids)
-        set_field(self, "member_ks", member_ks)
-        set_field(self, "task_histogram", {} if task_histogram is None else task_histogram)
+        self._set_fields(index, lo, hi, member_ids, member_ks,
+                         {} if task_histogram is None else task_histogram)
 
     @property
     def size(self) -> int:
@@ -100,10 +95,7 @@ class OverflowRecord(Frozen):
     __slots__ = ("bucket_index", "example_id", "task", "k")
 
     def __init__(self, bucket_index: int, example_id: str, task: str, k: int):
-        set_field(self, "bucket_index", bucket_index)
-        set_field(self, "example_id", example_id)
-        set_field(self, "task", task)
-        set_field(self, "k", k)
+        self._set_fields(bucket_index, example_id, task, k)
 
 
 class BucketizeResult(Frozen):
@@ -111,9 +103,7 @@ class BucketizeResult(Frozen):
 
     def __init__(self, spec: BucketSpec, buckets: tuple[Bucket, ...],
                  overflow: tuple[OverflowRecord, ...] = ()):
-        set_field(self, "spec", spec)
-        set_field(self, "buckets", buckets)
-        set_field(self, "overflow", overflow)
+        self._set_fields(spec, buckets, overflow)
 
 
 def _apply_task_cap(members: list[tuple[int, str, str]], share: float):
@@ -196,9 +186,7 @@ class BucketReport(Frozen):
 
     def __init__(self, rows: tuple[dict, ...], overflow_total: int,
                  overflow_by_task: dict[str, int]):
-        set_field(self, "rows", rows)
-        set_field(self, "overflow_total", overflow_total)
-        set_field(self, "overflow_by_task", overflow_by_task)
+        self._set_fields(rows, overflow_total, overflow_by_task)
 
     def render(self) -> str:
         header = f"{'bucket':>6}  {'range':>6}  {'size':>5}  {'k min':>5}  {'k mean':>7}  {'k max':>5}  tasks"

@@ -448,6 +448,21 @@ def _name_unordered_example(args) -> None:
                                   f"in {args.scores}")
 
 
+def _repeated_score(args, teachers) -> str:
+    """The --scores line of the score the agreement refused: of the first
+    teacher in teachers that has one, its first score for an example it
+    scored on an earlier line.  The files are read a second time, in argv
+    order, and only once the agreement has failed."""
+    seen, repeats = set(), {}
+    for path in args.scores:
+        for where, score in read_jsonl(path, SCORE):
+            key = (score.teacher_id, score.example_id)
+            if key in seen:
+                repeats.setdefault(score.teacher_id, where)
+            seen.add(key)
+    return next(repeats[teacher] for teacher in teachers if teacher in repeats)
+
+
 def _run_agreement(args) -> int:
     from .analyzer import cross_teacher_agreement
 
@@ -456,7 +471,10 @@ def _run_agreement(args) -> int:
     for path in args.scores:
         for sc in read_scores(path):
             by_teacher.setdefault(sc.teacher_id, []).append(sc)
-    report = cross_teacher_agreement(by_teacher)
+    try:
+        report = cross_teacher_agreement(by_teacher)
+    except CorpusError as exc:  # a teacher's second score for one example
+        raise CorpusError(f"{_repeated_score(args, by_teacher)}: {exc}") from exc
     weak = [] if args.min_tau is None else \
         [p for p in report.pairs if p.tau_depth < args.min_tau]
     return _gate(args, report, [f"tau(k) {p.tau_depth:.4f} below threshold {args.min_tau} "

@@ -27,6 +27,7 @@ import json
 import math
 import os
 import re
+import sys
 import threading
 from contextlib import contextmanager
 from itertools import repeat
@@ -43,6 +44,11 @@ CONFIDENCE_LEVELS = ("high", "low")
 
 # Relative tolerance for the dot_norm = k / ln(1 + tok) identity.
 DOT_NORM_RTOL = 1e-12
+
+# The largest step or token count a trace or score may hold.  dot_norm is
+# computed in floats: up to this bound k and tok each convert to a float,
+# and k / ln(1 + tok) <= k / ln 2 stays finite.
+MAX_COUNT = 10 ** 308
 
 # The most samples a teacher may be asked for per example.  A harvest
 # works out every sample's cache key before it sends the first request.
@@ -73,21 +79,29 @@ def count_tokens(text: str) -> int:
     return len(text.split())
 
 
-set_field = object.__setattr__  # how a Frozen record's __init__ sets a field
-
-
 class Frozen:
     """Base of the immutable record types.
 
     A subclass names its fields in __slots__, in constructor order, and
-    its __init__ sets each one with set_field.  Two records are equal when
-    they are of one class with equal fields; a record hashes by its
-    fields, so one that holds a dict is unhashable.  repr reads like the
-    constructor call, assignment and deletion raise AttributeError, and
-    pickle and copy rebuild a record through its __init__.
+    its __init__ ends by setting them all with _set_fields.  Two records
+    are equal when they are of one class with equal fields; a record
+    hashes by its fields, so one that holds a dict is unhashable.  repr
+    reads like the constructor call, assignment and deletion raise
+    AttributeError, and pickle and copy rebuild a record through its
+    __init__.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Each field's slot setter, in slot order: they bypass __setattr__.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _set_fields(self, *values) -> None:
+        """Set the fields to values, given in slot order."""
+        for set_slot, value in zip(self._setters, values):
+            set_slot(self, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -131,12 +145,7 @@ class Example(Frozen):
             raise CorpusError(f"example {id!r}: external_difficulty must be finite")
         if judge_score is not None and not (0.0 <= judge_score <= 1.0):
             raise CorpusError(f"example {id!r}: judge_score must lie in [0, 1]")
-        set_field(self, "id", id)
-        set_field(self, "task", task)
-        set_field(self, "prompt", prompt)
-        set_field(self, "reference_answer", reference_answer)
-        set_field(self, "external_difficulty", external_difficulty)
-        set_field(self, "judge_score", judge_score)
+        self._set_fields(id, task, prompt, reference_answer, external_difficulty, judge_score)
 
 
 class Trace(Frozen):
@@ -152,19 +161,15 @@ class Trace(Frozen):
         if "" in steps:
             raise CorpusError(f"trace ({example_id}, {teacher_id}): step "
                               f"{steps.index('') + 1}: text must be nonempty")
-        if tok < 1:
-            raise CorpusError(f"trace ({example_id}, {teacher_id}): tok must be >= 1")
+        if not 1 <= tok <= MAX_COUNT:
+            raise CorpusError(f"trace ({example_id}, {teacher_id}): tok must lie in "
+                              f"1..{MAX_COUNT:.0e}")
         if segmentation_mode not in SEGMENTATION_MODES:
             raise CorpusError(f"unknown segmentation_mode {segmentation_mode!r}")
         if confidence not in CONFIDENCE_LEVELS:
             raise CorpusError(f"unknown confidence {confidence!r}")
-        set_field(self, "example_id", example_id)
-        set_field(self, "teacher_id", teacher_id)
-        set_field(self, "raw_text", raw_text)
-        set_field(self, "steps", steps)
-        set_field(self, "tok", tok)
-        set_field(self, "segmentation_mode", segmentation_mode)
-        set_field(self, "confidence", confidence)
+        self._set_fields(example_id, teacher_id, raw_text, steps, tok, segmentation_mode,
+                         confidence)
 
     @property
     def k(self) -> int:
@@ -182,10 +187,10 @@ class DoTScore(Frozen):
 
     def __init__(self, example_id: str, teacher_id: str, k: int, tok: int, dot_norm: float,
                  n_samples: int = 1):
-        if k < 1:
-            raise CorpusError(f"score ({example_id}): k must be >= 1")
-        if tok < 1:
-            raise CorpusError(f"score ({example_id}): tok must be >= 1")
+        if not 1 <= k <= MAX_COUNT:
+            raise CorpusError(f"score ({example_id}): k must lie in 1..{MAX_COUNT:.0e}")
+        if not 1 <= tok <= MAX_COUNT:
+            raise CorpusError(f"score ({example_id}): tok must lie in 1..{MAX_COUNT:.0e}")
         if n_samples < 1:
             raise CorpusError(f"score ({example_id}): n_samples must be >= 1")
         expected = k / math.log1p(tok)
@@ -194,19 +199,14 @@ class DoTScore(Frozen):
                 f"score ({example_id}): dot_norm {dot_norm!r} does not "
                 f"equal k/ln(1+tok) = {expected!r}"
             )
-        set_field(self, "example_id", example_id)
-        set_field(self, "teacher_id", teacher_id)
-        set_field(self, "k", k)
-        set_field(self, "tok", tok)
-        set_field(self, "dot_norm", dot_norm)
-        set_field(self, "n_samples", n_samples)
+        self._set_fields(example_id, teacher_id, k, tok, dot_norm, n_samples)
 
     @classmethod
     def compute(cls, example_id: str, teacher_id: str, k: int, tok: int,
                 n_samples: int = 1) -> "DoTScore":
         """Build a score with dot_norm derived from k and tok."""
-        if k < 1 or tok < 1:
-            raise CorpusError(f"score ({example_id}): k and tok must be >= 1")
+        if not (1 <= k <= MAX_COUNT and 1 <= tok <= MAX_COUNT):
+            raise CorpusError(f"score ({example_id}): k and tok must lie in 1..{MAX_COUNT:.0e}")
         return cls(example_id, teacher_id, k, tok, k / math.log1p(tok), n_samples)
 
 
@@ -231,12 +231,8 @@ class TeacherProfile(Frozen):
             parsed = None
         if parsed is None or parsed.scheme not in ("http", "https") or not parsed.netloc:
             raise CorpusError(f"endpoint_url is not a valid URL: {endpoint_url!r}")
-        set_field(self, "teacher_id", teacher_id)
-        set_field(self, "endpoint_url", endpoint_url)
-        set_field(self, "model_name", model_name)
-        set_field(self, "template_id", template_id)
-        set_field(self, "samples_per_example", samples_per_example)
-        set_field(self, "temperature", temperature)
+        self._set_fields(teacher_id, endpoint_url, model_name, template_id, samples_per_example,
+                         temperature)
 
 
 class SchedulePlan(Frozen):
@@ -264,13 +260,7 @@ class SchedulePlan(Frozen):
             raise CorpusError("alpha must be finite and >= 0")
         if not (-(2**63) <= seed < 2**63):
             raise CorpusError("seed must fit in 64 bits")
-        set_field(self, "mode", mode)
-        set_field(self, "phases", phases)
-        set_field(self, "budget_per_phase", budget_per_phase)
-        set_field(self, "seed", seed)
-        set_field(self, "alpha", alpha)
-        set_field(self, "with_replacement", with_replacement)
-        set_field(self, "mixing", mixing)
+        self._set_fields(mode, phases, budget_per_phase, seed, alpha, with_replacement, mixing)
 
 
 class Phase(Frozen):
@@ -283,9 +273,7 @@ class Phase(Frozen):
         example_ids = tuple(example_ids)
         if index < 1:
             raise CorpusError(f"phase index must be >= 1, got {index}")
-        set_field(self, "index", index)
-        set_field(self, "example_ids", example_ids)
-        set_field(self, "bucket_counts", {} if bucket_counts is None else bucket_counts)
+        self._set_fields(index, example_ids, {} if bucket_counts is None else bucket_counts)
 
 
 class CurriculumManifest(Frozen):
@@ -310,9 +298,7 @@ class CurriculumManifest(Frozen):
                         f"phase {phase.index} draws from bucket {b}, "
                         f"outside buckets 1..{phase.index}"
                     )
-        set_field(self, "plan", plan)
-        set_field(self, "phases", phases)
-        set_field(self, "provenance", {} if provenance is None else provenance)
+        self._set_fields(plan, phases, {} if provenance is None else provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +339,9 @@ def _decode(kind, value):
     if shape is Record:
         return kind.decode(value)
     if kind is NUMBER:
-        if type(value) is int or type(value) is float and math.isfinite(value):
+        # An int past float range would overflow float().
+        if type(value) is int and abs(value) <= sys.float_info.max or \
+                type(value) is float and math.isfinite(value):
             return float(value)
     elif shape is UnionType:
         return None if value is None else _decode(kind.__args__[0], value)
@@ -727,6 +715,22 @@ def iter_corpus(path, ids: Optional[dict] = None) -> Iterator[Example]:
         yield example
 
 
+class _Checked:
+    """A stream of scores that one_score_per_example checks against known.
+    Iterating it iterates the check itself, which stays lazy."""
+
+    __slots__ = ("scores", "known")
+
+    def __init__(self, scores: Iterator[DoTScore], known: Optional[Mapping]):
+        self.scores, self.known = scores, known
+
+    def __iter__(self):
+        return self.scores
+
+    def __next__(self):
+        return next(self.scores)
+
+
 def one_score_per_example(scores: Iterable[DoTScore], known: Optional[Mapping] = None,
                           source: str = "", field: str = "",
                           where: Optional[Callable[[], str]] = None) -> Iterator[DoTScore]:
@@ -737,6 +741,18 @@ def one_score_per_example(scores: Iterable[DoTScore], known: Optional[Mapping] =
     source") or maps to None ("example ... has no field in source").
     where, when given, names the place the score last read came from, and
     the message starts "<where()>: 'example_id': ".
+
+    A stream this function returned for the same known (the same object)
+    is returned as it is: it is checked already, with its own messages,
+    and a second check would only keep a second copy of the ids.
+    """
+    if type(scores) is _Checked and scores.known is known:
+        return scores
+    return _Checked(_one_score_per_example(scores, known, source, field, where), known)
+
+
+def _one_score_per_example(scores, known, source, field, where):
+    """one_score_per_example's check, as a generator.
 
     While the ids arrive in increasing order, as in a file written in id
     order, none can repeat, so they are kept in a list; the set of them is

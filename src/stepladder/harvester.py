@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
-from .corpus import Example, Frozen, Record, TeacherProfile, Trace, is_text, set_field
+from .corpus import Example, Frozen, Record, TeacherProfile, Trace, is_text
 from .errors import HarvestError, StepladderError
 from .segmenter import trace_from_text
 
@@ -62,9 +62,7 @@ class PromptTemplate(Frozen):
             raise HarvestError(
                 f"user_text must contain {_PLACEHOLDER!r} exactly once, found {count}"
             )
-        set_field(self, "template_id", template_id)
-        set_field(self, "system_text", system_text)
-        set_field(self, "user_text", user_text)
+        self._set_fields(template_id, system_text, user_text)
 
     def render(self, prompt: str) -> tuple[str, str]:
         return self.system_text, self.user_text.replace(_PLACEHOLDER, prompt, 1)
@@ -108,24 +106,15 @@ class HarvestJob(Frozen):
         if not 0 <= backoff_base <= MAX_WAIT:
             raise HarvestError(f"backoff_base must be >= 0 and at most {MAX_WAIT:g} s, "
                                f"got {backoff_base}")
-        set_field(self, "teacher", teacher)
-        set_field(self, "cache_dir", cache_dir)
-        set_field(self, "rate_limit", rate_limit)
-        set_field(self, "template", template)
-        set_field(self, "max_retries", max_retries)
-        set_field(self, "timeout", timeout)
-        set_field(self, "backoff_base", backoff_base)
-        set_field(self, "max_in_flight", max_in_flight)
-        set_field(self, "api_key_env", api_key_env)
+        self._set_fields(teacher, cache_dir, rate_limit, template, max_retries, timeout,
+                         backoff_base, max_in_flight, api_key_env)
 
 
 class HarvestFailure(Frozen):
     __slots__ = ("example_id", "sample_index", "reason")
 
     def __init__(self, example_id: str, sample_index: int, reason: str):
-        set_field(self, "example_id", example_id)
-        set_field(self, "sample_index", sample_index)
-        set_field(self, "reason", reason)
+        self._set_fields(example_id, sample_index, reason)
 
 
 class HarvestResult:

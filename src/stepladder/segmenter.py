@@ -23,7 +23,7 @@ import random
 import re
 from itertools import accumulate, compress
 
-from .corpus import Frozen, Trace, count_tokens, set_field
+from .corpus import Frozen, Trace, count_tokens
 from .errors import ParameterError, SegmentationError
 
 # Spans whose contents must never be read as step markers.  Ordered:
@@ -77,9 +77,7 @@ class SegmentationRules(Frozen):
             raise ParameterError("min_step_chars must be >= 1")
         if not 1 <= max_marker_value < 10 ** 4300:  # str() refuses more digits
             raise ParameterError("max_marker_value must be >= 1 and under 4300 digits")
-        set_field(self, "min_step_chars", min_step_chars)
-        set_field(self, "max_marker_value", max_marker_value)
-        set_field(self, "allow_paragraph_fallback", allow_paragraph_fallback)
+        self._set_fields(min_step_chars, max_marker_value, allow_paragraph_fallback)
 
 
 DEFAULT_RULES = SegmentationRules()

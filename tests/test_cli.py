@@ -628,6 +628,36 @@ def test_integer_literal_past_the_digit_limit_exits_1(tmp_path, command):
     assert result.stderr.startswith(f"error: {bad}:1: malformed JSON (Exceeds the limit")
 
 
+@pytest.mark.parametrize("command, message", [
+    ("baseline", "'external_difficulty': expected finite number, got integer"),
+    ("filter", "score (e): k must lie in 1..1e+308"),
+    ("score", "trace (e, t): tok must lie in 1..1e+308"),
+])
+def test_integer_literal_past_float_range_exits_1(tmp_path, command, message):
+    # A literal under the digit limit that float() cannot hold: each was an
+    # OverflowError traceback, from the codec, DoTScore and DoTScore.compute.
+    big, bad = "1" + "0" * 400, tmp_path / "bad.jsonl"
+    if command == "baseline":
+        bad.write_text('{"id": "e", "task": "t", "prompt": "p", "external_difficulty": %s}\n'
+                       % big, encoding="utf-8")
+        argv = ["baseline", "--corpus", bad, "--kind", "random", "--phases", "1",
+                "--budget", "1", "--out", tmp_path / "m.jsonl"]
+    elif command == "filter":
+        bad.write_text('{"example_id": "e", "teacher_id": "t", "k": %s, "tok": 5, '
+                       '"dot_norm": 1.0}\n' % big, encoding="utf-8")
+        argv = ["filter", "--scores", bad, "--min-k", "1", "--out", tmp_path / "ids.txt"]
+    else:
+        bad.write_text('{"example_id": "e", "teacher_id": "t", "raw_text": "1. aaa", '
+                       '"steps": [{"index": 1, "text": "aaa"}], "tok": %s, '
+                       '"segmentation_mode": "numbered", "confidence": "high"}\n'
+                       % big, encoding="utf-8")
+        argv = ["score", "--traces", bad, "--out", tmp_path / "scores.jsonl"]
+    result = _run_cli(*argv)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr == f"error: {bad}:1: {message}\n"
+
+
 def test_segment_reads_a_marker_value_past_the_digit_limit(tmp_path):
     completions = tmp_path / "c.jsonl"
     write_completions([{"example_id": "e", "teacher_id": "t",
@@ -1023,15 +1053,26 @@ def test_analyze_agreement_pools_multiple_files(tmp_path, capsys):
 
 def test_analyze_agreement_names_the_teacher_of_a_second_score(tmp_path, capsys):
     # Each teacher's scores, pooled from every file, hold one score per
-    # example; the error names the teacher, not yet the file and line.
+    # example; the error names the file and line, and the teacher.
     fa, fb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_scores_file(fa, [(f"e{i}", "a", i + 1, 20 + i) for i in range(4)])
     write_scores_file(fb, [(f"e{i}", "b", 4 - i, 30 + i) for i in range(4)] + [("e2", "a", 1, 9)])
     assert main(["analyze", "agreement", "--scores", str(fa), "--scores", str(fb),
                  "--out", str(tmp_path / "r.json")]) == 1
     assert capsys.readouterr().err == (
-        "error: teacher 'a': 'example_id': duplicate score for example 'e2'\n")
+        f"error: {fb}:5: teacher 'a': 'example_id': duplicate score for example 'e2'\n")
     assert not (tmp_path / "r.json").exists()
+
+
+def test_analyze_agreement_names_the_second_score_of_the_teacher_it_refuses(tmp_path, capsys):
+    # Teacher a comes first, so its repeat (line 5) is the one refused,
+    # though teacher b repeats an example earlier in the file (line 4).
+    scores = tmp_path / "s.jsonl"
+    write_scores_file(scores, [("e0", "a", 1, 9), ("e0", "b", 1, 9), ("e1", "b", 2, 9),
+                               ("e0", "b", 3, 9), ("e0", "a", 2, 9)])
+    assert main(["analyze", "agreement", "--scores", str(scores)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {scores}:5: teacher 'a': 'example_id': duplicate score for example 'e0'\n")
 
 
 def test_analyze_confound(demo, tmp_path, capsys):
@@ -1098,6 +1139,19 @@ def test_a_second_score_for_an_example_names_its_line(tmp_path, capsys, two_teac
     assert capsys.readouterr().err == (f"error: {two_teachers[1]}:2: 'example_id': "
                                        f"duplicate score for example 'ex0000'\n")
     assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+
+@pytest.mark.parametrize("command", sorted(_SCORE_READERS))
+def test_each_score_is_checked_once(tmp_path, capsys, monkeypatch, two_teachers, command):
+    # The CLI reader's check, which names the line, is the only one: the
+    # library function takes the stream it checked as it is.
+    checks = []
+    check = stepladder.corpus._one_score_per_example
+    monkeypatch.setattr(stepladder.corpus, "_one_score_per_example",
+                        lambda *args: checks.append(args[1:]) or check(*args))
+    assert main([*_SCORE_READERS[command], "--scores", str(two_teachers[0]),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(checks) == 1
 
 
 @pytest.mark.parametrize("command", ["bucket", "confound"])
@@ -1385,7 +1439,7 @@ def _corrupt(data: bytes, kind: str, n: int) -> bytes:
         if kind == "drop-key":
             del obj[key]
         else:
-            obj[key] = [None, True, 7, 2.5, "x", [], {}][n % 7]
+            obj[key] = [None, True, 7, 2.5, "x", [], {}, 10 ** 400][n % 8]
         lines[i] = json.dumps(obj, ensure_ascii=False).encode("utf-8")
     else:
         lines.insert(i, b"" if kind == "blank" else line)

@@ -630,6 +630,20 @@ def test_one_score_per_example_stops_at_the_first_repeated_id(ids):
     assert got == firsts
 
 
+def test_a_checked_stream_is_checked_once_per_mapping():
+    known = {"a": 1.0, "b": 2.0}
+    for mapping in (known, None):
+        checked = one_score_per_example([_score("a"), _score("b")], mapping, "c.jsonl", "label")
+        assert one_score_per_example(checked, mapping) is checked
+    # Against another mapping it is checked again, with that mapping's messages.
+    checked = one_score_per_example([_score("a"), _score("b")], known, "c.jsonl", "label")
+    again = one_score_per_example(checked, {"a": 1.0}, "d.jsonl")
+    assert again is not checked
+    assert next(again) == _score("a")
+    with pytest.raises(CorpusError, match="^no example 'b' in d.jsonl$"):
+        next(again)
+
+
 def _consumers(scores, other, known):
     """Each library consumer of scores, called on one list of scores, as
     (name, thunk); known maps ids to a task, a label or None."""

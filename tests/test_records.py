@@ -9,11 +9,14 @@ strings are pinned as they read, so a change to any of them shows here.
 from __future__ import annotations
 
 import copy
+import importlib
 import math
 import pickle
+import pkgutil
 
 import pytest
 
+import stepladder
 from stepladder import (
     DEFAULT_TEMPLATE,
     AgreementReport,
@@ -37,6 +40,7 @@ from stepladder import (
 )
 from stepladder.analyzer import TeacherPairAgreement
 from stepladder.bucketer import OverflowRecord
+from stepladder.corpus import Frozen
 from stepladder.harvester import _Unit
 
 _METHOD = ("Spearman rank correlations; partial = Pearson on least-squares "
@@ -195,6 +199,22 @@ def test_frozen_record_behaviour(cls, values, defaults, text):
     for twin in (copy.copy(record), copy.deepcopy(record),
                  pickle.loads(pickle.dumps(record))):
         assert type(twin) is cls and twin == record and repr(twin) == text
+
+
+def test_cases_cover_every_frozen_record_type():
+    # A record type added later is held to the checks above only through
+    # CASES, which pin the order its __init__ sets its fields in.
+    for module in pkgutil.iter_modules(stepladder.__path__):
+        if module.name != "__main__":  # which would run the CLI
+            importlib.import_module(f"stepladder.{module.name}")
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    defined = {cls for cls in subclasses(Frozen) if cls.__module__.startswith("stepladder.")}
+    assert defined == {case[0] for case in CASES}
 
 
 def test_mutable_harvest_records_construct_with_their_defaults():
