@@ -328,6 +328,8 @@ _NAMES = {str: "string", int: "integer", bool: "boolean", list: "array", dict: "
 
 
 def _describe(value) -> str:
+    if type(value) is int and abs(value) > sys.float_info.max:
+        return "integer past float range"
     return repr(value) if type(value) is float else _NAMES[type(value)]
 
 

@@ -8,6 +8,11 @@ injected deterministically per request key (the first attempt fails,
 retries succeed), so retry tests never flake.  A [[malformed]] directive
 makes the server return a 200 with a useless body, for exercising the
 client's malformed-response path.
+
+The server speaks HTTP/1.1 and keeps each connection open for the next
+request, as a real endpoint does, and writes each response in one
+write, so a harvest reuses its max_in_flight connections.  stop() shuts
+down the connections its clients still hold.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import socket
 import sys
 import threading
 import time
@@ -25,6 +31,22 @@ _MALFORMED_DIRECTIVE = "[[malformed]]"
 
 
 class _Server(ThreadingHTTPServer):
+    # socketserver's default backlog of 5 drops the connects of more
+    # clients at once, and each such client waits out a 1 s SYN resend.
+    request_queue_size = 64
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.held = set()  # the accepted connections not yet closed
+
+    def process_request(self, request, client_address):
+        self.held.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        self.held.discard(request)
+        super().shutdown_request(request)
+
     def handle_error(self, request, client_address):
         # A client may drop its connection before the response is written,
         # as a harvest that stops at a bad corpus line does; that is no
@@ -70,6 +92,8 @@ class MockTeacher:
         owner = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
             def log_message(self, *args):  # keep test output quiet
                 pass
 
@@ -86,6 +110,14 @@ class MockTeacher:
     def stop(self) -> None:
         if self._server is not None:
             self._server.shutdown()
+            # A handler waits for its connection's next request until the
+            # client closes it, and server_close() joins no handler (they
+            # are daemon threads): a shut-down connection ends its handler.
+            for request in list(self._server.held):
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:  # closed already
+                    pass
             self._server.server_close()
             self._server = None
 
@@ -106,16 +138,23 @@ class MockTeacher:
         with self._lock:
             self.request_times.append(time.monotonic())
             self.request_count += 1
+        # The body is read whatever the answer, so that it is not taken
+        # for the connection's next request.
+        length = handler.headers.get("Content-Length", "0").strip()
+        if length.isdecimal():
+            raw = handler.rfile.read(int(length))
+        else:  # no telling where the next request starts
+            handler.close_connection = True
+            raw = b""
         if handler.path != "/v1/chat/completions":
             self._send(handler, 404, {"error": "unknown path"})
             return
         try:
-            length = int(handler.headers.get("Content-Length", "0"))
-            body = json.loads(handler.rfile.read(length))
+            body = json.loads(raw)
             model = body["model"]
             user = next(m["content"] for m in body["messages"]
                         if m["role"] == "user")
-        except (ValueError, KeyError, StopIteration):
+        except (ValueError, KeyError, TypeError, StopIteration):
             self._send(handler, 400, {"error": "bad request"})
             return
 
@@ -155,5 +194,8 @@ class MockTeacher:
         handler.send_response(status)
         handler.send_header("Content-Type", "application/json")
         handler.send_header("Content-Length", str(len(payload)))
-        handler.end_headers()
-        handler.wfile.write(payload)
+        # The body joins the buffered head, so the response leaves in one
+        # write: over a kept-alive connection, a second small write waits
+        # for the client's delayed ACK (Nagle's algorithm), about 40 ms.
+        handler._headers_buffer.append(b"\r\n" + payload)
+        handler.flush_headers()

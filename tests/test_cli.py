@@ -629,7 +629,8 @@ def test_integer_literal_past_the_digit_limit_exits_1(tmp_path, command):
 
 
 @pytest.mark.parametrize("command, message", [
-    ("baseline", "'external_difficulty': expected finite number, got integer"),
+    ("baseline", "'external_difficulty': expected finite number, "
+                 "got integer past float range"),
     ("filter", "score (e): k must lie in 1..1e+308"),
     ("score", "trace (e, t): tok must lie in 1..1e+308"),
 ])

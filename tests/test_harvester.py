@@ -33,7 +33,7 @@ from stepladder.harvester import (
     harvest,
     harvest_stream,
 )
-from stepladder.mockteacher import MockTeacher
+from stepladder.mockteacher import MockTeacher, _Server
 
 KEY_ENV = "OPENAI_API_KEY"
 # A self-signed key and certificate for localhost and 127.0.0.1.
@@ -581,6 +581,112 @@ def test_wrong_path_is_a_hard_http_error(tmp_path):
     assert all("HTTP 404" in f.reason for f in result.failures)
 
 
+# ---------------------------------------------------------------------------
+# MockTeacher's connections
+
+
+def post(path, body):
+    """One HTTP/1.1 POST, as bytes."""
+    return b"POST %s HTTP/1.1\r\nHost: mock\r\nContent-Length: %d\r\n\r\n%s" % (
+        path.encode(), len(body), body.encode())
+
+
+def read_response(replies):
+    """(status, JSON body) of the next response on a connection's file."""
+    status = int(replies.readline().split()[1])
+    length = 0
+    while (line := replies.readline()) not in (b"\r\n", b""):
+        name, _colon, value = line.partition(b":")
+        if name.lower() == b"content-length":
+            length = int(value)
+    return status, json.loads(replies.read(length))
+
+
+def test_a_cold_harvest_against_the_mock_reuses_its_connections(tmp_path, monkeypatch):
+    accepted = []
+    process_request = _Server.process_request
+
+    def counted(server, request, client_address):
+        accepted.append(client_address)
+        process_request(server, request, client_address)
+
+    monkeypatch.setattr(_Server, "process_request", counted)
+    with MockTeacher() as mock:
+        result = harvest(depth_examples(200), job_for(profile(mock.base_url), tmp_path,
+                                                      rate_limit=1e6, max_in_flight=2))
+    assert result.failures == [] and len(result.traces) == 200
+    assert mock.request_count == result.requests_sent == 200
+    assert 1 <= len(accepted) <= 2
+
+
+def test_the_mock_answers_each_request_on_one_connection_in_order():
+    good = json.dumps({"model": "m", "messages": [{"role": "user", "content": "[[depth=2]] q"}]})
+    with MockTeacher() as mock, socket.create_connection(
+            ("127.0.0.1", urlsplit(mock.base_url).port), timeout=5) as sock, \
+            sock.makefile("rb") as replies:
+        # All three go out at once: a body is read even when its request is
+        # refused, so the next request is found where it starts.  JSON that
+        # is no object is refused too.
+        sock.sendall(post("/v1/nonsense", good) + post("/v1/chat/completions", "[1]")
+                     + post("/v1/chat/completions", good))
+        answers = [read_response(replies) for _ in range(3)]
+        # A length that does not parse leaves no telling where the next
+        # request starts: the answer is a 400, and the connection closes.
+        sock.sendall(b"POST /v1/chat/completions HTTP/1.1\r\nContent-Length: many\r\n\r\n")
+        answers.append(read_response(replies))
+        assert replies.read() == b""
+    assert [status for status, _body in answers] == [404, 400, 200, 400]
+    assert answers[2][1]["choices"][0]["message"]["content"].startswith("1. ")
+    assert mock.request_count == 4
+
+
+def test_a_server_that_closes_after_each_response_loses_no_request(tmp_path):
+    # HTTP/1.0 with a Content-Length and no keep-alive: one connection per
+    # request.  test_response_bodies_that_arrive_in_pieces[until-close]
+    # covers a body with no length.
+    mock = MockTeacher()
+    connects = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def setup(self):
+            super().setup()
+            connects.append(1)
+
+        def do_POST(self):
+            mock._handle(self)
+
+        def log_message(self, *args):
+            pass
+
+    with served(Handler) as base:
+        result = harvest(depth_examples(30), job_for(profile(base + "/v1"), tmp_path,
+                                                     rate_limit=1e6, max_in_flight=2,
+                                                     max_retries=0))
+    assert result.failures == []
+    assert [t.example_id for t in result.traces] == [f"e{i:03d}" for i in range(30)]
+    assert [t.k for t in result.traces] == [3] * 30
+    assert mock.request_count == result.requests_sent == len(connects) == 30
+
+
+def test_stop_leaves_no_handler_thread_behind(tmp_path):
+    # A handler waits for its connection's next request until the client
+    # closes it; stop() ends those whose clients have not.
+    before = set(threading.enumerate())
+    mock = MockTeacher().start()
+    result = harvest(depth_examples(20), job_for(profile(mock.base_url), tmp_path,
+                                                 rate_limit=1e6, max_in_flight=4))
+    assert len(result.traces) == 20
+    held = socket.create_connection(("127.0.0.1", urlsplit(mock.base_url).port), timeout=5)
+    held.sendall(post("/v1/chat/completions", ""))
+    assert held.recv(65536).startswith(b"HTTP/1.1 400 ")
+    mock.stop()
+    for thread in set(threading.enumerate()) - before:
+        thread.join(timeout=5)
+    left = threading.active_count() - len(before)
+    held.close()
+    assert left == 0
+
+
 def test_job_validation(tmp_path):
     teacher = profile("http://127.0.0.1:9/v1")
     for rate in (0.0, float("nan")):
@@ -658,7 +764,8 @@ def keep_alive_teacher(idle_timeout=None, stall=0.0, tls=False):
         def log_message(self, *args):
             pass
 
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    # The mock's server class, whose backlog takes eight connects at once.
+    server = _Server(("127.0.0.1", 0), Handler)
     if tls:
         context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
         context.load_cert_chain(CERT)
