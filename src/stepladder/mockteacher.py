@@ -11,41 +11,127 @@ client's malformed-response path.
 
 The server speaks HTTP/1.1 and keeps each connection open for the next
 request, as a real endpoint does, and writes each response in one
-write, so a harvest reuses its max_in_flight connections.  stop() shuts
-down the connections its clients still hold.
+write, so a harvest reuses its max_in_flight connections.  One thread
+serves every connection: it reads what arrives, answers each request as
+soon as it is whole, and parses only what a chat request needs (the
+request line, Content-Length and Connection).  On Linux that thread
+keeps off the CPU its client last sent from.  stop() closes the
+connections its clients still hold.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import selectors
 import socket
+import socketserver
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from http.server import BaseHTTPRequestHandler
 
 _DEPTH_DIRECTIVE = re.compile(r"\[\[depth=(\d+)\]\]")
 _MALFORMED_DIRECTIVE = "[[malformed]]"
+_MAX_HEAD = 65536  # bytes; a longer request head is refused
+# Whether the serving thread can learn its client's CPU and keep off it
+# (Linux).
+_STEER = hasattr(os, "sched_setaffinity") and hasattr(socket, "SO_INCOMING_CPU")
 
 
-class _Server(ThreadingHTTPServer):
+class _Server(socketserver.TCPServer):
+    """Serves every connection from the thread that calls serve().
+
+    http.server's threading server gives each kept connection a thread,
+    and those threads take turns at the interpreter lock: on a 2-vCPU
+    host a cold 2000x3 harvest at max_in_flight 2 took 0.8-1.1 s, or at
+    a busier time either about 1.3 s or about 2.4 s, on where the
+    scheduler put the threads.  Its head parsing (the email package)
+    was half of the mock's CPU time.  From one thread with the lean
+    parsing below, the same harvest takes 0.43-0.46 s.
+
+    That thread also keeps off the CPU its client last sent from.  A
+    thread woken by data from a local client is moved onto the client's
+    CPU when Linux finds its own CPU not idle at that moment (wake
+    affinity), and a harvest client seldom waits, so the two then take
+    turns on one CPU while another idles: in such spells, which lasted
+    minutes, the same harvest took 0.75 s instead of 0.43 s.
+    """
+
     # socketserver's default backlog of 5 drops the connects of more
     # clients at once, and each such client waits out a 1 s SYN resend.
     request_queue_size = 64
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.held = set()  # the accepted connections not yet closed
+    def __init__(self, address, answer):
+        """answer(method, target, body) gives (status, JSON object)."""
+        super().__init__(address, None)
+        self.answer = answer
+        self.selector = selectors.DefaultSelector()
+        self.selector.register(self.socket, selectors.EVENT_READ)
+        # Each open connection: what has arrived on it and is not yet
+        # answered, and the client's address.
+        self.held: dict = {}
+        # The CPUs the serving thread may use (it inherits them), and the
+        # one it keeps off.
+        self.cpus = os.sched_getaffinity(0) if _STEER else set()
+        self.client_cpu = -1
 
     def process_request(self, request, client_address):
-        self.held.add(request)
-        super().process_request(request, client_address)
+        self.held[request] = (bytearray(), client_address)
+        self.selector.register(request, selectors.EVENT_READ)
 
-    def shutdown_request(self, request):
-        self.held.discard(request)
-        super().shutdown_request(request)
+    def serve(self, stopping: threading.Event) -> None:
+        """Accept connections and answer their requests until stopping is
+        set; then close the connections still open."""
+        while not stopping.is_set():
+            # A short wait lets stop() return within 0.05 s.
+            for key, _events in self.selector.select(0.05):
+                if key.fileobj is self.socket:
+                    self._handle_request_noblock()
+                else:
+                    self._read(key.fileobj)
+        for request in list(self.held):
+            self._close(request)
+        self.selector.close()
+
+    def _read(self, request) -> None:
+        buffer, client_address = self.held[request]
+        try:
+            # Readable, so this returns what has arrived (b"" at a close).
+            data = request.recv(65536)
+            self._keep_off_client_cpu(request)
+            buffer += data
+            keep = bool(data)
+            while keep and (whole := _take_request(buffer)) is not None:
+                method, target, body, keep = whole
+                status, obj = self.answer(method, target, body)
+                request.sendall(_response(status, obj, keep))
+        except Exception:
+            self.handle_error(request, client_address)
+            keep = False
+        if not keep:
+            self._close(request)
+
+    def _keep_off_client_cpu(self, request) -> None:
+        """Let the serving thread run on every allowed CPU but the one
+        the request's data last arrived on (the sender's, on loopback)."""
+        if not _STEER:
+            return
+        cpu = request.getsockopt(socket.SOL_SOCKET, socket.SO_INCOMING_CPU)
+        if cpu != self.client_cpu and cpu in self.cpus and len(self.cpus) > 1:
+            self.client_cpu = cpu
+            os.sched_setaffinity(0, self.cpus - {cpu})  # 0: the calling thread
+
+    def _close(self, request) -> None:
+        self.selector.unregister(request)
+        del self.held[request]
+        self.shutdown_request(request)
 
     def handle_error(self, request, client_address):
         # A client may drop its connection before the response is written,
@@ -53,6 +139,45 @@ class _Server(ThreadingHTTPServer):
         # fault of the mock's, so only other errors are printed.
         if not isinstance(sys.exc_info()[1], ConnectionError):
             super().handle_error(request, client_address)
+
+
+def _take_request(buffer: bytearray):
+    """Take the first whole request off buffer: (method, target, body,
+    whether the connection is kept), or None while it is not whole.  A
+    request whose body cannot be told from the next request is answered
+    with an empty body and ends the connection."""
+    end = buffer.find(b"\r\n\r\n")
+    if end < 0 and len(buffer) <= _MAX_HEAD:
+        return None
+    lines = buffer[:max(end, 0)].decode("latin-1").split("\r\n")
+    words = lines[0].split()
+    method, target, version = words if len(words) == 3 else ("", "", "")
+    headers = {}
+    for line in lines[1:]:
+        name, _colon, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = headers.get("content-length", "0")
+    if end < 0 or not length.isdecimal() or "transfer-encoding" in headers:
+        del buffer[:]
+        return method, target, b"", False
+    tokens = headers.get("connection", "").lower()
+    keep = "keep-alive" in tokens if version == "HTTP/1.0" else \
+        version == "HTTP/1.1" and "close" not in tokens
+    size = end + 4 + int(length)
+    if len(buffer) < size:
+        return None
+    body = bytes(buffer[end + 4:size])
+    del buffer[:size]
+    return method, target, body, keep
+
+
+def _response(status: int, obj: dict, keep: bool) -> bytes:
+    """A whole response, head and body, to be sent in one write."""
+    payload = json.dumps(obj).encode("utf-8")
+    head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(payload)}\r\n"
+            + ("" if keep else "Connection: close\r\n") + "\r\n")
+    return head.encode("latin-1") + payload
 
 
 def _completion_text(key_int: int, depth: int, verbosity: int) -> str:
@@ -84,40 +209,23 @@ class MockTeacher:
         self._failed_once: set[str] = set()
         self._lock = threading.Lock()
         self._server: _Server | None = None
+        self._stopping: threading.Event | None = None
         self._thread: threading.Thread | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "MockTeacher":
-        owner = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def log_message(self, *args):  # keep test output quiet
-                pass
-
-            def do_POST(self):
-                owner._handle(self)
-
-        self._server = _Server(("127.0.0.1", 0), Handler)
-        # A short poll interval lets stop() return within 0.05 s, not 0.5 s.
-        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.05,),
+        self._server = _Server(("127.0.0.1", 0), self._answer)
+        self._stopping = threading.Event()
+        self._thread = threading.Thread(target=self._server.serve, args=(self._stopping,),
                                         daemon=True)
         self._thread.start()
         return self
 
     def stop(self) -> None:
         if self._server is not None:
-            self._server.shutdown()
-            # A handler waits for its connection's next request until the
-            # client closes it, and server_close() joins no handler (they
-            # are daemon threads): a shut-down connection ends its handler.
-            for request in list(self._server.held):
-                try:
-                    request.shutdown(socket.SHUT_RDWR)
-                except OSError:  # closed already
-                    pass
+            self._stopping.set()
+            self._thread.join()
             self._server.server_close()
             self._server = None
 
@@ -135,9 +243,8 @@ class MockTeacher:
     # -- request handling --------------------------------------------------
 
     def _handle(self, handler: BaseHTTPRequestHandler) -> None:
-        with self._lock:
-            self.request_times.append(time.monotonic())
-            self.request_count += 1
+        """Answer a POST through an http.server handler, for servers
+        (built by tests) that handle connections their own way."""
         # The body is read whatever the answer, so that it is not taken
         # for the connection's next request.
         length = handler.headers.get("Content-Length", "0").strip()
@@ -146,17 +253,25 @@ class MockTeacher:
         else:  # no telling where the next request starts
             handler.close_connection = True
             raw = b""
-        if handler.path != "/v1/chat/completions":
-            self._send(handler, 404, {"error": "unknown path"})
-            return
+        self._send(handler, *self._answer("POST", handler.path, raw))
+
+    def _answer(self, method: str, target: str, raw: bytes) -> tuple[int, dict]:
+        """(status, JSON object) for one request."""
+        with self._lock:
+            self.request_times.append(time.monotonic())
+            self.request_count += 1
+        if method != "POST":  # "" if the request line did not parse
+            return (405, {"error": "only POST is served"}) if method else \
+                (400, {"error": "bad request line"})
+        if target != "/v1/chat/completions":
+            return 404, {"error": "unknown path"}
         try:
             body = json.loads(raw)
             model = body["model"]
             user = next(m["content"] for m in body["messages"]
                         if m["role"] == "user")
         except (ValueError, KeyError, TypeError, StopIteration):
-            self._send(handler, 400, {"error": "bad request"})
-            return
+            return 400, {"error": "bad request"}
 
         key = hashlib.sha256(f"{model}\x00{user}".encode("utf-8")).hexdigest()
         key_int = int(key[:8], 16)
@@ -166,18 +281,16 @@ class MockTeacher:
                 first = key not in self._failed_once
                 self._failed_once.add(key)
             if first:
-                self._send(handler, 500, {"error": "transient"})
-                return
+                return 500, {"error": "transient"}
 
         if _MALFORMED_DIRECTIVE in user:
-            self._send(handler, 200, {"bogus": True})
-            return
+            return 200, {"bogus": True}
 
         directive = _DEPTH_DIRECTIVE.search(user)
         depth = int(directive.group(1)) if directive else key_int % 8 + 1
         depth = max(1, depth)
         text = _completion_text(key_int, depth, self.verbosity)
-        self._send(handler, 200, {
+        return 200, {
             "id": f"mock-{key[:12]}",
             "object": "chat.completion",
             "model": model,
@@ -186,7 +299,7 @@ class MockTeacher:
                 "message": {"role": "assistant", "content": text},
                 "finish_reason": "stop",
             }],
-        })
+        }
 
     @staticmethod
     def _send(handler: BaseHTTPRequestHandler, status: int, obj: dict) -> None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import select
 import socket
 import ssl
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CacheLogModel
+from stepladder import mockteacher
 from stepladder.chatclient import _proxy_for
 from stepladder.cli import main
 from stepladder.corpus import Example, TeacherProfile, read_traces, write_corpus
@@ -640,6 +642,40 @@ def test_the_mock_answers_each_request_on_one_connection_in_order():
     assert mock.request_count == 4
 
 
+def test_the_mock_answers_a_request_that_arrives_in_pieces():
+    request = post("/v1/chat/completions", json.dumps(
+        {"model": "m", "messages": [{"role": "user", "content": "[[depth=2]] q"}]}))
+    with MockTeacher() as mock, socket.create_connection(
+            ("127.0.0.1", urlsplit(mock.base_url).port), timeout=5) as sock, \
+            sock.makefile("rb") as replies:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for i in range(0, len(request), 20):  # the head and the body both split
+            sock.sendall(request[i:i + 20])
+            time.sleep(0.002)
+        status, body = read_response(replies)
+    assert status == 200 and body["choices"][0]["message"]["content"].startswith("1. ")
+    assert mock.request_count == 1
+
+
+@pytest.mark.skipif(not mockteacher._STEER or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs SO_INCOMING_CPU, sched_setaffinity and two CPUs")
+def test_the_mock_keeps_off_the_cpu_its_client_sends_from():
+    cpus = os.sched_getaffinity(0)
+    client_cpu = min(cpus)
+    good = json.dumps({"model": "m", "messages": [{"role": "user", "content": "q"}]})
+    with MockTeacher() as mock, socket.create_connection(
+            ("127.0.0.1", urlsplit(mock.base_url).port), timeout=5) as sock, \
+            sock.makefile("rb") as replies:
+        os.sched_setaffinity(0, {client_cpu})  # this thread only, not the mock's
+        try:
+            sock.sendall(post("/v1/chat/completions", good))
+            assert read_response(replies)[0] == 200
+        finally:
+            os.sched_setaffinity(0, cpus)
+        served_on = os.sched_getaffinity(mock._thread.native_id)
+    assert served_on == cpus - {client_cpu}
+
+
 def test_a_server_that_closes_after_each_response_loses_no_request(tmp_path):
     # HTTP/1.0 with a Content-Length and no keep-alive: one connection per
     # request.  test_response_bodies_that_arrive_in_pieces[until-close]
@@ -668,9 +704,9 @@ def test_a_server_that_closes_after_each_response_loses_no_request(tmp_path):
     assert mock.request_count == result.requests_sent == len(connects) == 30
 
 
-def test_stop_leaves_no_handler_thread_behind(tmp_path):
-    # A handler waits for its connection's next request until the client
-    # closes it; stop() ends those whose clients have not.
+def test_stop_leaves_no_thread_or_connection_behind(tmp_path):
+    # A connection waits for its next request until the client closes it;
+    # stop() closes those whose clients have not.
     before = set(threading.enumerate())
     mock = MockTeacher().start()
     result = harvest(depth_examples(20), job_for(profile(mock.base_url), tmp_path,
@@ -683,8 +719,9 @@ def test_stop_leaves_no_handler_thread_behind(tmp_path):
     for thread in set(threading.enumerate()) - before:
         thread.join(timeout=5)
     left = threading.active_count() - len(before)
+    closed = held.recv(1) == b""
     held.close()
-    assert left == 0
+    assert left == 0 and closed
 
 
 def test_job_validation(tmp_path):
@@ -722,6 +759,12 @@ def test_backoff_base_past_the_longest_wait_is_refused(tmp_path, base):
 
 # ---------------------------------------------------------------------------
 # connection reuse and proxies, against an HTTP/1.1 server
+
+
+class BackloggedServer(ThreadingHTTPServer):
+    # socketserver's default backlog of 5 drops the connects of more
+    # clients at once, and each such client waits out a 1 s SYN resend.
+    request_queue_size = 64
 
 
 @contextmanager
@@ -764,8 +807,7 @@ def keep_alive_teacher(idle_timeout=None, stall=0.0, tls=False):
         def log_message(self, *args):
             pass
 
-    # The mock's server class, whose backlog takes eight connects at once.
-    server = _Server(("127.0.0.1", 0), Handler)
+    server = BackloggedServer(("127.0.0.1", 0), Handler)
     if tls:
         context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
         context.load_cert_chain(CERT)
@@ -784,7 +826,7 @@ def keep_alive_teacher(idle_timeout=None, stall=0.0, tls=False):
 @contextmanager
 def served(handler, scheme="http"):
     """Serve handler from a thread on 127.0.0.1; yields the base URL."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server = BackloggedServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
