@@ -136,10 +136,6 @@ class ChatClient:
         }).encode("utf-8")
         return b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
 
-    def connection(self, selector) -> Connection:
-        """A connection, opened when its first request is started."""
-        return Connection(self, selector)
-
     @staticmethod
     def content(status: int, data: bytes) -> str:
         """The message text of a final (not 429, not 5xx) response."""

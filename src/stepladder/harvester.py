@@ -329,10 +329,12 @@ class _Harvest:
         if self.client is None:
             # Imported here, not at the top: the client, the socket and
             # the selectors modules, which all-hit harvests and other
-            # subcommands never use.
+            # subcommands never use.  Connection is bound module-wide,
+            # for _send.
+            global Connection
             import selectors
 
-            from .chatclient import ChatClient
+            from .chatclient import ChatClient, Connection
 
             self.client = ChatClient(self.job.teacher, self.api_key, self.job.timeout)
             self.selector = selectors.DefaultSelector()
@@ -369,7 +371,7 @@ class _Harvest:
             self.tally.grant_times.append(now)
             self.next_grant = now + 1.0 / self.job.rate_limit
             unit.attempts += 1
-            conn = self.idle.pop() if self.idle else self.client.connection(self.selector)
+            conn = self.idle.pop() if self.idle else Connection(self.client, self.selector)
             self.busy[conn] = unit
             try:
                 conn.start(self.client.request(*unit.texts))

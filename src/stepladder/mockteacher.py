@@ -11,12 +11,12 @@ client's malformed-response path.
 
 The server speaks HTTP/1.1 and keeps each connection open for the next
 request, as a real endpoint does, and writes each response in one
-write, so a harvest reuses its max_in_flight connections.  One thread
-serves every connection: it reads what arrives, answers each request as
-soon as it is whole, and parses only what a chat request needs (the
-request line, Content-Length and Connection).  On Linux that thread
-keeps off the CPU its client last sent from.  stop() closes the
-connections its clients still hold.
+write, so a harvest reuses its max_in_flight connections.  It serves
+only from _Server: one thread serves every connection, reads what
+arrives, answers each request as soon as it is whole, and parses only
+what a chat request needs (the request line, Content-Length and
+Connection).  On Linux that thread keeps off the CPU its client last
+sent from.  stop() closes the connections its clients still hold.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ import sys
 import threading
 import time
 from http import HTTPStatus
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from http.server import BaseHTTPRequestHandler
 
 _DEPTH_DIRECTIVE = re.compile(r"\[\[depth=(\d+)\]\]")
 _MALFORMED_DIRECTIVE = "[[malformed]]"
@@ -196,7 +192,8 @@ class MockTeacher:
     failure_percent injects one 500 on the first attempt for roughly that
     share of distinct request keys (chosen by key hash, not by chance).
     verbosity multiplies the per-step filler text.  request_times records
-    a monotonic receipt timestamp for every request, for rate audits.
+    a monotonic receipt timestamp for every request, for rate audits, and
+    request_count is their number.
     """
 
     def __init__(self, failure_percent: int = 0, verbosity: int = 1):
@@ -205,7 +202,6 @@ class MockTeacher:
         self.failure_percent = failure_percent
         self.verbosity = verbosity
         self.request_times: list[float] = []
-        self.request_count = 0
         self._failed_once: set[str] = set()
         self._lock = threading.Lock()
         self._server: _Server | None = None
@@ -236,30 +232,21 @@ class MockTeacher:
         self.stop()
 
     @property
+    def request_count(self) -> int:
+        return len(self.request_times)
+
+    @property
     def base_url(self) -> str:
         assert self._server is not None, "server not started"
         return f"http://127.0.0.1:{self._server.server_address[1]}/v1"
 
     # -- request handling --------------------------------------------------
 
-    def _handle(self, handler: BaseHTTPRequestHandler) -> None:
-        """Answer a POST through an http.server handler, for servers
-        (built by tests) that handle connections their own way."""
-        # The body is read whatever the answer, so that it is not taken
-        # for the connection's next request.
-        length = handler.headers.get("Content-Length", "0").strip()
-        if length.isdecimal():
-            raw = handler.rfile.read(int(length))
-        else:  # no telling where the next request starts
-            handler.close_connection = True
-            raw = b""
-        self._send(handler, *self._answer("POST", handler.path, raw))
-
     def _answer(self, method: str, target: str, raw: bytes) -> tuple[int, dict]:
-        """(status, JSON object) for one request."""
-        with self._lock:
-            self.request_times.append(time.monotonic())
-            self.request_count += 1
+        """(status, JSON object) for one request: the one entry point of
+        the request logic, which _Server calls and which servers that
+        tests build to frame connections their own way call too."""
+        self.request_times.append(time.monotonic())  # atomic: no lock
         if method != "POST":  # "" if the request line did not parse
             return (405, {"error": "only POST is served"}) if method else \
                 (400, {"error": "bad request line"})
@@ -300,15 +287,3 @@ class MockTeacher:
                 "finish_reason": "stop",
             }],
         }
-
-    @staticmethod
-    def _send(handler: BaseHTTPRequestHandler, status: int, obj: dict) -> None:
-        payload = json.dumps(obj).encode("utf-8")
-        handler.send_response(status)
-        handler.send_header("Content-Type", "application/json")
-        handler.send_header("Content-Length", str(len(payload)))
-        # The body joins the buffered head, so the response leaves in one
-        # write: over a kept-alive connection, a second small write waits
-        # for the client's delayed ACK (Nagle's algorithm), about 40 ms.
-        handler._headers_buffer.append(b"\r\n" + payload)
-        handler.flush_headers()

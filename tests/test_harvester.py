@@ -642,6 +642,50 @@ def test_the_mock_answers_each_request_on_one_connection_in_order():
     assert mock.request_count == 4
 
 
+_QUERY = json.dumps({"model": "m", "messages": [{"role": "user", "content": "q"}]}).encode()
+
+
+def _raw_post(version, *headers):
+    """A POST of _QUERY with these header lines, as bytes."""
+    head = [b"POST /v1/chat/completions " + version, b"Content-Length: %d" % len(_QUERY)]
+    return b"\r\n".join(head + list(headers)) + b"\r\n\r\n" + _QUERY
+
+
+@pytest.mark.parametrize("sent, status, closes", [
+    (b"GET /v1/chat/completions HTTP/1.1\r\nHost: mock\r\n\r\n", 405, False),
+    (b"POST /v1/chat/completions HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+     b"2\r\n{}\r\n0\r\n\r\n", 400, True),
+    # One byte past the longest head, with no end: all of it is read first.
+    (b"POST /v1/chat/completions HTTP/1.1\r\nX-Pad: ".ljust(mockteacher._MAX_HEAD + 1, b"a"),
+     400, True),
+    (b"NONSENSE\r\n\r\n", 400, True),
+    (_raw_post(b"HTTP/1.0"), 200, True),
+    (_raw_post(b"HTTP/1.0", b"Connection: keep-alive"), 200, False),
+    (_raw_post(b"HTTP/1.1", b"Connection: close"), 200, True),
+], ids=["GET", "chunked", "head-too-long", "no-request-line", "1.0", "1.0-keep-alive",
+        "1.1-close"])
+def test_the_mock_frames_each_request_as_http_says(sent, status, closes):
+    with MockTeacher() as mock, socket.create_connection(
+            ("127.0.0.1", urlsplit(mock.base_url).port), timeout=5) as sock:
+        sock.sendall(sent)
+        sock.settimeout(0.5)
+        received = b""
+        try:  # until end-of-file, or until nothing arrives for 0.5 s
+            while data := sock.recv(65536):
+                received += data
+            closed = True
+        except TimeoutError:
+            closed = False
+    head, _blank, body = received.partition(b"\r\n\r\n")
+    lines = head.split(b"\r\n")
+    assert lines[0].startswith(b"HTTP/1.1 %d " % status)
+    assert (b"Connection: close" in lines) == closed == closes
+    assert b"Content-Length: %d" % len(body) in lines
+    if status == 200:
+        assert json.loads(body)["choices"][0]["message"]["content"].startswith("1. ")
+    assert mock.request_count == 1
+
+
 def test_the_mock_answers_a_request_that_arrives_in_pieces():
     request = post("/v1/chat/completions", json.dumps(
         {"model": "m", "messages": [{"role": "user", "content": "[[depth=2]] q"}]}))
@@ -689,7 +733,15 @@ def test_a_server_that_closes_after_each_response_loses_no_request(tmp_path):
             connects.append(1)
 
         def do_POST(self):
-            mock._handle(self)
+            # http.server's own head, which says HTTP/1.0, unlike _response.
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            status, obj = mock._answer("POST", self.path, body)
+            payload = json.dumps(obj).encode()
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
 
         def log_message(self, *args):
             pass
@@ -767,6 +819,14 @@ class BackloggedServer(ThreadingHTTPServer):
     request_queue_size = 64
 
 
+def answer(handler, mock, path=None):
+    """Answer an http.server handler's POST with mock's answer to it, in
+    one write; the head says HTTP/1.1."""
+    body = handler.rfile.read(int(handler.headers["Content-Length"]))
+    status, obj = mock._answer("POST", path or handler.path, body)
+    handler.wfile.write(mockteacher._response(status, obj, not handler.close_connection))
+
+
 @contextmanager
 def keep_alive_teacher(idle_timeout=None, stall=0.0, tls=False):
     """MockTeacher's completions from a server that keeps connections open.
@@ -797,8 +857,7 @@ def keep_alive_teacher(idle_timeout=None, stall=0.0, tls=False):
                 time.sleep(stalls.pop())
                 self.close_connection = True
                 return
-            self.path = urlsplit(self.path).path
-            mock._handle(self)
+            answer(self, mock, urlsplit(self.path).path)
 
         def do_CONNECT(self):
             log.append(f"CONNECT {self.path}")
@@ -917,7 +976,7 @@ def test_server_closing_right_after_its_response_loses_no_request(tmp_path):
             self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_CORK, 1)
 
         def do_POST(self):
-            mock._handle(self)
+            answer(self, mock)
             self.close_connection = True
 
         def log_message(self, *args):
@@ -951,7 +1010,7 @@ def test_connections_are_opened_side_by_side(tmp_path, monkeypatch):
             self.request.close()  # the server closes only the socket it accepted
 
         def do_POST(self):
-            mock._handle(self)
+            answer(self, mock)
 
         def log_message(self, *args):
             pass
@@ -1151,7 +1210,8 @@ def test_lone_surrogate_response_fails_only_its_unit(tmp_path, capsys):
             posts.append(user)
             text = "1. half of \ud800 a pair\n2. more" if "surrogate" in user \
                 else "1. first step\n2. second step"
-            MockTeacher._send(self, 200, {"choices": [{"message": {"content": text}}]})
+            self.wfile.write(mockteacher._response(
+                200, {"choices": [{"message": {"content": text}}]}, not self.close_connection))
 
         def log_message(self, *args):
             pass

@@ -78,5 +78,10 @@ def test_code_lines_counts_a_git_revision_and_leaves_the_tree_alone(tmp_path, mo
     assert capsys.readouterr().out == "     9  a.py\n     1  b.py\n    10  total\n"
     assert code_lines.main(["src/pkg"]) == 0  # the files on disk
     assert capsys.readouterr().out == "     1  a.py\n     1  b.py\n     2  total\n"
+    # a.py shrank on disk and b.py is new since HEAD~1
+    assert code_lines.main(["--against", "HEAD~1", "src/pkg"]) == 0
+    assert capsys.readouterr().out == ("     9      1     -8  a.py\n"
+                                       "     0      1     +1  b.py\n"
+                                       "     9      2     -7  total\n")
     assert (pkg / "a.py").read_text(encoding="utf-8") == "y = 2\n"
     assert subprocess.run(["git", "status", "--porcelain"], capture_output=True).stdout == status

@@ -1,12 +1,14 @@
 """Count code lines per module: lines that hold code, not counting blank
 lines, comment lines or docstring lines.
 
-    python tools/code_lines.py [--rev REV] [DIR]
+    python tools/code_lines.py [--rev REV | --against REV] [DIR]
 
 prints one "<lines>  <module>" row per .py file under DIR (default
 src/stepladder), then the total.  With --rev, it counts DIR as it is at
 the git revision REV of the repository in the current directory, read
 with git archive, so neither the working tree nor the index is touched.
+With --against, it prints "<at REV> <on disk> <delta>  <module>" for
+every module at REV or on disk (0 where it is absent), then the totals.
 """
 
 from __future__ import annotations
@@ -63,8 +65,19 @@ def _sources(root: str, rev: str | None):
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description="count code lines per module")
     parser.add_argument("dir", nargs="?", default="src/stepladder")
-    parser.add_argument("--rev", help="count DIR at this git revision")
+    which = parser.add_mutually_exclusive_group()
+    which.add_argument("--rev", help="count DIR at this git revision")
+    which.add_argument("--against", metavar="REV",
+                       help="count DIR at REV and on disk, side by side")
     args = parser.parse_args(argv)
+    if args.against:
+        old = {path: code_lines(source) for path, source in _sources(args.dir, args.against)}
+        new = {path: code_lines(source) for path, source in _sources(args.dir, None)}
+        rows = [(old.get(path, 0), new.get(path, 0), path) for path in sorted({*old, *new})]
+        rows.append((sum(old.values()), sum(new.values()), "total"))
+        for before, after, path in rows:
+            print(f"{before:6} {after:6} {after - before:+6}  {path}")
+        return 0
     total = 0
     for path, source in sorted(_sources(args.dir, args.rev)):
         n = code_lines(source)
