@@ -268,12 +268,10 @@ class Connection:
             self.sock = socket.socket(family, kind, proto)
             self.sock.setblocking(False)
             error = self.sock.connect_ex(address)
-            if error == errno.EINPROGRESS and not self._connected():
+            if error == errno.EINPROGRESS:
                 expired = yield selectors.EVENT_WRITE
                 error = errno.ETIMEDOUT if expired else self.sock.getsockopt(
                     socket.SOL_SOCKET, socket.SO_ERROR)
-            elif error == errno.EINPROGRESS:
-                error = 0
             if not error:
                 break
             self.close()
@@ -302,15 +300,6 @@ class Connection:
                     expired = yield selectors.EVENT_WRITE
                 if expired:
                     raise TimeoutError("timed out")
-
-    def _connected(self) -> bool:
-        """Whether a connect in progress has already finished, as one to
-        the same host does: a peer name is known only once it has."""
-        try:
-            self.sock.getpeername()
-        except OSError:
-            return False
-        return True
 
     def _send(self, data: bytes) -> None:
         # Written whole with one call, waiting for buffer space if need be.
@@ -380,7 +369,8 @@ class Connection:
 
 
 def _number(text: bytes, base: int) -> int:
-    """A Content-Length or chunk size; ValueError if it is not one."""
-    if not text.strip().isalnum():
+    """A Content-Length or chunk size; ValueError if it is not one.  Only
+    digits are taken: no sign, "_" or "0x" prefix, which int() allows."""
+    if not re.fullmatch(rb"[0-9A-Fa-f]+", text.strip()):
         raise ValueError(f"bad length {text[:20]!r}")
     return int(text, base)

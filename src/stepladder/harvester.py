@@ -265,10 +265,12 @@ def _units(job: HarvestJob, examples: Iterable[Example]) -> Iterator[_Unit]:
 class _Harvest:
     """One harvest, run on the calling thread.
 
-    Cache hits are segmented as they are looked up.  Misses are sent from
-    one selector loop over up to max_in_flight connections.  A retry's
-    backoff and the limiter's next grant are deadlines of that loop, so
-    no unit's wait holds up another unit's request.
+    Cache hits are segmented as they are looked up.  Misses wait in one
+    queue, ordered by when each may go: a new miss from when it was read,
+    a retry from the end of its backoff.  They are sent from one selector
+    loop over up to max_in_flight connections, so a retry goes out as soon
+    as its backoff ends and the limiter grants, and no unit's wait holds
+    up another unit's request.
     """
 
     def __init__(self, job: HarvestJob, api_key: str, tally: HarvestResult):
@@ -278,8 +280,8 @@ class _Harvest:
         self.log = None  # opened when the stream starts
         self.client = None  # opened with the first miss, as is the selector
         self.selector = None
-        self.ready = []  # heap of (position, unit): misses that may be sent now
-        self.backoff = []  # heap of (due time, position, unit)
+        self.queue = []  # heap of (not before, position, unit): misses to send
+        self.unsent = 0  # misses in queue never sent: the read-ahead gate
         self.idle = []  # connections with no request on them
         self.busy = {}  # connection -> the unit whose request it carries
         self.next_grant = 0.0  # the rate limiter: no request before this time
@@ -294,13 +296,14 @@ class _Harvest:
                 window.append(unit)
                 text = self.log.get(unit.key)
                 if text is None:
-                    heapq.heappush(self.ready, (unit.position, unit))
+                    heapq.heappush(self.queue, (time.monotonic(), unit.position, unit))
+                    self.unsent += 1
                 else:
                     self._segment(unit, text, True)
                 if window[0].outcome is not None:
                     yield from self._resolved(window)
                 # Read ahead only as far as the connections can use.
-                while len(self.ready) >= self.job.max_in_flight or len(window) >= _WINDOW:
+                while self.unsent >= self.job.max_in_flight or len(window) >= _WINDOW:
                     self._step()
                     yield from self._resolved(window)
             while window:
@@ -339,30 +342,26 @@ class _Harvest:
             self.client = ChatClient(self.job.teacher, self.api_key, self.job.timeout)
             self.selector = selectors.DefaultSelector()
         waits = [conn.deadline for conn in self.busy]
-        if self.backoff:
-            waits.append(self.backoff[0][0])
-        if self.ready and len(self.busy) < self.job.max_in_flight:
-            waits.append(self.next_grant)
+        if self.queue and len(self.busy) < self.job.max_in_flight:
+            waits.append(max(self.queue[0][0], self.next_grant))
         events = self.selector.select(max(0.0, min(waits) - time.monotonic()))
         arrived = [self._receive(key.data) for key, _mask in events]
         now = time.monotonic()
         arrived += [self._receive(conn, expired=True)
                     for conn in list(self.busy) if conn.deadline <= now]
-        while self.backoff and self.backoff[0][0] <= now:
-            _due, position, unit = heapq.heappop(self.backoff)
-            heapq.heappush(self.ready, (position, unit))
         self._send()
         for unit, text in filter(None, arrived):
             self._segment(unit, text, False)
 
     def _send(self) -> None:
-        """Send ready misses, earliest unit first, while a connection is free
-        and the limiter grants."""
-        while self.ready and len(self.busy) < self.job.max_in_flight:
+        """Send the queue's misses in the order they may go, each once its
+        time has come, while a connection is free and the limiter grants."""
+        while self.queue and len(self.busy) < self.job.max_in_flight:
             now = time.monotonic()
-            if now < self.next_grant:
+            if now < max(self.queue[0][0], self.next_grant):
                 return
-            _position, unit = heapq.heappop(self.ready)
+            _when, _position, unit = heapq.heappop(self.queue)
+            self.unsent -= not unit.attempts
             # An earlier unit sending the same request may have cached it.
             text = self.log.get(unit.key)
             if text is not None:
@@ -424,7 +423,7 @@ class _Harvest:
                 wait = min(MAX_WAIT, math.ldexp(self.job.backoff_base, unit.attempts - 1))
             except OverflowError:
                 wait = MAX_WAIT
-            heapq.heappush(self.backoff, (time.monotonic() + wait, unit.position, unit))
+            heapq.heappush(self.queue, (time.monotonic() + wait, unit.position, unit))
 
     def _segment(self, unit: _Unit, text: str, hit: bool) -> None:
         self.tally.cache_hits += hit

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import select
+import selectors
 import socket
 import ssl
 import sys
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import CacheLogModel
 from stepladder import mockteacher
-from stepladder.chatclient import _proxy_for
+from stepladder.chatclient import ChatClient, Connection, _proxy_for
 from stepladder.cli import main
 from stepladder.corpus import Example, TeacherProfile, read_traces, write_corpus
 from stepladder.errors import HarvestError, SegmentationError
@@ -31,6 +32,7 @@ from stepladder.harvester import (
     HarvestResult,
     PromptTemplate,
     _cache_keys,
+    _Harvest,
     _ResponseLog,
     harvest,
     harvest_stream,
@@ -228,7 +230,8 @@ def test_truncated_log_refetches_only_the_torn_entry(tmp_path):
         teacher = profile(mock.base_url)
         first = harvest(examples, job_for(teacher, tmp_path))
         data = log.read_bytes()
-        cut = len(data.splitlines()[-1]) // 2
+        last = data.splitlines()[-1]
+        cut = len(last) // 2
         log.write_bytes(data[:-cut])
         result = harvest(examples, job_for(teacher, tmp_path))
         warm = harvest(examples, job_for(teacher, tmp_path))
@@ -239,7 +242,7 @@ def test_truncated_log_refetches_only_the_torn_entry(tmp_path):
     *_, torn, refetched = log.read_bytes().splitlines()
     with pytest.raises(ValueError):
         json.loads(torn)
-    assert json.loads(refetched)["text"] == first.traces[-1].raw_text
+    assert json.loads(refetched) == json.loads(last)
 
 
 def test_entry_whose_key_differs_from_its_index_is_a_miss(tmp_path):
@@ -443,6 +446,45 @@ def test_a_unit_in_backoff_does_not_hold_up_the_others(tmp_path):
     # comes before it.
     retries = [t for t in result.grant_times if t >= result.grant_times[0] + 0.5]
     assert retries == result.grant_times[-1:]
+
+
+def test_a_retry_goes_out_as_soon_as_its_backoff_ends(tmp_path, monkeypatch):
+    prompts = [f"[[depth=2]] question {i}" for i in range(2000)]
+    first = next(p for p in prompts if _fails_first_attempt(p))
+    others = [p for p in prompts if not _fails_first_attempt(p)][:40]
+    examples = [Example(id=f"e{i}", task="math", prompt=p)
+                for i, p in enumerate([first, *others])]
+    user = DEFAULT_TEMPLATE.render(first)[1]
+    asked = []  # whether each request, in order, is one for the first prompt
+    backoffs = []  # when the first prompt's backoff began
+    answer, retry = MockTeacher._answer, _Harvest._retry
+
+    def recorded(self, method, target, raw):
+        asked.append(json.loads(raw)["messages"][1]["content"] == user)
+        return answer(self, method, target, raw)
+
+    def timed(self, unit, reason):
+        backoffs.append(time.monotonic())
+        retry(self, unit, reason)
+
+    monkeypatch.setattr(MockTeacher, "_answer", recorded)
+    monkeypatch.setattr(_Harvest, "_retry", timed)
+    backoff = 0.05
+    with MockTeacher(failure_percent=1) as mock:
+        result = harvest(examples, job_for(profile(mock.base_url), tmp_path,
+                                           rate_limit=100, backoff_base=backoff,
+                                           max_in_flight=1))
+    assert result.failures == []
+    grants = result.grant_times
+    assert len(asked) == len(grants) == 42 and len(backoffs) == 1
+    # One connection carries the requests in the order they were granted.
+    sent = [i for i, mine in enumerate(asked) if mine]
+    assert sent[0] == 0 and len(sent) == 2
+    ends = backoffs[0] + backoff
+    due = next(i for i, t in enumerate(grants) if t >= ends)
+    assert grants[sent[1]] >= ends
+    # A new miss read before the backoff ended may go first, but no later one.
+    assert sent[1] <= due + 2
 
 
 def test_first_trace_streams_out_before_the_rest_are_requested(tmp_path):
@@ -1039,9 +1081,10 @@ def test_https_endpoint_reuses_its_connections(tmp_path, monkeypatch):
     assert 1 <= log.count("connect") <= 4
 
 
-@pytest.mark.parametrize("framing", ["chunked", "until-close"])
+@pytest.mark.parametrize("framing", ["chunked", "until-close", "0x-chunk-size"])
 def test_response_bodies_that_arrive_in_pieces(tmp_path, framing):
-    chunked = framing == "chunked"
+    chunked = framing != "until-close"
+    size = b"0x%x" if framing == "0x-chunk-size" else b"%x"
     connects = []
 
     class Handler(BaseHTTPRequestHandler):
@@ -1061,7 +1104,7 @@ def test_response_bodies_that_arrive_in_pieces(tmp_path, framing):
             self.end_headers()  # and no Content-Length
             for i in range(0, len(payload), 1000):
                 part = payload[i:i + 1000]
-                self.wfile.write(b"%x\r\n%s\r\n" % (len(part), part) if chunked else part)
+                self.wfile.write(size % len(part) + b"\r\n%s\r\n" % part if chunked else part)
                 time.sleep(0.001)
             if chunked:
                 self.wfile.write(b"0\r\n\r\n")
@@ -1080,10 +1123,91 @@ def test_response_bodies_that_arrive_in_pieces(tmp_path, framing):
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+    if framing == "0x-chunk-size":  # a prefix that int(size, 16) would take
+        assert result.traces == []
+        assert [f.reason for f in result.failures] == [
+            "network error: malformed response: bad length b'0x3e8' after 1 attempts"] * 6
+        return
     assert result.failures == []
     assert [t.k for t in result.traces] == [3] * 6
     # A chunked body leaves the connection open for the next request.
     assert len(connects) <= 2 if chunked else len(connects) == 6
+
+
+# ---------------------------------------------------------------------------
+# response framing, over a socket pair
+
+
+def framed(response, cuts, closes):
+    """[(status, body, reusable)] that a Connection reads from a socket pair
+    whose other end is written response in pieces split at cuts, and then
+    closed if closes; or the OSError that advance() raised."""
+    client = ChatClient(profile("http://127.0.0.1:9/v1"), "key", 5.0)
+    ours, theirs = socket.socketpair()
+    with ours, theirs, selectors.DefaultSelector() as selector:
+        conn = Connection(client, selector)
+        conn.sock = ours
+        conn.start(b"request")
+
+        def pump():
+            """Advance conn while it has an event, up to a whole response."""
+            while selector.select(0):
+                if (whole := conn.advance()) is not None:
+                    return [(*whole, conn.reusable)]
+            return []
+
+        edges = [0, *sorted(cuts), len(response)]
+        found = []
+        try:
+            for start, end in zip(edges, edges[1:]):
+                theirs.sendall(response[start:end])
+                found += pump()
+            if closes:
+                theirs.shutdown(socket.SHUT_WR)
+                found += pump()
+        except OSError as exc:
+            return exc
+        return found
+
+
+FRAMED = [  # (response, closed after it, (status, body, reusable))
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello", False, (200, b"hello", True)),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5;name=value\r\nhello\r\n"
+     b"6\r\n world\r\n0\r\nX-Trailer: t\r\n\r\n", False, (200, b"hello world", True)),
+    (b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", False,
+     (200, b"ok", True)),
+    (b"HTTP/1.1 204 No Content\r\n\r\n", False, (204, b"", True)),
+    (b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok", False,
+     (200, b"ok", False)),
+    (b"HTTP/1.0 200 OK\r\n\r\nthe rest", True, (200, b"the rest", False)),
+]
+
+MALFORMED = [  # (response, closed after it)
+    (b"HTTP/1.1 2x0 OK\r\nContent-Length: 0\r\n\r\n", False),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", False),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0x5\r\nhello\r\n0\r\n\r\n",
+     False),
+    (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70000, False),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nhello", True),
+]
+
+
+@pytest.mark.parametrize("response, closes, want", FRAMED, ids=[
+    "content-length", "chunked", "interim", "204", "close", "until-close"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_a_response_reads_the_same_however_it_is_cut(response, closes, want, data):
+    cuts = data.draw(st.lists(st.integers(0, len(response)), max_size=8))
+    assert framed(response, cuts, closes) == [want]
+
+
+@pytest.mark.parametrize("response, closes", MALFORMED, ids=[
+    "status-line", "chunk-size", "0x-chunk-size", "head-too-long", "close-mid-body"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_a_malformed_response_ends_as_an_oserror(response, closes, data):
+    cuts = data.draw(st.lists(st.integers(0, len(response)), max_size=8))
+    assert isinstance(framed(response, cuts, closes), OSError)
 
 
 def test_host_name_lookups_end_as_network_errors(tmp_path, monkeypatch):
