@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from typing import Iterable, Mapping, Optional
 
-from .corpus import (NUMBER, DoTScore, Frozen, Record, one_score_per_example, read_jsonl,
+from .corpus import (NUMBER, DoTScore, Frozen, Record, one_score_per_example, read_headed,
                      write_atomic)
 from .errors import CorpusError, ParameterError
 
@@ -266,44 +266,21 @@ def write_buckets(result: BucketizeResult, path) -> None:
 
 
 def read_buckets(path) -> BucketizeResult:
-    """Decode a buckets file and check it against its own spec header.
-
-    Bucket lines must carry indices 1, 2, ... with one line per spec edge
-    and that edge's lo and hi.  An example id may appear at most once
-    across every bucket's members and the overflow.
-    """
-    records = {"spec": SPEC, "bucket": BUCKET, "overflow": OVERFLOW}
-    spec = spec_where = None
-    buckets: list[tuple[str, Bucket]] = []
-    overflow: list[OverflowRecord] = []
-    seen: dict[str, str] = {}
-    for where, value in read_jsonl(path, records):
-        if isinstance(value, BucketSpec):
-            if spec is not None:
-                raise CorpusError(f"{where}: duplicate spec header")
-            spec, spec_where = value, where
-            continue
-        if isinstance(value, Bucket):
-            buckets.append((where, value))
-            key, ids = "members", value.member_ids
-        else:
-            overflow.append(value)
-            key, ids = "id", (value.example_id,)
-        for example_id in ids:
-            if example_id in seen:
-                raise CorpusError(f"{where}: {key!r}: example {example_id!r} "
-                                  f"already appears at {seen[example_id]}")
-            seen[example_id] = where
-    if spec is None:
-        raise CorpusError(f"{path}: buckets file has no spec header")
-    for i, ((where, bucket), (lo, hi)) in enumerate(zip(buckets, spec.edges), start=1):
-        for key, want, got in (("index", i, bucket.index), ("lo", lo, bucket.lo),
-                               ("hi", hi, bucket.hi)):
-            if got != want:
-                raise CorpusError(f"{where}: {key!r}: expected {json.dumps(want)} "
-                                  f"for bucket line {i}, got {json.dumps(got)}")
-    if len(buckets) != len(spec.edges):
-        raise CorpusError(f"{spec_where}: 'edges': {len(spec.edges)} edges but "
-                          f"{len(buckets)} bucket line(s)")
-    return BucketizeResult(spec=spec, buckets=tuple(b for _where, b in buckets),
-                           overflow=tuple(overflow))
+    """Decode a buckets file and check it against its own spec header by
+    read_headed's rules: one bucket line per spec edge, with that edge's
+    lo and hi, and an example id on one line only, among every bucket's
+    members and the overflow."""
+    spec, lines = read_headed(
+        path, "buckets file", {"spec": SPEC, "bucket": BUCKET, "overflow": OVERFLOW},
+        lambda spec: ("edges", len(spec.edges)),
+        lambda _spec, tag, value: ("members", value.member_ids) if tag == "bucket" else
+        ("id", (value.example_id,)))
+    for where, tag, value in lines:
+        if tag == "bucket":
+            lo, hi = spec.edges[value.index - 1]
+            for key, want, got in (("lo", lo, value.lo), ("hi", hi, value.hi)):
+                if got != want:
+                    raise CorpusError(f"{where}: {key!r}: expected {json.dumps(want)} "
+                                      f"for bucket line {value.index}, got {json.dumps(got)}")
+    return BucketizeResult(spec, *(tuple(value for _where, tag, value in lines if tag == kind)
+                                   for kind in ("bucket", "overflow")))

@@ -497,21 +497,68 @@ def read_jsonl(path, records) -> Iterator[tuple[str, object]]:
     """Decode a JSONL file line by line, yielding ("<path>:<line>", value).
 
     records is one Record, or for a tagged file a dict from each "record"
-    tag to its Record.
+    tag to its Record; a tagged file's value is (tag, decoded record).
     """
     path = Path(path)
+    tagged = isinstance(records, dict)
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             where = f"{path}:{lineno}"
             obj = _parse(where, raw)
             record = records
-            if isinstance(records, dict):
+            if tagged:
                 tag = obj.get("record") if type(obj) is dict else None
                 record = records.get(tag) if type(tag) is str else None
                 if record is None:
                     raise CorpusError(f"{where}: 'record': expected one of "
                                       f"{', '.join(map(repr, records))}, got {tag!r}")
-            yield where, _build(where, record, obj, raw)
+            value = _build(where, record, obj, raw)
+            yield where, (tag, value) if tagged else value
+
+
+def read_headed(path, what: str, records: dict, count: Callable, ids: Callable) -> tuple:
+    """Decode a tagged JSONL file of one header line and numbered lines,
+    and check the rules every such file keeps.
+
+    records maps the header's tag, then the numbered lines' tag, then any
+    other line's tag to its Record.  The file holds exactly one header
+    (what names the file when it has none).  The numbered lines carry
+    "index" 1, 2, ... in file order, as many as count(header) says, a
+    (field, number) pair naming the header field that says it.
+    ids(header, tag, value) is a line's field and the example ids in it
+    that must not appear on any other line.  Returns the header and the
+    other lines as (where, tag, value), in file order.
+    """
+    head, numbered = list(records)[:2]
+    header = header_where = None
+    lines, n = [], 0
+    for where, (tag, value) in read_jsonl(path, records):
+        if tag == head:
+            if header is not None:
+                raise CorpusError(f"{where}: duplicate {head} header")
+            header, header_where = value, where
+            continue
+        if tag == numbered:
+            n += 1
+            if value.index != n:
+                raise CorpusError(f"{where}: 'index': expected {n} for {tag} line {n}, "
+                                  f"got {value.index}")
+        lines.append((where, tag, value))
+    if header is None:
+        raise CorpusError(f"{path}: {what} has no {head} header")
+    field, want = count(header)
+    if n != want:
+        raise CorpusError(f"{header_where}: {field!r}: {want} {field} but {n} {numbered} "
+                          f"line(s)")
+    seen: dict[str, str] = {}
+    for where, tag, value in lines:
+        field, line_ids = ids(header, tag, value)
+        for example_id in line_ids:
+            if example_id in seen:
+                raise CorpusError(f"{where}: {field!r}: example {example_id!r} "
+                                  f"already appears at {seen[example_id]}")
+            seen[example_id] = where
+    return header, lines
 
 
 def read_json(path, record: Record):
@@ -807,40 +854,15 @@ def write_manifest(manifest: CurriculumManifest, path) -> None:
 
 
 def read_manifest(path) -> CurriculumManifest:
-    """Decode a manifest file and check it against its own plan header.
-
-    Phase lines must carry indices 1, 2, ... in order, one per phase of
-    the plan.  Without replacement an example id may appear at most once
-    across every phase.
-    """
-    header = header_where = None
-    phases: list[tuple[str, Phase]] = []
-    for where, value in read_jsonl(path, {"plan": PLAN, "phase": PHASE}):
-        if isinstance(value, Phase):
-            phases.append((where, value))
-            if value.index != len(phases):
-                raise CorpusError(f"{where}: 'index': expected {len(phases)} for phase "
-                                  f"line {len(phases)}, got {value.index}")
-        elif header is not None:
-            raise CorpusError(f"{where}: duplicate plan header")
-        else:
-            header, header_where = value, where
-    if header is None:
-        raise CorpusError(f"{path}: manifest has no plan header")
-    plan, provenance = header
-    if len(phases) != plan.phases:
-        raise CorpusError(f"{header_where}: 'phases': {plan.phases} phases but "
-                          f"{len(phases)} phase line(s)")
-    if not plan.with_replacement:
-        seen: dict[str, str] = {}
-        for where, phase in phases:
-            for example_id in phase.example_ids:
-                if example_id in seen:
-                    raise CorpusError(f"{where}: 'example_ids': example {example_id!r} "
-                                      f"already appears at {seen[example_id]}")
-                seen[example_id] = where
+    """Decode a manifest file and check it against its own plan header by
+    read_headed's rules: one phase line per phase of the plan, and without
+    replacement, an example id on one phase line only."""
+    (plan, provenance), lines = read_headed(
+        path, "manifest", {"plan": PLAN, "phase": PHASE},
+        lambda header: ("phases", header[0].phases),
+        lambda header, _tag, phase: ("example_ids",
+                                     () if header[0].with_replacement else phase.example_ids))
     try:
-        return CurriculumManifest(plan=plan, phases=tuple(phase for _where, phase in phases),
-                                  provenance=provenance)
+        return CurriculumManifest(plan, [phase for _where, _tag, phase in lines], provenance)
     except CorpusError as exc:
         raise CorpusError(f"{path}: {exc}") from exc
