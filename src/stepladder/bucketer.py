@@ -269,18 +269,30 @@ def read_buckets(path) -> BucketizeResult:
     """Decode a buckets file and check it against its own spec header by
     read_headed's rules: one bucket line per spec edge, with that edge's
     lo and hi, and an example id on one line only, among every bucket's
-    members and the overflow."""
+    members and the overflow.  Each member's k lies in its bucket's
+    range, and each overflow line names a bucket whose range holds its k.
+    """
     spec, lines = read_headed(
         path, "buckets file", {"spec": SPEC, "bucket": BUCKET, "overflow": OVERFLOW},
         lambda spec: ("edges", len(spec.edges)),
         lambda _spec, tag, value: ("members", value.member_ids) if tag == "bucket" else
         ("id", (value.example_id,)))
+    edges = spec.edges
     for where, tag, value in lines:
         if tag == "bucket":
-            lo, hi = spec.edges[value.index - 1]
-            for key, want, got in (("lo", lo, value.lo), ("hi", hi, value.hi)):
+            index, field, members = value.index, "members", zip(value.member_ids, value.member_ks)
+            for key, want, got in zip(("lo", "hi"), edges[index - 1], (value.lo, value.hi)):
                 if got != want:
                     raise CorpusError(f"{where}: {key!r}: expected {json.dumps(want)} "
-                                      f"for bucket line {value.index}, got {json.dumps(got)}")
+                                      f"for bucket line {index}, got {json.dumps(got)}")
+        else:
+            index, field, members = value.bucket_index, "k", ((value.example_id, value.k),)
+            if not 1 <= index <= len(edges):
+                raise CorpusError(f"{where}: 'bucket': expected 1..{len(edges)}, got {index}")
+        lo, hi = edges[index - 1]
+        for example_id, k in members:
+            if k < lo or hi is not None and k > hi:
+                raise CorpusError(f"{where}: {field!r}: example {example_id!r} has k {k}, outside "
+                                  f"bucket {index}'s range {lo}{'+' if hi is None else f'-{hi}'}")
     return BucketizeResult(spec, *(tuple(value for _where, tag, value in lines if tag == kind)
                                    for kind in ("bucket", "overflow")))

@@ -271,6 +271,15 @@ def _edit_buckets_file(path, case):
     elif case == "member-twice":
         lines[3]["members"].append({"id": first_member, "k": 9})
         line, field = 4, "members"
+    elif case.startswith("member-k"):  # k 9 or -4 in bucket 1-3, k 2 in bucket 7+
+        bucket, k = {"member-k-above": (1, 9), "member-k-below": (1, -4),
+                     "member-k-open": (3, 2)}[case]
+        lines[bucket]["members"][0]["k"] = k
+        line, field = bucket + 1, "members"
+    elif case in ("overflow-bucket", "overflow-k"):  # the first overflow line's bucket or k
+        key, value = {"overflow-bucket": ("bucket", 99), "overflow-k": ("k", -3)}[case]
+        lines[4][key] = value
+        line, field = 5, key
     else:  # an overflow id that is also a member
         lines.append({"record": "overflow", "bucket": 1, "id": first_member,
                       "task": "math", "k": 1})
@@ -280,7 +289,8 @@ def _edit_buckets_file(path, case):
 
 
 BUCKETS_FILE_FAULTS = ["index-gap", "missing-bucket", "extra-bucket", "lo", "hi",
-                       "member-twice", "overflow-is-member"]
+                       "member-twice", "overflow-is-member", "member-k-above", "member-k-below",
+                       "member-k-open", "overflow-bucket", "overflow-k"]
 
 
 def three_buckets(path):
