@@ -287,18 +287,27 @@ class CurriculumManifest(Frozen):
         if not phases:
             raise CorpusError("manifest must contain at least one phase")
         for phase in phases:
-            if len(phase.example_ids) > plan.budget_per_phase:
-                raise CorpusError(
-                    f"phase {phase.index}: {len(phase.example_ids)} ids exceed "
-                    f"budget {plan.budget_per_phase}"
-                )
-            for b in phase.bucket_counts:
-                if not (1 <= b <= phase.index):
-                    raise CorpusError(
-                        f"phase {phase.index} draws from bucket {b}, "
-                        f"outside buckets 1..{phase.index}"
-                    )
+            if fault := _phase_fault(phase, plan.budget_per_phase):
+                raise CorpusError(f"phase {phase.index}: {fault[1]}")
         self._set_fields(plan, phases, {} if provenance is None else provenance)
+
+
+def _phase_fault(phase: Phase, budget: int) -> Optional[tuple[str, str]]:
+    """The phase rules: a phase holds at most budget ids, and its
+    bucket_counts, unless empty, name only buckets 1..index, each with a
+    count of at least 1, and add up to its ids.  Returns the field of the
+    first rule phase breaks and how it breaks it, or None."""
+    ids, counts = len(phase.example_ids), phase.bucket_counts
+    if ids > budget:
+        return "example_ids", f"{ids} ids exceed budget {budget}"
+    for b, n in counts.items():
+        if not 1 <= b <= phase.index:
+            return "bucket_counts", f"draws from bucket {b}, outside buckets 1..{phase.index}"
+        if n < 1:
+            return "bucket_counts", f"bucket {b} has count {n}, below 1"
+    if counts and (total := sum(counts.values())) != ids:
+        return "bucket_counts", f"counts add up to {total}, not to the phase's {ids} ids"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -856,13 +865,14 @@ def write_manifest(manifest: CurriculumManifest, path) -> None:
 def read_manifest(path) -> CurriculumManifest:
     """Decode a manifest file and check it against its own plan header by
     read_headed's rules: one phase line per phase of the plan, and without
-    replacement, an example id on one phase line only."""
+    replacement, an example id on one phase line only.  Each phase line
+    keeps the phase rules of a CurriculumManifest."""
     (plan, provenance), lines = read_headed(
         path, "manifest", {"plan": PLAN, "phase": PHASE},
         lambda header: ("phases", header[0].phases),
         lambda header, _tag, phase: ("example_ids",
                                      () if header[0].with_replacement else phase.example_ids))
-    try:
-        return CurriculumManifest(plan, [phase for _where, _tag, phase in lines], provenance)
-    except CorpusError as exc:
-        raise CorpusError(f"{path}: {exc}") from exc
+    for where, _tag, phase in lines:
+        if fault := _phase_fault(phase, plan.budget_per_phase):
+            raise CorpusError(f"{where}: {fault[0]!r}: {fault[1]}")
+    return CurriculumManifest(plan, [phase for _where, _tag, phase in lines], provenance)

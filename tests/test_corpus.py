@@ -283,9 +283,9 @@ def _plan_line(phases, with_replacement=False):
                        "budget_per_phase": 2, "seed": 0, "with_replacement": with_replacement})
 
 
-def _phase_line(index, *ids):
+def _phase_line(index, *ids, counts=None):
     return json.dumps({"record": "phase", "index": index, "example_ids": ids,
-                       "bucket_counts": {str(index): len(ids)}})
+                       "bucket_counts": {str(index): len(ids)} if counts is None else counts})
 
 
 @pytest.mark.parametrize("lines, error", [
@@ -302,6 +302,18 @@ def _phase_line(index, *ids):
      "3: 'example_ids': example 'b' already appears at {path}:2"),
     ([_plan_line(1), _phase_line(1, "a", "a")],
      "2: 'example_ids': example 'a' already appears at {path}:2"),
+    # The phase rules: a budget of 2, buckets 1..index, counts of at least
+    # 1 that add up to the phase's ids.
+    ([_plan_line(2), _phase_line(1, "a"), _phase_line(2, "b", "c", "d")],
+     "3: 'example_ids': 3 ids exceed budget 2"),
+    ([_plan_line(1), _phase_line(1, "a", counts={"2": 1})],
+     "2: 'bucket_counts': draws from bucket 2, outside buckets 1..1"),
+    ([_plan_line(1), _phase_line(1, "a", counts={"1": -7})],
+     "2: 'bucket_counts': bucket 1 has count -7, below 1"),
+    ([_plan_line(2), _phase_line(1, "a"), _phase_line(2, "b", "c", counts={"1": 0, "2": 50})],
+     "3: 'bucket_counts': bucket 1 has count 0, below 1"),
+    ([_plan_line(2), _phase_line(1, "a"), _phase_line(2, "b", "c", counts={"1": 1, "2": 50})],
+     "3: 'bucket_counts': counts add up to 51, not to the phase's 2 ids"),
 ])
 def test_read_manifest_checks_phase_lines_against_the_plan(tmp_path, lines, error):
     path = tmp_path / "m.jsonl"
