@@ -183,7 +183,9 @@ def _read_config(path: Path) -> dict:
 
 
 def _check_and_rebase(args) -> None:
-    """Check the required settings; rebase input and output paths on --workdir."""
+    """Check the required settings; rebase input and output paths on
+    --workdir, and refuse two outputs that name one file."""
+    outputs: dict = {}  # the flag of each output file, by its resolved path
     for opt in COMMANDS[args.subcommand][2]:
         if getattr(args, opt.key) is None:
             if opt.required:
@@ -191,6 +193,9 @@ def _check_and_rebase(args) -> None:
         elif opt.kind != KNOB:
             paths = [Path(args.workdir, p) for p in _given(args, opt)]
             setattr(args, opt.key, paths if opt.type is list else paths[0])
+            for path in paths if opt.kind == OUTPUT else ():
+                if (flag := outputs.setdefault(path.resolve(), opt.flag)) != opt.flag:
+                    raise ParameterError(f"{flag} and {opt.flag} name one file: {path}")
 
 
 def _write_json(path: Path, obj: dict) -> None:

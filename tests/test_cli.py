@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepladder
-from stepladder.cli import COMMANDS, KNOB, main
+from stepladder.cli import COMMANDS, INPUT, KNOB, OUTPUT, main
 from stepladder.corpus import (
     file_sha256,
     read_corpus,
@@ -292,6 +292,38 @@ def test_second_output_that_cannot_be_written_leaves_the_first(demo, tmp_path, c
     assert out.read_bytes() == b"previous bytes\n"
     assert sorted(p.name for p in case.iterdir()) == ["out.jsonl", "second"]
     assert list(second.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [name for name, (_help, _run, options) in COMMANDS.items()
+                                     if sum(opt.kind == OUTPUT for opt in options) > 1])
+def test_two_outputs_that_name_one_file_are_refused(tmp_path, capsys, command):
+    # One output would hold the other's bytes, under a sidecar that names
+    # the wrong command output.  Nothing is read or written: the inputs need
+    # not exist.  The second output reaches the file through its absolute
+    # path, the first through --workdir.
+    options = COMMANDS[command][2]
+    target = tmp_path / "out.jsonl"
+    target.write_bytes(b"previous bytes\n")
+    argv = [*command.split(), "--workdir", str(tmp_path)]
+    for opt in options:
+        if opt.required and opt.kind == INPUT:
+            argv += [opt.flag, "missing.jsonl"]
+        elif opt.required and opt.kind == KNOB:
+            argv += [opt.flag, opt.type[0] if type(opt.type) is tuple else "1"]
+    first, second = [opt.flag for opt in options if opt.kind == OUTPUT][:2]
+    capsys.readouterr()
+    assert main([*argv, first, "out.jsonl", second, str(target)]) == 1
+    assert capsys.readouterr().err == f"error: {first} and {second} name one file: {target}\n"
+    assert target.read_bytes() == b"previous bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+def test_an_output_may_name_an_input(demo, tmp_path, capsys):
+    completions = tmp_path / "c.jsonl"
+    shutil.copy(demo / "completions.jsonl", completions)
+    lines = completions.read_bytes().count(b"\n")
+    assert main(["segment", "--completions", str(completions), "--out", str(completions)]) == 0
+    assert len(read_traces(completions)) == lines  # each completion, now a trace
 
 
 def test_config_file_equals_flags(demo, tmp_path, capsys):
