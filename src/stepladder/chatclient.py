@@ -36,6 +36,10 @@ if TYPE_CHECKING:
 # Characters that would end the request line or a header early.
 _UNSAFE = re.compile(r"[\x00-\x1f\x7f]")
 
+# The most bytes a response body may hold, far above any completion.  A
+# longer declared length, or a body that grows past it, fails the request.
+MAX_BODY = 64 << 20
+
 
 def _proxy_for(scheme: str, host: str,
                port: int) -> Optional[tuple[str, int, dict[str, str]]]:
@@ -240,11 +244,13 @@ class Connection:
         elif "chunked" in headers.get("transfer-encoding", "").lower():
             body = bytearray()
             while size := _number((yield from self._line()).split(b";")[0], 16):
+                _bounded(len(body) + size)
                 body += (yield from self._take(size + 2))[:-2]
             while (yield from self._line()):  # trailers, up to an empty line
                 pass
         elif "content-length" in headers:
-            body = yield from self._take(_number(headers["content-length"].encode(), 10))
+            body = yield from self._take(
+                _bounded(_number(headers["content-length"].encode(), 10)))
         else:  # the body ends where the connection does
             keep = False
             while (yield from self._fill(until_close=True)):
@@ -344,7 +350,10 @@ class Connection:
 
     def _fill(self, until_close: bool = False):
         """Wait for more data.  Once the server has closed, return False
-        if the response ends there, else raise."""
+        if the response ends there, else raise.  What has arrived of a
+        response that ends there is a body, bounded by MAX_BODY."""
+        if until_close:
+            _bounded(len(self._buffer))
         while True:
             if (yield selectors.EVENT_READ):
                 raise TimeoutError("timed out")
@@ -366,6 +375,13 @@ class Connection:
         except OSError as exc:  # a reset is no better than a close
             return isinstance(exc, self.client.nothing_yet)
         return False
+
+
+def _bounded(size: int) -> int:
+    """size, if a body may hold that many bytes; else ConnectionError."""
+    if size > MAX_BODY:
+        raise ConnectionError(f"response body over {MAX_BODY} bytes")
+    return size
 
 
 def _number(text: bytes, base: int) -> int:

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CacheLogModel
-from stepladder import mockteacher
+from stepladder import chatclient, mockteacher
 from stepladder.chatclient import ChatClient, Connection, _proxy_for
 from stepladder.cli import main
 from stepladder.corpus import Example, TeacherProfile, read_traces, write_corpus
@@ -1189,6 +1189,10 @@ MALFORMED = [  # (response, closed after it)
      False),
     (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70000, False),
     (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nhello", True),
+    # Sizes far past the body bound (1 TiB), with no body and the
+    # connection left open.
+    (b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (1 << 40), False),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n" % (1 << 40), False),
 ]
 
 
@@ -1202,12 +1206,23 @@ def test_a_response_reads_the_same_however_it_is_cut(response, closes, want, dat
 
 
 @pytest.mark.parametrize("response, closes", MALFORMED, ids=[
-    "status-line", "chunk-size", "0x-chunk-size", "head-too-long", "close-mid-body"])
+    "status-line", "chunk-size", "0x-chunk-size", "head-too-long", "close-mid-body",
+    "content-length-past-bound", "chunk-size-past-bound"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_a_malformed_response_ends_as_an_oserror(response, closes, data):
     cuts = data.draw(st.lists(st.integers(0, len(response)), max_size=8))
     assert isinstance(framed(response, cuts, closes), OSError)
+
+
+def test_a_body_that_ends_at_close_is_bounded(monkeypatch):
+    monkeypatch.setattr(chatclient, "MAX_BODY", 8)
+    head = b"HTTP/1.0 200 OK\r\n\r\n"
+    assert framed(head + b"12345678", [], True) == [(200, b"12345678", False)]
+    assert isinstance(framed(head + b"123456789", [], True), OSError)
+    # Chunks that each fit, but not together.
+    chunked = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n"
+    assert isinstance(framed(chunked + b"4\r\n", [], False), OSError)
 
 
 def test_host_name_lookups_end_as_network_errors(tmp_path, monkeypatch):
