@@ -278,14 +278,17 @@ def read_buckets(path) -> BucketizeResult:
         lambda _spec, tag, value: ("members", value.member_ids) if tag == "bucket" else
         ("id", (value.example_id,)))
     edges = spec.edges
+    buckets, overflow = [], []
     for where, tag, value in lines:
         if tag == "bucket":
+            buckets.append(value)
             index, field, members = value.index, "members", zip(value.member_ids, value.member_ks)
             for key, want, got in zip(("lo", "hi"), edges[index - 1], (value.lo, value.hi)):
                 if got != want:
                     raise CorpusError(f"{where}: {key!r}: expected {json.dumps(want)} "
                                       f"for bucket line {index}, got {json.dumps(got)}")
         else:
+            overflow.append(value)
             index, field, members = value.bucket_index, "k", ((value.example_id, value.k),)
             if not 1 <= index <= len(edges):
                 raise CorpusError(f"{where}: 'bucket': expected 1..{len(edges)}, got {index}")
@@ -294,5 +297,4 @@ def read_buckets(path) -> BucketizeResult:
             if k < lo or hi is not None and k > hi:
                 raise CorpusError(f"{where}: {field!r}: example {example_id!r} has k {k}, outside "
                                   f"bucket {index}'s range {lo}{'+' if hi is None else f'-{hi}'}")
-    return BucketizeResult(spec, *(tuple(value for _where, tag, value in lines if tag == kind)
-                                   for kind in ("bucket", "overflow")))
+    return BucketizeResult(spec, tuple(buckets), tuple(overflow))

@@ -193,9 +193,10 @@ def _check_and_rebase(args) -> None:
         elif opt.kind != KNOB:
             paths = [Path(args.workdir, p) for p in _given(args, opt)]
             setattr(args, opt.key, paths if opt.type is list else paths[0])
-            for path in paths if opt.kind == OUTPUT else ():
-                if (flag := outputs.setdefault(path.resolve(), opt.flag)) != opt.flag:
-                    raise ParameterError(f"{flag} and {opt.flag} name one file: {path}")
+            if opt.kind == OUTPUT:
+                for path in paths:
+                    if (flag := outputs.setdefault(path.resolve(), opt.flag)) != opt.flag:
+                        raise ParameterError(f"{flag} and {opt.flag} name one file: {path}")
 
 
 def _write_json(path: Path, obj: dict) -> None:
