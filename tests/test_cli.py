@@ -297,10 +297,11 @@ def test_second_output_that_cannot_be_written_leaves_the_first(demo, tmp_path, c
 @pytest.mark.parametrize("command", [name for name, (_help, _run, options) in COMMANDS.items()
                                      if sum(opt.kind == OUTPUT for opt in options) > 1])
 def test_two_outputs_that_name_one_file_are_refused(tmp_path, capsys, command):
-    # One output would hold the other's bytes, under a sidecar that names
-    # the wrong command output.  Nothing is read or written: the inputs need
-    # not exist.  The second output reaches the file through its absolute
-    # path, the first through --workdir.
+    # The second output written would replace the first, and the first's
+    # sidecar would then describe bytes it never wrote.  The refusal comes
+    # before any input is read, so the inputs need not exist.  The first
+    # output reaches the file through --workdir, the second by its
+    # absolute path.
     options = COMMANDS[command][2]
     target = tmp_path / "out.jsonl"
     target.write_bytes(b"previous bytes\n")

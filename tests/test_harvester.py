@@ -1215,8 +1215,9 @@ def test_a_malformed_response_ends_as_an_oserror(response, closes, data):
     assert isinstance(framed(response, cuts, closes), OSError)
 
 
-def test_a_body_that_ends_at_close_is_bounded(monkeypatch):
+def test_a_body_that_grows_past_the_bound_ends_as_an_oserror(monkeypatch):
     monkeypatch.setattr(chatclient, "MAX_BODY", 8)
+    # A body that ends where the connection does.
     head = b"HTTP/1.0 200 OK\r\n\r\n"
     assert framed(head + b"12345678", [], True) == [(200, b"12345678", False)]
     assert isinstance(framed(head + b"123456789", [], True), OSError)
