@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .corpus import DoTScore, Frozen, one_score_per_example
@@ -21,17 +21,15 @@ from .errors import AnalysisError
 
 def _ranks(values: Sequence[float]) -> list[float]:
     """1-based ranks, ties sharing the average of their rank span."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
+    order = sorted(range(len(values)), key=values.__getitem__)
     ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2 + 1
-        for pos in range(i, j + 1):
-            ranks[order[pos]] = avg
-        i = j + 1
+    done = 0  # values ranked so far
+    for _value, tied in groupby(order, key=values.__getitem__):
+        tied = list(tied)
+        rank = done + (len(tied) + 1) / 2
+        for i in tied:
+            ranks[i] = rank
+        done += len(tied)
     return ranks
 
 
@@ -60,27 +58,23 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     return _pearson(_ranks(xs), _ranks(ys))
 
 
-def _count_inversions(seq: list) -> int:
-    """Strict inversions via mergesort; equal elements are not inverted."""
-    if len(seq) < 2:
-        return 0
-    mid = len(seq) // 2
-    left, right = seq[:mid], seq[mid:]
-    inv = _count_inversions(left) + _count_inversions(right)
-    merged = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            inv += len(left) - i
-            merged.append(right[j])
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    seq[:] = merged
-    return inv
+def _count_inversions(seq: Sequence) -> int:
+    """Strict inversions, pairs i < j with seq[i] > seq[j]: a Fenwick tree
+    over the values' ranks counts the earlier values at or below each."""
+    rank = {value: r for r, value in enumerate(dict.fromkeys(sorted(seq)), start=1)}
+    tree = [0] * (len(rank) + 1)
+    inversions = 0
+    for seen, value in enumerate(seq):
+        inversions += seen
+        r = rank[value]
+        while r:
+            inversions -= tree[r]
+            r &= r - 1
+        r = rank[value]
+        while r < len(tree):
+            tree[r] += 1
+            r += r & -r
+    return inversions
 
 
 def _tie_pairs(values: Sequence) -> int:

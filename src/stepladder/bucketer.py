@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from collections import Counter
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 from .corpus import (NUMBER, DoTScore, Frozen, Record, one_score_per_example, read_headed,
@@ -57,13 +59,11 @@ class BucketSpec(Frozen):
         self._set_fields(edges, max_task_share)
 
     def bucket_for_k(self, k: int) -> int:
-        """1-based bucket index for a step count."""
+        """1-based bucket index for a step count: the edges start at 1 and
+        are contiguous, so it is the number of edges whose lo is at most k."""
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k}")
-        for i, (lo, hi) in enumerate(self.edges, start=1):
-            if lo <= k and (hi is None or k <= hi):
-                return i
-        raise ParameterError(f"no bucket covers k = {k}")  # unreachable by invariant
+        return bisect_right(self.edges, k, key=itemgetter(0))
 
 
 class Bucket(Frozen):

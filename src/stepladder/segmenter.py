@@ -147,35 +147,23 @@ def _merge_micro_steps(texts: list[str], min_chars: int) -> tuple[list[str], boo
     run merges forward into the first real step.  Returns the merged
     texts and whether any merge happened.
 
-    A merge makes the step (step + "\n" + text).strip(); a merged step is
-    kept as a list of pieces and joined once, so the cost is linear in
-    the text length.
+    texts are stripped, so a merge that makes the step (step + "\n" +
+    text).strip() joins the step's nonempty texts with "\n"; each step is
+    kept as that list and joined once, so the cost is linear in the text
+    length.
     """
-    if min(map(len, map(str.strip, texts)), default=min_chars) >= min_chars:
+    if min(map(len, texts), default=min_chars) >= min_chars:
         return texts, False
-    steps: list = []  # each a text, or once merged into, its text's pieces
-    core = 0  # len(steps[-1] joined and stripped)
+    steps: list[list[str]] = []  # each step's nonempty texts
+    size = 0  # len("\n".join(steps[-1]))
     for text in texts:
-        stripped = text.strip()
-        if not steps or (len(stripped) >= min_chars and core >= min_chars):
-            steps.append(text)
-            core = len(stripped)
-            continue
-        last = steps[-1]
-        if type(last) is str:
-            # Strip the text now as its first merge would; its trailing
-            # whitespace stays only if text has content to follow it.
-            first = last.lstrip() if stripped else last.strip()
-            last = steps[-1] = [first] if first else []
-            core = len(first)
-        if stripped and last:
-            last += ("\n", text.rstrip())
-            core += 1 + len(last[-1])
-        elif stripped:
-            last.append(stripped)
-            core = len(stripped)
-    out = [step if type(step) is str else "".join(step) for step in steps]
-    return out, len(out) < len(texts)
+        if not steps or (len(text) >= min_chars and size >= min_chars):
+            steps.append([])
+            size = 0
+        if text:
+            size += bool(steps[-1]) + len(text)  # and the "\n" before it
+            steps[-1].append(text)
+    return ["\n".join(step) for step in steps], len(steps) < len(texts)
 
 
 def segment(raw_text: str, rules: SegmentationRules = DEFAULT_RULES):

@@ -99,9 +99,10 @@ def test_step_indices_are_canonical_even_for_gapped_markers():
     assert trace.confidence == "low"
 
 
-# Parts built from a few letters and whitespace of several kinds, so
-# empty, whitespace-only and short parts are common.
-_PARTS = st.lists(st.text(alphabet="ab \t\n\u3000", max_size=6), max_size=12)
+# Parts built from a few letters and whitespace of several kinds, then
+# stripped as both callers strip them, so empty and short parts, and
+# inner whitespace, are common.
+_PARTS = st.lists(st.text(alphabet="ab \t\n\u3000", max_size=6).map(str.strip), max_size=12)
 
 
 @settings(max_examples=400, deadline=None)
