@@ -269,8 +269,10 @@ def read_buckets(path) -> BucketizeResult:
     """Decode a buckets file and check it against its own spec header by
     read_headed's rules: one bucket line per spec edge, with that edge's
     lo and hi, and an example id on one line only, among every bucket's
-    members and the overflow.  Each member's k lies in its bucket's
-    range, and each overflow line names a bucket whose range holds its k.
+    members and the overflow.  A bucket's task_histogram, unless empty,
+    has counts of at least 1 that add up to its members.  Each member's k
+    lies in its bucket's range, and each overflow line names a bucket
+    whose range holds its k.
     """
     spec, lines = read_headed(
         path, "buckets file", {"spec": SPEC, "bucket": BUCKET, "overflow": OVERFLOW},
@@ -287,6 +289,14 @@ def read_buckets(path) -> BucketizeResult:
                 if got != want:
                     raise CorpusError(f"{where}: {key!r}: expected {json.dumps(want)} "
                                       f"for bucket line {index}, got {json.dumps(got)}")
+            histogram = value.task_histogram
+            for task, n in histogram.items():
+                if n < 1:
+                    raise CorpusError(f"{where}: 'task_histogram': task {task!r} has count {n}, "
+                                      "below 1")
+            if histogram and (total := sum(histogram.values())) != value.size:
+                raise CorpusError(f"{where}: 'task_histogram': counts add up to {total}, not to "
+                                  f"the bucket's {value.size} members")
         else:
             overflow.append(value)
             index, field, members = value.bucket_index, "k", ((value.example_id, value.k),)

@@ -146,8 +146,7 @@ def _config_value(opt: Option, text: str):
     if type(opt.type) is tuple:
         if text not in opt.type:
             raise argparse.ArgumentTypeError(
-                f"{opt.key}: invalid choice {text!r} (choose from "
-                f"{', '.join(map(repr, opt.type))})")
+                f"invalid choice {text!r} (choose from {', '.join(map(repr, opt.type))})")
         return text
     return opt.type(text)
 
@@ -178,14 +177,15 @@ def _read_config(path: Path) -> dict:
         try:
             values[key] = _config_value(knobs[key], value.strip())
         except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ParameterError(f"{path}:{lineno}: {exc}") from exc
+            raise ParameterError(f"{path}:{lineno}: {key}: {exc}") from exc
     return values
 
 
 def _check_and_rebase(args) -> None:
     """Check the required settings; rebase input and output paths on
-    --workdir, and refuse two outputs that name one file."""
-    outputs: dict = {}  # the flag of each output file, by its resolved path
+    --workdir, and refuse two files the command writes, outputs or their
+    sidecars, that are one file."""
+    outputs: dict = {}  # the name of each file written, by its resolved path
     for opt in COMMANDS[args.subcommand][2]:
         if getattr(args, opt.key) is None:
             if opt.required:
@@ -195,18 +195,25 @@ def _check_and_rebase(args) -> None:
             setattr(args, opt.key, paths if opt.type is list else paths[0])
             if opt.kind == OUTPUT:
                 for path in paths:
-                    if (flag := outputs.setdefault(path.resolve(), opt.flag)) != opt.flag:
-                        raise ParameterError(f"{flag} and {opt.flag} name one file: {path}")
+                    for name, file in ((opt.flag, path),
+                                       (f"{opt.flag}'s sidecar", _sidecar(path))):
+                        if (other := outputs.setdefault(file.resolve(), name)) != name:
+                            raise ParameterError(f"{other} and {name} name one file: {file}")
 
 
 def _write_json(path: Path, obj: dict) -> None:
     write_atomic(path, [json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True), "\n"])
 
 
+def _sidecar(out: Path) -> Path:
+    """<out>.meta.json, the record of how the output out was made."""
+    return Path(f"{out}.meta.json")
+
+
 def _write_sidecar(out: Path, args) -> None:
-    """<out>.meta.json: every knob's parsed value, defaults included, and the
+    """out's sidecar: every knob's parsed value, defaults included, and the
     sha256 of every input file given."""
-    _write_json(Path(f"{out}.meta.json"), {
+    _write_json(_sidecar(out), {
         "tool": f"stepladder {__version__}",
         "command": args.subcommand,
         "parameters": _knobs(args),

@@ -280,6 +280,10 @@ def _edit_buckets_file(path, case):
         key, value = {"overflow-bucket": ("bucket", 99), "overflow-k": ("k", -3)}[case]
         lines[4][key] = value
         line, field = 5, key
+    elif case.startswith("histogram"):  # bucket 1 holds one member, of task math
+        lines[1]["task_histogram"] = {"histogram-below-1": {"math": 2, "nonsense": -1},
+                                      "histogram-sum": {"math": 2}}[case]
+        line, field = 2, "task_histogram"
     else:  # an overflow id that is also a member
         lines.append({"record": "overflow", "bucket": 1, "id": first_member,
                       "task": "math", "k": 1})
@@ -290,7 +294,8 @@ def _edit_buckets_file(path, case):
 
 BUCKETS_FILE_FAULTS = ["index-gap", "missing-bucket", "extra-bucket", "lo", "hi",
                        "member-twice", "overflow-is-member", "member-k-above", "member-k-below",
-                       "member-k-open", "overflow-bucket", "overflow-k"]
+                       "member-k-open", "overflow-bucket", "overflow-k", "histogram-below-1",
+                       "histogram-sum"]
 
 
 def three_buckets(path):

@@ -319,6 +319,30 @@ def test_two_outputs_that_name_one_file_are_refused(tmp_path, capsys, command):
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
 
+@pytest.mark.parametrize("sidecar_of", ["first", "second"])
+@pytest.mark.parametrize("command", ["segment", "bucket"])
+def test_an_output_that_names_another_outputs_sidecar_is_refused(tmp_path, capsys, command,
+                                                                  sidecar_of):
+    # main writes each output's <path>.meta.json after the outputs, so it
+    # would replace the output of that name and give it a sidecar of its
+    # own.  The refusal comes before any input is read.
+    first, second = {"segment": ("--out", "--audit-out"), "bucket": ("--out", "--report")}[command]
+    inputs = {"segment": ["--completions", "missing.jsonl", "--audit-fraction", "0.5"],
+              "bucket": ["--scores", "missing.jsonl", "--corpus", "missing.jsonl"]}[command]
+    if sidecar_of == "first":
+        names, clash = ("out.jsonl", "out.jsonl.meta.json"), f"{first}'s sidecar and {second}"
+    else:
+        names, clash = ("out.jsonl.meta.json", "out.jsonl"), f"{first} and {second}'s sidecar"
+    target = tmp_path / "out.jsonl.meta.json"
+    target.write_bytes(b"previous bytes\n")
+    capsys.readouterr()
+    assert main([command, "--workdir", str(tmp_path), *inputs,
+                 first, names[0], second, names[1]]) == 1
+    assert capsys.readouterr().err == f"error: {clash} name one file: {target}\n"
+    assert target.read_bytes() == b"previous bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl.meta.json"]
+
+
 def test_an_output_may_name_an_input(demo, tmp_path, capsys):
     completions = tmp_path / "c.jsonl"
     shutil.copy(demo / "completions.jsonl", completions)
@@ -412,6 +436,21 @@ def test_bad_config_choice_names_the_config_line(demo, tmp_path, capsys, key):
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith(f"error: {config}:2: {key}: invalid choice 'sideways'")
+
+
+@pytest.mark.parametrize("line, error", [
+    ("phases 3", "expected 'key = value'"),
+    ("no_paragraph_fallback = maybe", "no_paragraph_fallback: bad boolean 'maybe'"),
+    ("phases = three", "phases: invalid literal for int() with base 10: 'three'"),
+])
+def test_bad_config_line_names_the_line_and_key(tmp_path, capsys, line, error):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"seed = 1\n{line}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["schedule", "--workdir", str(tmp_path), "--config", "bad.cfg",
+                 "--buckets", "b.jsonl", "--out", "o.jsonl"]) == 1
+    assert capsys.readouterr().err == f"error: {config}:2: {error}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
 
 def test_config_file_not_utf8_exits_1(tmp_path):

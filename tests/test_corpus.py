@@ -308,6 +308,8 @@ def _phase_line(index, *ids, counts=None):
      "3: 'example_ids': 3 ids exceed budget 2"),
     ([_plan_line(1), _phase_line(1, "a", counts={"2": 1})],
      "2: 'bucket_counts': draws from bucket 2, outside buckets 1..1"),
+    ([_plan_line(1), _phase_line(1, "a", counts={"x": 1})],
+     "2: 'bucket_counts.x': expected an integer key"),
     ([_plan_line(1), _phase_line(1, "a", counts={"1": -7})],
      "2: 'bucket_counts': bucket 1 has count -7, below 1"),
     ([_plan_line(2), _phase_line(1, "a"), _phase_line(2, "b", "c", counts={"1": 0, "2": 50})],

@@ -201,6 +201,10 @@ def test_exhaustion_names_the_phase_and_bucket():
     result = bucketize(scores, BucketSpec(), tasks)
     with pytest.raises(ScheduleError, match=r"phase 1: bucket 1 has 2"):
         build_curriculum(result, plan_of(budget_per_phase=3))
+    # With replacement a pool never runs short, but an empty one has no id.
+    result = bucketize([ds("a", 1), ds("d", 9)], BucketSpec(), tasks)
+    with pytest.raises(ScheduleError, match=r"^phase 2: bucket 2 is empty$"):
+        build_curriculum(result, plan_of(with_replacement=True))
 
 
 def test_more_phases_than_buckets_is_an_error():
