@@ -161,7 +161,7 @@ def _merge_micro_steps(texts: list[str], min_chars: int) -> tuple[list[str], boo
             steps.append([])
             size = 0
         if text:
-            size += bool(steps[-1]) + len(text)  # and the "\n" before it
+            size += bool(steps[-1]) + len(text)  # a "\n" unless it is the first
             steps[-1].append(text)
     return ["\n".join(step) for step in steps], len(steps) < len(texts)
 

@@ -308,14 +308,14 @@ def _phase_line(index, *ids, counts=None):
      "3: 'example_ids': 3 ids exceed budget 2"),
     ([_plan_line(1), _phase_line(1, "a", counts={"2": 1})],
      "2: 'bucket_counts': draws from bucket 2, outside buckets 1..1"),
-    ([_plan_line(1), _phase_line(1, "a", counts={"x": 1})],
-     "2: 'bucket_counts.x': expected an integer key"),
     ([_plan_line(1), _phase_line(1, "a", counts={"1": -7})],
      "2: 'bucket_counts': bucket 1 has count -7, below 1"),
     ([_plan_line(2), _phase_line(1, "a"), _phase_line(2, "b", "c", counts={"1": 0, "2": 50})],
      "3: 'bucket_counts': bucket 1 has count 0, below 1"),
     ([_plan_line(2), _phase_line(1, "a"), _phase_line(2, "b", "c", counts={"1": 1, "2": 50})],
      "3: 'bucket_counts': counts add up to 51, not to the phase's 2 ids"),
+    ([_plan_line(1), _phase_line(1, "a", counts={"x": 1})],
+     "2: 'bucket_counts.x': expected an integer key"),
 ])
 def test_read_manifest_checks_phase_lines_against_the_plan(tmp_path, lines, error):
     path = tmp_path / "m.jsonl"
