@@ -80,10 +80,7 @@ class ChatClient:
         parts = urlsplit(url)
         https = parts.scheme == "https"
         host = parts.hostname
-        try:
-            port = parts.port or (443 if https else 80)
-        except ValueError as exc:
-            raise HarvestError(f"endpoint_url has a bad port: {exc}") from None
+        port = parts.port or (443 if https else 80)  # TeacherProfile checked it
         target = parts.path + (f"?{parts.query}" if parts.query else "")
         headers = {
             "Host": parts.netloc.rpartition("@")[2],

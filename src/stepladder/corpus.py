@@ -227,7 +227,8 @@ class TeacherProfile(Frozen):
             raise CorpusError(f"temperature must be finite and >= 0, got {temperature}")
         try:
             parsed = urlparse(endpoint_url)
-        except ValueError:  # e.g. an unclosed IPv6 bracket
+            parsed.port  # raises for a port that is no number in 0..65535
+        except ValueError:  # e.g. an unclosed IPv6 bracket, or port 99999
             parsed = None
         if parsed is None or parsed.scheme not in ("http", "https") or not parsed.netloc:
             raise CorpusError(f"endpoint_url is not a valid URL: {endpoint_url!r}")

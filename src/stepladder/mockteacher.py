@@ -11,26 +11,26 @@ client's malformed-response path.
 
 The server speaks HTTP/1.1 and keeps each connection open for the next
 request, as a real endpoint does, and writes each response in one
-write, so a harvest reuses its max_in_flight connections.  It serves
-only from _Server: one thread serves every connection, reads what
-arrives, answers each request as soon as it is whole, and parses only
-what a chat request needs (the request line, Content-Length and
-Connection).  On Linux that thread keeps off the CPU its client last
-sent from.  stop() closes the connections its clients still hold.
+write, so a harvest reuses its max_in_flight connections.  One thread,
+in MockTeacher._serve, serves every connection: it reads what arrives,
+answers each request as soon as it is whole, and parses only what a
+chat request needs (the request line, Content-Length and Connection).
+On Linux that thread keeps off the CPU its client last sent from.
+stop() closes the connections its clients still hold.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import re
 import selectors
 import socket
-import socketserver
-import sys
 import threading
 import time
+import traceback
 from http import HTTPStatus
 
 _DEPTH_DIRECTIVE = re.compile(r"\[\[depth=(\d+)\]\]")
@@ -39,102 +39,6 @@ _MAX_HEAD = 65536  # bytes; a longer request head is refused
 # Whether the serving thread can learn its client's CPU and keep off it
 # (Linux).
 _STEER = hasattr(os, "sched_setaffinity") and hasattr(socket, "SO_INCOMING_CPU")
-
-
-class _Server(socketserver.TCPServer):
-    """Serves every connection from the thread that calls serve().
-
-    http.server's threading server gives each kept connection a thread,
-    and those threads take turns at the interpreter lock: on a 2-vCPU
-    host a cold 2000x3 harvest at max_in_flight 2 took 0.8-1.1 s, or at
-    a busier time either about 1.3 s or about 2.4 s, on where the
-    scheduler put the threads.  Its head parsing (the email package)
-    was half of the mock's CPU time.  From one thread with the lean
-    parsing below, the same harvest takes 0.43-0.46 s.
-
-    That thread also keeps off the CPU its client last sent from.  A
-    thread woken by data from a local client is moved onto the client's
-    CPU when Linux finds its own CPU not idle at that moment (wake
-    affinity), and a harvest client seldom waits, so the two then take
-    turns on one CPU while another idles: in such spells, which lasted
-    minutes, the same harvest took 0.75 s instead of 0.43 s.
-    """
-
-    # socketserver's default backlog of 5 drops the connects of more
-    # clients at once, and each such client waits out a 1 s SYN resend.
-    request_queue_size = 64
-
-    def __init__(self, address, answer):
-        """answer(method, target, body) gives (status, JSON object)."""
-        super().__init__(address, None)
-        self.answer = answer
-        self.selector = selectors.DefaultSelector()
-        self.selector.register(self.socket, selectors.EVENT_READ)
-        # Each open connection: what has arrived on it and is not yet
-        # answered, and the client's address.
-        self.held: dict = {}
-        # The CPUs the serving thread may use (it inherits them), and the
-        # one it keeps off.
-        self.cpus = os.sched_getaffinity(0) if _STEER else set()
-        self.client_cpu = -1
-
-    def process_request(self, request, client_address):
-        self.held[request] = (bytearray(), client_address)
-        self.selector.register(request, selectors.EVENT_READ)
-
-    def serve(self, stopping: threading.Event) -> None:
-        """Accept connections and answer their requests until stopping is
-        set; then close the connections still open."""
-        while not stopping.is_set():
-            # A short wait lets stop() return within 0.05 s.
-            for key, _events in self.selector.select(0.05):
-                if key.fileobj is self.socket:
-                    self._handle_request_noblock()
-                else:
-                    self._read(key.fileobj)
-        for request in list(self.held):
-            self._close(request)
-        self.selector.close()
-
-    def _read(self, request) -> None:
-        buffer, client_address = self.held[request]
-        try:
-            # Readable, so this returns what has arrived (b"" at a close).
-            data = request.recv(65536)
-            self._keep_off_client_cpu(request)
-            buffer += data
-            keep = bool(data)
-            while keep and (whole := _take_request(buffer)) is not None:
-                method, target, body, keep = whole
-                status, obj = self.answer(method, target, body)
-                request.sendall(_response(status, obj, keep))
-        except Exception:
-            self.handle_error(request, client_address)
-            keep = False
-        if not keep:
-            self._close(request)
-
-    def _keep_off_client_cpu(self, request) -> None:
-        """Let the serving thread run on every allowed CPU but the one
-        the request's data last arrived on (the sender's, on loopback)."""
-        if not _STEER:
-            return
-        cpu = request.getsockopt(socket.SOL_SOCKET, socket.SO_INCOMING_CPU)
-        if cpu != self.client_cpu and cpu in self.cpus and len(self.cpus) > 1:
-            self.client_cpu = cpu
-            os.sched_setaffinity(0, self.cpus - {cpu})  # 0: the calling thread
-
-    def _close(self, request) -> None:
-        self.selector.unregister(request)
-        del self.held[request]
-        self.shutdown_request(request)
-
-    def handle_error(self, request, client_address):
-        # A client may drop its connection before the response is written,
-        # as a harvest that stops at a bad corpus line does; that is no
-        # fault of the mock's, so only other errors are printed.
-        if not isinstance(sys.exc_info()[1], ConnectionError):
-            super().handle_error(request, client_address)
 
 
 def _take_request(buffer: bytearray):
@@ -176,6 +80,13 @@ def _response(status: int, obj: dict, keep: bool) -> bytes:
     return head.encode("latin-1") + payload
 
 
+def _hang_up(conn: socket.socket) -> None:
+    """Send the client the end of the stream, then close the connection."""
+    with contextlib.suppress(OSError):  # the client may have gone already
+        conn.shutdown(socket.SHUT_WR)
+    conn.close()
+
+
 def _completion_text(key_int: int, depth: int, verbosity: int) -> str:
     lines = []
     for i in range(1, depth + 1):
@@ -204,26 +115,27 @@ class MockTeacher:
         self.request_times: list[float] = []
         self._failed_once: set[str] = set()
         self._lock = threading.Lock()
-        self._server: _Server | None = None
+        self._socket: socket.socket | None = None
         self._stopping: threading.Event | None = None
         self._thread: threading.Thread | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "MockTeacher":
-        self._server = _Server(("127.0.0.1", 0), self._answer)
+        # A short backlog (socketserver's is 5) drops the connects of many
+        # clients at once, and each such client waits out a 1 s SYN resend.
+        self._socket = socket.create_server(("127.0.0.1", 0), backlog=64)
         self._stopping = threading.Event()
-        self._thread = threading.Thread(target=self._server.serve, args=(self._stopping,),
-                                        daemon=True)
+        self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
         return self
 
     def stop(self) -> None:
-        if self._server is not None:
+        if self._socket is not None:
             self._stopping.set()
             self._thread.join()
-            self._server.server_close()
-            self._server = None
+            self._socket.close()
+            self._socket = None
 
     def __enter__(self) -> "MockTeacher":
         return self.start()
@@ -237,14 +149,81 @@ class MockTeacher:
 
     @property
     def base_url(self) -> str:
-        assert self._server is not None, "server not started"
-        return f"http://127.0.0.1:{self._server.server_address[1]}/v1"
+        assert self._socket is not None, "server not started"
+        return f"http://127.0.0.1:{self._socket.getsockname()[1]}/v1"
+
+    # -- serving -----------------------------------------------------------
+
+    def _serve(self) -> None:
+        """Accept connections and answer their requests until stop();
+        then close the connections still open.
+
+        http.server's threading server gives each kept connection a thread,
+        and those threads take turns at the interpreter lock: on a 2-vCPU
+        host a cold 2000x3 harvest at max_in_flight 2 took 0.8-1.1 s, or at
+        a busier time either about 1.3 s or about 2.4 s, on where the
+        scheduler put the threads.  Its head parsing (the email package)
+        was half of the mock's CPU time.  From one thread with the lean
+        parsing of _take_request, the same harvest takes 0.43-0.46 s.
+
+        That thread also keeps off the CPU its client last sent from.  A
+        thread woken by data from a local client is moved onto the client's
+        CPU when Linux finds its own CPU not idle at that moment (wake
+        affinity), and a harvest client seldom waits, so the two then take
+        turns on one CPU while another idles: in such spells, which lasted
+        minutes, the same harvest took 0.75 s instead of 0.43 s.
+        """
+        listener = self._socket
+        selector = selectors.DefaultSelector()
+        selector.register(listener, selectors.EVENT_READ)
+        # The CPUs this thread may use (it inherits them), and the one it
+        # keeps off.
+        cpus = os.sched_getaffinity(0) if _STEER else set()
+        client_cpu = -1
+        while not self._stopping.is_set():
+            # A short wait lets stop() return within 0.05 s.
+            for key, _events in selector.select(0.05):
+                # A connection's key holds what has arrived on it and is not
+                # yet answered.
+                conn, buffer = key.fileobj, key.data
+                if conn is listener:
+                    with contextlib.suppress(OSError):  # the client gave up first
+                        selector.register(conn.accept()[0], selectors.EVENT_READ, bytearray())
+                    continue
+                try:
+                    # Readable, so this returns what has arrived (b"" at a close).
+                    data = conn.recv(65536)
+                    if _STEER:  # run on every allowed CPU but the sender's
+                        cpu = conn.getsockopt(socket.SOL_SOCKET, socket.SO_INCOMING_CPU)
+                        if cpu != client_cpu and cpu in cpus and len(cpus) > 1:
+                            client_cpu = cpu
+                            os.sched_setaffinity(0, cpus - {cpu})  # 0: this thread
+                    buffer += data
+                    keep = bool(data)
+                    while keep and (whole := _take_request(buffer)) is not None:
+                        method, target, body, keep = whole
+                        conn.sendall(_response(*self._answer(method, target, body), keep))
+                except ConnectionError:
+                    # A client may drop its connection before the response is
+                    # written, as a harvest that stops at a bad corpus line
+                    # does; that is no fault of the mock's.
+                    keep = False
+                except Exception:
+                    traceback.print_exc()
+                    keep = False
+                if not keep:
+                    selector.unregister(conn)
+                    _hang_up(conn)
+        selector.unregister(listener)
+        for key in selector.get_map().values():
+            _hang_up(key.fileobj)
+        selector.close()
 
     # -- request handling --------------------------------------------------
 
     def _answer(self, method: str, target: str, raw: bytes) -> tuple[int, dict]:
         """(status, JSON object) for one request: the one entry point of
-        the request logic, which _Server calls and which servers that
+        the request logic, which _serve calls and which servers that
         tests build to frame connections their own way call too."""
         self.request_times.append(time.monotonic())  # atomic: no lock
         if method != "POST":  # "" if the request line did not parse

@@ -374,6 +374,7 @@ def test_config_file_equals_flags(demo, tmp_path, capsys):
          ["--no-paragraph-fallback"], "no_paragraph_fallback = yes\n"),
         (schedule, ["--mode", "mixed", "--mixing", "adjacent"],
          "mode = mixed  # a choice\nmixing = adjacent\n"),
+        (schedule, [], "# a whole-line comment\n\nwith_replacement = no\n"),
     ]
     for i, (command, flags, lines) in enumerate(cases):
         config = tmp_path / f"{i}.cfg"
@@ -749,6 +750,7 @@ def test_segment_reads_a_marker_value_past_the_digit_limit(tmp_path):
     ("--rate-limit", "inf", "rate_limit"),
     ("--temperature", "inf", "temperature"),
     ("--samples", str(10 ** 12), "samples_per_example"),
+    ("--teacher-id", "", "teacher_id"),
 ])
 def test_harvest_settings_out_of_bounds_exit_1_before_any_request(
         demo, tmp_path, capsys, monkeypatch, flag, value, setting):
@@ -767,14 +769,22 @@ def test_harvest_settings_out_of_bounds_exit_1_before_any_request(
     assert not (tmp_path / "cache").exists()
 
 
-def test_unparsable_endpoint_exits_1(demo, tmp_path):
-    # urlparse raises on an unclosed IPv6 bracket.
-    result = _run_cli("harvest", "--corpus", demo / "examples.jsonl",
-                      "--endpoint", "http://[::1/v1", "--model", "m",
-                      "--teacher-id", "t", "--out", tmp_path / "t.jsonl")
-    assert result.returncode == 1
-    assert "Traceback" not in result.stderr
-    assert "endpoint_url is not a valid URL" in result.stderr
+def test_unparsable_endpoint_exits_1(demo, tmp_path, monkeypatch):
+    # The endpoint is a setting bad on its own: it is reported ahead of the
+    # corpus's bad line 4, and before the cache directory is made.
+    monkeypatch.setenv("OPENAI_API_KEY", "test-key-not-checked")
+    corpus = _with_record(demo / "examples.jsonl", tmp_path / "ex.jsonl",
+                          lambda r: r.pop("id"), 4)
+    # urlparse raises on an unclosed IPv6 bracket; .port on a port that is
+    # out of range or not a number.
+    for endpoint in ("http://[::1/v1", "http://127.0.0.1:99999/v1", "http://127.0.0.1:x/v1"):
+        result = _run_cli("harvest", "--corpus", corpus,
+                          "--endpoint", endpoint, "--model", "m", "--teacher-id", "t",
+                          "--cache-dir", tmp_path / "cache", "--out", tmp_path / "t.jsonl")
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert result.stderr == f"error: endpoint_url is not a valid URL: {endpoint!r}\n"
+        assert not (tmp_path / "cache").exists() and not (tmp_path / "t.jsonl").exists()
 
 STAGES = tuple(f"stepladder.{name}" for name in
                ("analyzer", "bucketer", "harvester", "scheduler", "scorer", "segmenter"))
@@ -1238,6 +1248,12 @@ def test_a_second_teacher_leaves_teacher_narrowed_outputs_unchanged(
         outputs.append(out.read_bytes())
     capsys.readouterr()
     assert outputs[0] == outputs[1]
+    # A teacher with no scores is an error, not an empty output.
+    out = tmp_path / "nobody"
+    assert main([*_SCORE_READERS[command], "--scores", str(two_teachers[1]),
+                 "--teacher", "nobody", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: no scores for teacher 'nobody'\n"
+    assert not out.exists() and not Path(f"{out}.meta.json").exists()
 
 
 @pytest.mark.parametrize("case", ["bucket", "confound", "confound-unlabeled"])

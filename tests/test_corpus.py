@@ -112,7 +112,8 @@ def test_score_range_checks():
 def test_teacher_profile_url_validation():
     TeacherProfile("t", "http://localhost:8000/v1", "m", "tmpl")
     TeacherProfile("t", "https://api.example.com/v1", "m", "tmpl")
-    for bad in ("ftp://x/v1", "not-a-url", "http://", "", "http://[::1/v1"):
+    for bad in ("ftp://x/v1", "not-a-url", "http://", "", "http://[::1/v1",
+                "http://127.0.0.1:99999/v1", "http://127.0.0.1:x/v1"):
         with pytest.raises(CorpusError):
             TeacherProfile("t", bad, "m", "tmpl")
     for bad in (-0.1, float("nan")):

@@ -28,16 +28,18 @@ from stepladder.corpus import Example, TeacherProfile, read_traces, write_corpus
 from stepladder.errors import HarvestError, SegmentationError
 from stepladder.harvester import (
     DEFAULT_TEMPLATE,
+    MAX_WAIT,
     HarvestJob,
     HarvestResult,
     PromptTemplate,
     _cache_keys,
     _Harvest,
     _ResponseLog,
+    _Unit,
     harvest,
     harvest_stream,
 )
-from stepladder.mockteacher import MockTeacher, _Server
+from stepladder.mockteacher import MockTeacher
 
 KEY_ENV = "OPENAI_API_KEY"
 # A self-signed key and certificate for localhost and 127.0.0.1.
@@ -166,20 +168,25 @@ def test_harvest_round_trip(tmp_path):
 
 
 def test_mock_is_quiet_about_a_dropped_connection_only(capsys):
-    # socketserver calls handle_error inside the except block that caught
-    # the request's error.
+    good = json.dumps({"model": "m", "messages": [{"role": "user", "content": "q"}]})
     with MockTeacher() as mock:
-        server = mock._server
-        try:
-            raise BrokenPipeError(32, "Broken pipe")
-        except BrokenPipeError:
-            server.handle_error(None, ("127.0.0.1", 1))
-        assert capsys.readouterr().err == ""
-        try:
-            raise RuntimeError("handler bug")
-        except RuntimeError:
-            server.handle_error(None, ("127.0.0.1", 1))
-        assert "RuntimeError: handler bug" in capsys.readouterr().err
+        for error, printed in [(BrokenPipeError(32, "Broken pipe"), None),
+                               (RuntimeError("handler bug"), "RuntimeError: handler bug")]:
+            def failing(method, target, raw, error=error):
+                raise error
+
+            mock._answer = failing
+            with socket.create_connection(("127.0.0.1", urlsplit(mock.base_url).port),
+                                          timeout=5) as sock:
+                sock.sendall(post("/v1/chat/completions", good))
+                # The mock closes the connection, unanswered, once it has
+                # dealt with the error.
+                assert sock.recv(65536) == b""
+            err = capsys.readouterr().err
+            if printed is None:
+                assert err == ""
+            else:
+                assert "Traceback" in err and printed in err
 
 
 def test_warm_cache_sends_nothing(tmp_path):
@@ -579,16 +586,25 @@ def test_exhausted_retries_become_failures_not_exceptions(tmp_path):
 
 
 def test_malformed_response_fails_only_its_unit(tmp_path):
-    examples = depth_examples(4)
+    examples = depth_examples(5)
     examples[2] = Example(id="e002", task="math", prompt="[[malformed]] broken")
+    examples[4] = Example(id="e004", task="math", prompt="[[depth=2]] a numeric content")
     with MockTeacher() as mock:
+        answer = mock._answer
+
+        def numeric(method, target, raw):
+            status, obj = answer(method, target, raw)
+            if b"numeric content" in raw:
+                obj["choices"][0]["message"]["content"] = 42
+            return status, obj
+
+        mock._answer = numeric
         teacher = profile(mock.base_url)
         result = harvest(examples, job_for(teacher, tmp_path))
     assert len(result.traces) == 3
-    assert len(result.failures) == 1
-    failure = result.failures[0]
-    assert failure.example_id == "e002"
-    assert "malformed" in failure.reason
+    assert [(f.example_id, f.reason) for f in result.failures] == [
+        ("e002", "malformed response body (no message content)"),
+        ("e004", "malformed response body (content is not text)")]
 
 
 def test_rate_limiter_spaces_grants(tmp_path):
@@ -648,13 +664,13 @@ def read_response(replies):
 
 def test_a_cold_harvest_against_the_mock_reuses_its_connections(tmp_path, monkeypatch):
     accepted = []
-    process_request = _Server.process_request
+    accept = socket.socket.accept
 
-    def counted(server, request, client_address):
-        accepted.append(client_address)
-        process_request(server, request, client_address)
+    def counted(sock):
+        accepted.append(accept(sock))
+        return accepted[-1]
 
-    monkeypatch.setattr(_Server, "process_request", counted)
+    monkeypatch.setattr(socket.socket, "accept", counted)
     with MockTeacher() as mock:
         result = harvest(depth_examples(200), job_for(profile(mock.base_url), tmp_path,
                                                       rate_limit=1e6, max_in_flight=2))
@@ -841,6 +857,15 @@ def test_a_thousand_retries_do_not_overflow_the_backoff(tmp_path):
                                                 max_retries=1100, rate_limit=1e6))
     assert result.traces == []
     assert [f.reason.rpartition(" after ")[2] for f in result.failures] == ["1101 attempts"]
+    # Above base 0, the 1100th attempt's wait of 0.5 * 2 ** 1099 s is no
+    # float: the unit waits the longest wait instead.
+    run = _Harvest(job_for(teacher, tmp_path, backoff_base=0.5, max_retries=1100), "key",
+                   HarvestResult())
+    unit = _Unit(0, depth_examples(1)[0], 0, ("system", "user"), "key", attempts=1100)
+    before = time.monotonic()
+    run._retry(unit, "HTTP 500")
+    [(when, _position, queued)] = run.queue
+    assert queued is unit and before + MAX_WAIT <= when <= time.monotonic() + MAX_WAIT
 
 
 @pytest.mark.parametrize("base", [float("inf"), 1e300])

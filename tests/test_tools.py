@@ -1,13 +1,17 @@
 """tools/code_lines.py, the code-line counter that ROADMAP and CHANGES.md
-quote."""
+quote, and tools/uncovered.py, which lists the lines no test runs."""
 
 from __future__ import annotations
 
+import ast
 import importlib.util
+import re
 import subprocess
+import sys
 from pathlib import Path
 
-TOOLS = Path(__file__).parent.parent / "tools"
+ROOT = Path(__file__).parent.parent
+TOOLS = ROOT / "tools"
 
 _spec = importlib.util.spec_from_file_location("code_lines", TOOLS / "code_lines.py")
 code_lines = importlib.util.module_from_spec(_spec)
@@ -85,3 +89,19 @@ def test_code_lines_counts_a_git_revision_and_leaves_the_tree_alone(tmp_path, mo
                                        "     9      2     -7  total\n")
     assert (pkg / "a.py").read_text(encoding="utf-8") == "y = 2\n"
     assert subprocess.run(["git", "status", "--porcelain"], capture_output=True).stdout == status
+
+
+def test_uncovered_lists_the_lines_the_tests_do_not_run():
+    done = subprocess.run([sys.executable, str(TOOLS / "uncovered.py"), "-q",
+                           "-p", "no:cacheprovider", "tests/test_scorer.py"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    missed = set(re.findall(r"^(\w+\.py):(\d+): ", done.stdout, re.MULTILINE))
+    # The scorer tests harvest nothing, and they run all of score_corpus.
+    assert any(module == "harvester.py" for module, _line in missed)
+    tree = ast.parse((ROOT / "src" / "stepladder" / "scorer.py").read_text(encoding="utf-8"))
+    [score_corpus] = [node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "score_corpus"]
+    assert not {("scorer.py", str(line))
+                for line in range(score_corpus.lineno, score_corpus.end_lineno + 1)} & missed
+    assert re.search(r"^ +\d+  scorer\.py$", done.stdout, re.MULTILINE)
