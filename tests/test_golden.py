@@ -33,7 +33,9 @@ from pathlib import Path
 
 import stepladder
 from stepladder.cli import COMMANDS, OUTPUT, main
+from stepladder.corpus import write_completions, write_corpus
 from stepladder.mockteacher import MockTeacher
+from stepladder.synthetic import build_demo_corpus, h1_corpus, h3_completions
 
 from test_cli import _harvest_env
 
@@ -188,6 +190,32 @@ def test_bundled_data_regenerates_byte_for_byte(tmp_path):
     assert done.returncode == 0, done.stderr
     for name in ("examples.jsonl", "completions.jsonl"):
         assert (tmp_path / name).read_bytes() == (BUNDLED / name).read_bytes(), name
+
+
+# The sha256 of the examples file and of the completions file that each
+# other synthetic corpus writes: the hypothesis checks' corpora and the
+# harvest-mock benchmark's set-up corpus.
+SYNTHETIC = {
+    "h1_corpus()": (h1_corpus, (),
+                    "0c7138c354f93aeb7111694dca1035f91a2897f0aadae3b487d422d093cc71ac",
+                    "119269ea73ab3a6aec8695df3613f61a8dd68460954f018b395d46fbf49f0c88"),
+    "h3_completions()": (h3_completions, (),
+                         "d92481c6e5a26b0aad2a36655da2011899b93c17f9af8b91566401fcc5bcfe75",
+                         "ed69c5018d3376bd2894ef6913abd3da9943d069fe744dc37bf31d39fb3fc66b"),
+    "build_demo_corpus(2000, 3)": (
+        build_demo_corpus, (2000, 3),
+        "421baec29b43de43ff35a4ad34ba969dbcce48a6666c5bb5cfa512768ba2736f",
+        "7d35571ef89923b485b070214a2365258fe906e8ed150d2b027e6ad7b39b7fe7"),
+}
+
+
+def test_synthetic_corpora_are_byte_identical(tmp_path):
+    for name, (build, args, examples_sha, completions_sha) in SYNTHETIC.items():
+        examples, completions = build(*args)
+        write_corpus(examples, tmp_path / "e.jsonl")
+        write_completions(completions, tmp_path / "c.jsonl")
+        assert [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in ("e.jsonl", "c.jsonl")] == [examples_sha, completions_sha], name
 
 
 def test_run_set_covers_every_output_of_every_command():
