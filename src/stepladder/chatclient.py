@@ -24,14 +24,11 @@ import re
 import selectors
 import socket
 import time
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 from urllib.parse import unquote, urlsplit
 
-from .corpus import is_text
+from .corpus import TeacherProfile, is_text
 from .errors import HarvestError
-
-if TYPE_CHECKING:
-    from .corpus import TeacherProfile
 
 # Characters that would end the request line or a header early.
 _UNSAFE = re.compile(r"[\x00-\x1f\x7f]")
@@ -145,7 +142,7 @@ class ChatClient:
             raise HarvestError(f"HTTP {status}: {text[:200]}")
         try:
             text = json.loads(data)["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError):
+        except (ValueError, RecursionError, KeyError, IndexError, TypeError):
             raise HarvestError("malformed response body (no message content)")
         if not isinstance(text, str):
             raise HarvestError("malformed response body (content is not text)")

@@ -216,7 +216,7 @@ class _ResponseLog:
             if end != len(line) - 2 or not line.endswith("}\n"):
                 obj = json.loads(line)
                 text = obj.get("text") if type(obj) is dict and obj.get("key") == key else None
-        except ValueError:
+        except (ValueError, RecursionError):
             return None
         return text if isinstance(text, str) and is_text(text) else None
 

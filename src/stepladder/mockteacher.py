@@ -236,7 +236,7 @@ class MockTeacher:
             model = body["model"]
             user = next(m["content"] for m in body["messages"]
                         if m["role"] == "user")
-        except (ValueError, KeyError, TypeError, StopIteration):
+        except (ValueError, RecursionError, KeyError, TypeError, StopIteration):
             return 400, {"error": "bad request"}
 
         key = hashlib.sha256(f"{model}\x00{user}".encode("utf-8")).hexdigest()

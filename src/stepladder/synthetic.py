@@ -10,6 +10,10 @@ Three generators, all pure functions of their seed:
   different verbosity, for checking that depth agreement survives a
   token-count disagreement.
 
+Each is one draw(rng, i) through _corpus, which owns the seeded stream,
+the loop and the completion records, so a new planted corpus is one
+more draw.
+
 Run as a module to regenerate the bundled files:
 python -m stepladder.synthetic --out-dir data/synthetic
 """
@@ -62,6 +66,25 @@ def _paragraphs(rng: random.Random, k: int, words_per_step) -> str:
     return "\n\n".join(parts)
 
 
+def _corpus(n: int, seed: int, draw):
+    """Examples and completion records for i in range(n), all drawn from
+    one random.Random(seed) stream: draw(rng, i) returns example i and its
+    completions as (teacher_id, text) pairs."""
+    rng = random.Random(seed)
+    examples: list[Example] = []
+    completions: list[dict] = []
+    for i in range(n):
+        example, texts = draw(rng, i)
+        examples.append(example)
+        for teacher_id, text in texts:
+            completions.append({
+                "example_id": example.id,
+                "teacher_id": teacher_id,
+                "text": text,
+            })
+    return examples, completions
+
+
 def build_demo_corpus(n: int = 500, seed: int = 7):
     """Examples plus raw completions with planted depth 1..10.
 
@@ -69,22 +92,12 @@ def build_demo_corpus(n: int = 500, seed: int = 7):
     bulleted or paragraph-only, so audit and low-confidence paths have
     something to chew on.
     """
-    rng = random.Random(seed)
-    examples: list[Example] = []
-    completions: list[dict] = []
-    for i in range(n):
+    def draw(rng: random.Random, i: int):
         task = _TASKS[i % len(_TASKS)]
         d = rng.randint(1, 10)
         a, b, c = rng.randint(2, 99), rng.randint(2, 99), rng.randint(2, 99)
         prompt = _PROMPTS[task].format(a=a, b=b, c=c, d=d)
         judge = min(1.0, max(0.0, d / 10 + rng.gauss(0.0, 0.08)))
-        examples.append(Example(
-            id=f"ex{i:04d}",
-            task=task,
-            prompt=prompt,
-            external_difficulty=float(d),
-            judge_score=round(judge, 4),
-        ))
         k = max(1, d + rng.choice((-1, 0, 1)))
         style = rng.random()
         words = lambda _i: rng.randint(6, 14)
@@ -94,34 +107,28 @@ def build_demo_corpus(n: int = 500, seed: int = 7):
             text = _bulleted(rng, k, words)
         else:
             text = _paragraphs(rng, k, words)
-        completions.append({
-            "example_id": examples[-1].id,
-            "teacher_id": "demo-teacher",
-            "text": text,
-        })
-    return examples, completions
+        return Example(
+            id=f"ex{i:04d}",
+            task=task,
+            prompt=prompt,
+            external_difficulty=float(d),
+            judge_score=round(judge, 4),
+        ), [("demo-teacher", text)]
+    return _corpus(n, seed, draw)
 
 
 def h1_corpus(n: int = 200, seed: int = 11):
     """Planted difficulty d in 1..10; trace depth k = d + uniform {-1,0,1}."""
-    rng = random.Random(seed)
-    examples: list[Example] = []
-    completions: list[dict] = []
-    for i in range(n):
+    def draw(rng: random.Random, i: int):
         d = rng.randint(1, 10)
-        examples.append(Example(
+        k = max(1, d + rng.choice((-1, 0, 1)))
+        return Example(
             id=f"h1-{i:04d}",
             task="planted",
             prompt=f"Planted instance {i} requiring about {d} moves.",
             external_difficulty=float(d),
-        ))
-        k = max(1, d + rng.choice((-1, 0, 1)))
-        completions.append({
-            "example_id": examples[-1].id,
-            "teacher_id": "planted-teacher",
-            "text": _numbered(rng, k, lambda _i: rng.randint(5, 9)),
-        })
-    return examples, completions
+        ), [("planted-teacher", _numbered(rng, k, lambda _i: rng.randint(5, 9)))]
+    return _corpus(n, seed, draw)
 
 
 def h3_completions(n: int = 60, seed: int = 13):
@@ -131,29 +138,17 @@ def h3_completions(n: int = 60, seed: int = 13):
     number of steps padded by a per-example random amount large enough
     to scramble the token-count ordering between the two.
     """
-    rng = random.Random(seed)
-    examples: list[Example] = []
-    completions: list[dict] = []
-    for i in range(n):
-        examples.append(Example(
+    def draw(rng: random.Random, i: int):
+        k = rng.randint(1, 8)
+        base = rng.randint(5, 9)
+        terse = _numbered(rng, k, lambda _i: base)
+        pad = rng.randint(0, 60)
+        return Example(
             id=f"h3-{i:04d}",
             task="compare",
             prompt=f"Comparison case {i}.",
-        ))
-        k = rng.randint(1, 8)
-        base = rng.randint(5, 9)
-        completions.append({
-            "example_id": examples[-1].id,
-            "teacher_id": "terse",
-            "text": _numbered(rng, k, lambda _i: base),
-        })
-        pad = rng.randint(0, 60)
-        completions.append({
-            "example_id": examples[-1].id,
-            "teacher_id": "verbose",
-            "text": _numbered(rng, k, lambda _i: base * 2 + pad),
-        })
-    return examples, completions
+        ), [("terse", terse), ("verbose", _numbered(rng, k, lambda _i: base * 2 + pad))]
+    return _corpus(n, seed, draw)
 
 
 def main(argv=None) -> int:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import naive_apply_task_cap
 from stepladder.bucketer import (
     DEFAULT_EDGES,
+    Bucket,
     BucketSpec,
     _apply_task_cap,
     bucketize,
@@ -45,6 +46,8 @@ def test_spec_validation():
         BucketSpec(max_task_share=0.0)
     with pytest.raises(ParameterError):
         BucketSpec(max_task_share=1.2)
+    with pytest.raises(CorpusError, match="bucket 1: ids and ks differ in length"):
+        Bucket(1, 1, 2, ("a",), ())
 
 
 def test_bucket_for_k_boundaries():

@@ -509,11 +509,12 @@ def test_argument_not_utf8_exits_64_before_any_work(demo, tmp_path, form, capsys
 
 
 def test_bad_edges_syntax_exits_64(demo, tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bucket", "--scores", "s", "--corpus", "c", "--out", "o",
-              "--edges", "banana"])
-    assert exc.value.code == 64
-    capsys.readouterr()
+    for edges, piece in (("banana", "banana"), ("1-3,a-6,7+", "a-6")):
+        with pytest.raises(SystemExit) as exc:
+            main(["bucket", "--scores", "s", "--corpus", "c", "--out", "o",
+                  "--edges", edges])
+        assert exc.value.code == 64
+        assert f"bad bucket range '{piece}'" in capsys.readouterr().err
 
 
 def test_missing_input_file_exits_1(tmp_path, capsys):
@@ -1026,6 +1027,7 @@ def test_package_names_load_on_first_use():
     namespace = {}
     exec("from stepladder import *", namespace)
     assert set(stepladder.__all__) <= namespace.keys()
+    assert set(stepladder.__all__) <= set(dir(stepladder))
     with pytest.raises(AttributeError, match="no_such_name"):
         stepladder.no_such_name
     probe = "import stepladder; print(stepladder.segmenter.segment is stepladder.segment)"

@@ -100,13 +100,22 @@ def test_score_validates_dot_norm_identity():
     DoTScore("e", "t", 2, 10, good.dot_norm)
 
 
-def test_score_range_checks():
+def test_score_range_checks(tmp_path, capsys):
     with pytest.raises(CorpusError):
         DoTScore.compute("e", "t", 0, 10)
     with pytest.raises(CorpusError):
         DoTScore.compute("e", "t", 1, 0)
     with pytest.raises(CorpusError):
         DoTScore("e", "t", 1, 1, 1 / math.log1p(1), n_samples=0)
+    # A scores line reaches the constructor's own checks of k and tok.
+    path = tmp_path / "s.jsonl"
+    for field, k, tok in (("k", 0, 1), ("tok", 1, 0)):
+        path.write_text('{"example_id": "e", "teacher_id": "t", "k": %d, "tok": %d, '
+                        '"dot_norm": 1.0}\n' % (k, tok), encoding="utf-8")
+        assert main(["filter", "--scores", str(path), "--min-k", "1",
+                     "--out", str(tmp_path / "ids.txt")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}:1: score (e): {field} must lie in 1..1e+308\n"
 
 
 def test_teacher_profile_url_validation():
@@ -317,6 +326,7 @@ def _phase_line(index, *ids, counts=None):
      "3: 'bucket_counts': counts add up to 51, not to the phase's 2 ids"),
     ([_plan_line(1), _phase_line(1, "a", counts={"x": 1})],
      "2: 'bucket_counts.x': expected an integer key"),
+    ([_plan_line(1), _phase_line(0, "a")], "2: phase index must be >= 1, got 0"),
 ])
 def test_read_manifest_checks_phase_lines_against_the_plan(tmp_path, lines, error):
     path = tmp_path / "m.jsonl"

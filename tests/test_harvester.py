@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import select
 import selectors
 import socket
@@ -275,6 +276,29 @@ _CACHE_OPS = st.lists(st.tuples(
                      "surrogate", "escaped", "trailing", "text-twice"]),
     st.sampled_from(_POOL), _CACHE_TEXT, st.integers(min_value=0, max_value=10 ** 6)),
     max_size=14)
+
+
+def test_a_log_whose_index_scan_fails_closes_its_descriptor(tmp_path, monkeypatch):
+    log = tmp_path / "responses.jsonl"
+    log.write_bytes(b'{"key": "%s", "text": "t"}\n' % (b"0" * 64))
+    os_open, opened = os.open, []
+
+    def recording_open(*args):
+        opened.append(os_open(*args))
+        return opened[-1]
+
+    class FailingKey:  # as if reading the log failed partway
+        def match(self, line):
+            raise OSError("read failed")
+
+    monkeypatch.setattr(os, "open", recording_open)
+    monkeypatch.setattr(_ResponseLog, "_KEY", FailingKey())
+    with pytest.raises(OSError, match="read failed"):
+        _ResponseLog(log)
+    monkeypatch.undo()
+    assert len(opened) == 1
+    with pytest.raises(OSError):
+        os.fstat(opened[0])
 
 
 def _cache_line(model, kind, key, text, n):
@@ -563,6 +587,8 @@ def test_error_partway_through_the_stream_keeps_the_old_output(tmp_path, monkeyp
 
 
 def test_transient_failures_are_retried(tmp_path):
+    with pytest.raises(ValueError, match="failure_percent must lie in 0..100"):
+        MockTeacher(failure_percent=101)
     examples = depth_examples(8)
     with MockTeacher(failure_percent=100) as mock:
         teacher = profile(mock.base_url)
@@ -701,6 +727,8 @@ def test_the_mock_answers_each_request_on_one_connection_in_order():
 
 
 _QUERY = json.dumps({"model": "m", "messages": [{"role": "user", "content": "q"}]}).encode()
+# JSON nested past the decoder's recursion limit, far under MAX_BODY.
+_DEEP = b"[" * 100000 + b"]" * 100000
 
 
 def _raw_post(version, *headers):
@@ -720,8 +748,10 @@ def _raw_post(version, *headers):
     (_raw_post(b"HTTP/1.0"), 200, True),
     (_raw_post(b"HTTP/1.0", b"Connection: keep-alive"), 200, False),
     (_raw_post(b"HTTP/1.1", b"Connection: close"), 200, True),
+    (b"POST /v1/chat/completions HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (
+        len(_DEEP), _DEEP), 400, False),
 ], ids=["GET", "chunked", "head-too-long", "no-request-line", "1.0", "1.0-keep-alive",
-        "1.1-close"])
+        "1.1-close", "nested-too-deeply"])
 def test_the_mock_frames_each_request_as_http_says(sent, status, closes):
     with MockTeacher() as mock, socket.create_connection(
             ("127.0.0.1", urlsplit(mock.base_url).port), timeout=5) as sock:
@@ -1361,9 +1391,11 @@ def test_only_pipeline_errors_count_as_segmentation_failures(tmp_path, monkeypat
     assert [f.reason for f in result.failures] == ["segmentation failed: segmenter fault"] * 2
 
 
-def test_lone_surrogate_response_fails_only_its_unit(tmp_path, capsys):
-    # "\ud800" is valid JSON but no valid Unicode: it can be neither cached
-    # nor written to the traces file.
+@contextmanager
+def _replying(payload):
+    """A local endpoint that answers each chat request with status 200 and
+    the body payload(user message); yields its URL and the list of user
+    messages it was sent."""
     posts = []
 
     class Handler(BaseHTTPRequestHandler):
@@ -1371,35 +1403,53 @@ def test_lone_surrogate_response_fails_only_its_unit(tmp_path, capsys):
 
         def do_POST(self):
             body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            user = body["messages"][1]["content"]
-            posts.append(user)
-            text = "1. half of \ud800 a pair\n2. more" if "surrogate" in user \
-                else "1. first step\n2. second step"
-            self.wfile.write(mockteacher._response(
-                200, {"choices": [{"message": {"content": text}}]}, not self.close_connection))
+            posts.append(body["messages"][1]["content"])
+            data = payload(posts[-1])
+            self.wfile.write(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n%s\r\n%s" % (
+                len(data), b"Connection: close\r\n" if self.close_connection else b"", data))
 
         def log_message(self, *args):
             pass
 
-    corpus = tmp_path / "examples.jsonl"
-    write_corpus([Example(id="a", task="t", prompt="plain one"),
-                  Example(id="b", task="t", prompt="lone surrogate"),
-                  Example(id="c", task="t", prompt="plain two")], corpus)
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
-    argv = ["harvest", "--corpus", str(corpus), "--model", "m", "--teacher-id", "t",
-            "--endpoint", f"http://127.0.0.1:{server.server_address[1]}/v1",
-            "--cache-dir", str(tmp_path / "cache"), "--rate-limit", "1000",
-            "--out", str(tmp_path / "traces.jsonl")]
     try:
-        first = main(argv), capsys.readouterr()
-        second = main(argv), capsys.readouterr()
+        yield f"http://127.0.0.1:{server.server_address[1]}/v1", posts
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+def _chat_body(text: str) -> bytes:
+    return json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+
+
+def _three_example_harvest(tmp_path, url, middle):
+    """argv of a harvest of examples a, b and c, whose prompts are "plain
+    one", middle and "plain two"."""
+    corpus = tmp_path / "examples.jsonl"
+    write_corpus([Example(id="a", task="t", prompt="plain one"),
+                  Example(id="b", task="t", prompt=middle),
+                  Example(id="c", task="t", prompt="plain two")], corpus)
+    return ["harvest", "--corpus", str(corpus), "--model", "m", "--teacher-id", "t",
+            "--endpoint", url, "--cache-dir", str(tmp_path / "cache"), "--rate-limit", "1000",
+            "--out", str(tmp_path / "traces.jsonl")]
+
+
+def test_lone_surrogate_response_fails_only_its_unit(tmp_path, capsys):
+    # "\ud800" is valid JSON but no valid Unicode: it can be neither cached
+    # nor written to the traces file.
+    def payload(user):
+        return _chat_body("1. half of \ud800 a pair\n2. more" if "surrogate" in user
+                          else "1. first step\n2. second step")
+
+    with _replying(payload) as (url, posts):
+        argv = _three_example_harvest(tmp_path, url, "lone surrogate")
+        first = main(argv), capsys.readouterr()
+        second = main(argv), capsys.readouterr()
     for code, (out, err) in (first, second):
         assert code == 2
         assert "harvest failure: b / 0 / malformed response body" in err
@@ -1408,6 +1458,38 @@ def test_lone_surrogate_response_fails_only_its_unit(tmp_path, capsys):
     assert first[1][0].startswith("harvested 2 trace(s), 0 from cache, 3 request(s)")
     assert second[1][0].startswith("harvested 2 trace(s), 2 from cache, 1 request(s)")
     assert len(posts) == 4
+
+
+def test_a_body_nested_too_deeply_fails_only_its_unit(tmp_path, capsys):
+    def payload(user):
+        return _DEEP if "deep" in user else _chat_body("1. first step\n2. second step")
+
+    with _replying(payload) as (url, posts):
+        code = main(_three_example_harvest(tmp_path, url, "deep body"))
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.splitlines() == [
+        "harvest failure: b / 0 / malformed response body (no message content)",
+        "1 harvest failure(s) recorded"]
+    assert [t.example_id for t in read_traces(tmp_path / "traces.jsonl")] == ["a", "c"]
+    assert len(posts) == 3
+
+
+def test_a_cache_line_nested_too_deeply_is_a_miss(tmp_path, capsys):
+    with MockTeacher() as mock:
+        argv = _three_example_harvest(tmp_path, mock.base_url, "[[depth=2]] deep line")
+        assert main(argv) == 0
+        cold = (tmp_path / "traces.jsonl").read_bytes()
+        log = tmp_path / "cache" / "responses.jsonl"
+        lines = log.read_bytes().splitlines(keepends=True)
+        key = json.loads(lines[1])["key"]
+        lines[1] = b'{"key": "%s", "text": %s}\n' % (key.encode(), _DEEP)
+        log.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert main(argv) == 0
+    assert capsys.readouterr().out == "harvested 3 trace(s), 2 from cache, 1 request(s) sent\n"
+    assert (tmp_path / "traces.jsonl").read_bytes() == cold
+    assert mock.request_count == 4
 
 
 def test_control_character_in_the_request_head_is_an_error(tmp_path, monkeypatch):
@@ -1447,6 +1529,8 @@ def test_proxy_variables_in_either_case(monkeypatch, env, scheme, want):
 
 
 def test_unsupported_proxy_scheme_is_an_error(tmp_path, monkeypatch):
-    monkeypatch.setenv("http_proxy", "socks5://127.0.0.1:1080")
-    with pytest.raises(HarvestError, match="unsupported proxy"):
-        harvest(depth_examples(1), job_for(profile("http://teacher.invalid/v1"), tmp_path))
+    for proxy, error in (("socks5://127.0.0.1:1080", "unsupported proxy"),
+                         ("http://127.0.0.1:x", "proxy 'http://127.0.0.1:x' is not a valid URL")):
+        monkeypatch.setenv("http_proxy", proxy)
+        with pytest.raises(HarvestError, match=re.escape(error)):
+            harvest(depth_examples(1), job_for(profile("http://teacher.invalid/v1"), tmp_path))
